@@ -22,7 +22,6 @@ from .staircase import (
     scheme_vandermonde,
 )
 from .qsim import (
-    AffineMap,
     DensityMatrix,
     DimensionCapError,
     EmptyStateError,
@@ -79,7 +78,6 @@ __all__ = [
     # qsim
     "SparseState",
     "DensityMatrix",
-    "AffineMap",
     "EmptyStateError",
     "DimensionCapError",
     "superpose",

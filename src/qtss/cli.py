@@ -18,7 +18,7 @@ Config files are flat ``key = value`` text; ``#`` starts a comment::
     cap_dim = 4096
 
 Reports are deterministic for a fixed config and seed: the JSON bytes are
-identical across runs (wall-clock timings go to stdout only, never into the
+identical across runs (wall-clock timings go to stderr only, never into the
 report).  Exit codes: 0 all scenarios pass, 1 some invariant failed, 2 the
 config was invalid.  Scenarios that would exceed a cap are reported with
 status ``cap-exceeded`` and do not fail the run.
@@ -31,14 +31,16 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
+from .gf import FieldVector
 from .protocol import (
     basis_secret,
     convert_to_mixed,
@@ -236,7 +238,7 @@ class RunRecord:
     bound_dim: float | int | None = None
     optimal: bool | None = None
     metrics: dict = field(default_factory=dict)
-    wall_time: float = 0.0  # stdout summary only; never serialized
+    wall_time: float = 0.0  # stderr summary only; never serialized
 
     def fail(self, detail: str) -> None:
         self.status = "fail"
@@ -311,35 +313,99 @@ def _scenario_rng(seed: int, triple: tuple[int, int, int], mode: str) -> np.rand
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def _pick_secrets(
-    cfg: ScenarioConfig, p: SchemeParams, mode: str
-) -> tuple[list[SparseState], str] | None:
-    """Secrets to test for one scenario, or None if caps forbid the sweep.
+def _pick_secrets(cfg: ScenarioConfig, p: SchemeParams, mode: str) -> list[SparseState]:
+    """Secrets to test for one scenario.
 
     Random secrets are drawn uniformly on the unit sphere over all q**m
     basis labels when the resulting state fits the branch cap, otherwise on
     a random 2-label support so superposition behaviour is still exercised.
+    Raises :class:`EnumerationCapError` if the caps forbid the sweep.
     """
     count = cfg.random_count
     per_basis = p.branch_count
-    if per_basis > cfg.cap_branches:
-        return None
-    if count is None:
-        total = p.q**p.m
-        if total * per_basis > cfg.cap_branches:
-            return None
-        secrets = [
-            basis_secret(p, digits)
-            for digits in itertools.product(range(p.q), repeat=p.m)
-        ]
-        return secrets, "basis-exhaustive"
-    rng = _scenario_rng(cfg.seed, (p.k, p.d, p.q), mode)
     full_dim = p.q**p.m
-    support = full_dim if full_dim * per_basis <= cfg.cap_branches else 2
-    if support * per_basis > cfg.cap_branches:
-        return None
-    secrets = [random_state(p.q, p.m, rng, support=support) for _ in range(count)]
-    return secrets, f"random:{count}"
+    if count is None:
+        support = full_dim
+    else:
+        support = full_dim if full_dim * per_basis <= cfg.cap_branches else 2
+    if per_basis > cfg.cap_branches or support * per_basis > cfg.cap_branches:
+        raise EnumerationCapError(
+            f"branch count {per_basis} per basis secret exceeds cap {cfg.cap_branches}"
+        )
+    if count is None:
+        return [basis_secret(p, digits) for digits in itertools.product(range(p.q), repeat=p.m)]
+    rng = _scenario_rng(cfg.seed, (p.k, p.d, p.q), mode)
+    return [random_state(p.q, p.m, rng, support=support) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# Sweeps
+# ---------------------------------------------------------------------------
+
+
+def _session_shape(p: SchemeParams, mode: str) -> tuple[Callable, int, int]:
+    """(combiner, participants contacted, qudits communicated) of a recovery mode."""
+    if mode == "recover-d":
+        return recover_from_d, p.d, p.d
+    return recover_from_k, p.k, p.m * p.k
+
+
+def _recovery_sweep(
+    cfg: ScenarioConfig,
+    p: SchemeParams,
+    rec: RunRecord,
+    secrets: Sequence[SparseState],
+    modes: Sequence[str],
+    retained: Sequence[int],
+) -> float:
+    """Deal each secret once and recover it, in each recovery mode, from every
+    subset of the retained participants; returns the minimum fidelity."""
+    min_fid = 1.0
+    for secret in secrets:
+        dealt = convert_to_mixed(deal(secret, p, cfg.cap_branches), len(retained))
+        for mode in modes:
+            recover, size, expected_cost = _session_shape(p, mode)
+            for subset in itertools.combinations(retained, size):
+                result = recover(dealt, subset)
+                cost = result.transcript.qudit_cost
+                if cost != expected_cost:
+                    rec.fail(f"subset {subset}: cost {cost} != {expected_cost}")
+                rho = result.state.partial_trace(result.secret_registers, cfg.cap_dim)
+                fid = fidelity(rho, secret)
+                min_fid = min(min_fid, fid)
+                if fid < 1.0 - MATCH_TOL:
+                    rec.fail(f"subset {subset}: fidelity {fid} below 1 - 1e-10")
+                if abs(rho.purity() - 1.0) > MATCH_TOL:
+                    rec.fail(f"subset {subset}: secret block not disentangled")
+    return min_fid
+
+
+def _secrecy_sweep(
+    cfg: ScenarioConfig,
+    p: SchemeParams,
+    rec: RunRecord,
+    secrets: Sequence[SparseState],
+    retained: Sequence[int],
+) -> tuple[float, int, int]:
+    """Compare the reduced states of every unauthorized subset of the retained
+    participants across consecutive secret pairs.
+
+    Returns the maximum trace distance, the number of subsets checked and the
+    number skipped for exceeding the dimension cap.
+    """
+    pairs = list(zip(secrets[::2], secrets[1::2])) or [(secrets[0], secrets[0])]
+    max_td, tested, skipped = 0.0, 0, 0
+    for size in range(1, p.k):
+        for subset in itertools.combinations(retained, size):
+            if p.q ** (p.m * size) > cfg.cap_dim:
+                skipped += 1
+                continue
+            report = secrecy_check(p, subset, pairs, cfg.cap_dim, cfg.cap_branches)
+            tested += 1
+            max_td = max(max_td, report.max_trace_distance)
+            if not report.passed:
+                rec.fail(f"subset {subset}: trace distance {report.max_trace_distance} above 1e-10")
+    return max_td, tested, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +414,7 @@ def _pick_secrets(
 
 
 def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
-    picked = _pick_secrets(cfg, p, "encode")
-    if picked is None:
-        rec.status = "cap-exceeded"
-        rec.detail = f"branch count {p.branch_count} per basis secret exceeds cap {cfg.cap_branches}"
-        return
-    secrets, _ = picked
+    secrets = _pick_secrets(cfg, p, "encode")
     worst_norm = 0.0
     for secret in secrets:
         dealt = deal(secret, p, cfg.cap_branches)
@@ -370,8 +431,6 @@ def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
         basis = basis_secret(p, digits)
         dealt = deal(basis, p, cfg.cap_branches)
         labels = {tuple(int(x) for x in row) for row in dealt.state.labels}
-        from .gf import FieldVector
-
         expected_labels = {
             tuple(e for e in codeword.entries)
             for _, codeword in enumerate_codewords(
@@ -385,66 +444,23 @@ def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
         rec.fail(f"norm error {worst_norm} above 1e-12")
 
 
-def _run_recovery(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord, mode: str) -> None:
-    picked = _pick_secrets(cfg, p, mode)
-    if picked is None:
-        rec.status = "cap-exceeded"
-        rec.detail = f"branch count {p.branch_count} per basis secret exceeds cap {cfg.cap_branches}"
-        return
-    secrets, _ = picked
-    size = p.d if mode == "recover-d" else p.k
-    expected_cost = p.d if mode == "recover-d" else p.m * p.k
-    recover = recover_from_d if mode == "recover-d" else recover_from_k
-    min_fid = 1.0
-    subsets = list(itertools.combinations(range(1, p.n + 1), size))
-    rec.subsets_tested = len(subsets)
-    for secret in secrets:
-        dealt = deal(secret, p, cfg.cap_branches)
-        for subset in subsets:
-            result = recover(dealt, subset)
-            t = result.transcript
-            if t.qudit_cost != expected_cost:
-                rec.fail(f"subset {subset}: cost {t.qudit_cost} != {expected_cost}")
-            rho = result.state.partial_trace(result.secret_registers, cfg.cap_dim)
-            fid = fidelity(rho, secret)
-            min_fid = min(min_fid, fid)
-            if fid < 1.0 - MATCH_TOL:
-                rec.fail(f"subset {subset}: fidelity {fid} below 1 - 1e-10")
-            if abs(rho.purity() - 1.0) > MATCH_TOL:
-                rec.fail(f"subset {subset}: secret block not disentangled")
+def _run_recovery(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
+    secrets = _pick_secrets(cfg, p, rec.mode)
+    _, size, cost = _session_shape(p, rec.mode)
+    rec.subsets_tested = math.comb(p.n, size)
+    participants = range(1, p.n + 1)
+    rec.min_fidelity = _recovery_sweep(cfg, p, rec, secrets, (rec.mode,), participants)
     rec.secrets_tested = len(secrets)
-    rec.min_fidelity = min_fid
-    rec.qudit_cost = expected_cost
-    rec.channel_dim = p.q**expected_cost
-    if mode == "recover-d":
+    rec.qudit_cost = cost
+    rec.channel_dim = p.q**cost
+    if rec.mode == "recover-d":
         rec.bound_dim = lower_bound(p.q**p.m, p.k, p.d)
         rec.optimal = rec.channel_dim == rec.bound_dim
 
 
 def _run_secrecy(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
-    picked = _pick_secrets(cfg, p, "secrecy")
-    if picked is None:
-        rec.status = "cap-exceeded"
-        rec.detail = f"branch count {p.branch_count} per basis secret exceeds cap {cfg.cap_branches}"
-        return
-    secrets, _ = picked
-    pairs = [(a, b) for a, b in zip(secrets[::2], secrets[1::2])]
-    if not pairs and len(secrets) >= 2:
-        pairs = [(secrets[0], secrets[1])]
-    if not pairs:
-        pairs = [(secrets[0], secrets[0])]
-    max_td = 0.0
-    skipped = 0
-    for size in range(1, p.k):
-        for subset in itertools.combinations(range(1, p.n + 1), size):
-            if p.q ** (p.m * size) > cfg.cap_dim:
-                skipped += 1
-                continue
-            report = secrecy_check(p, subset, pairs, cfg.cap_dim, cfg.cap_branches)
-            rec.subsets_tested += 1
-            max_td = max(max_td, report.max_trace_distance)
-            if not report.passed:
-                rec.fail(f"subset {subset}: trace distance {report.max_trace_distance} above 1e-10")
+    secrets = _pick_secrets(cfg, p, "secrecy")
+    max_td, rec.subsets_tested, skipped = _secrecy_sweep(cfg, p, rec, secrets, range(1, p.n + 1))
     rec.secrets_tested = len(secrets)
     rec.max_trace_distance = max_td
     if skipped:
@@ -481,50 +497,19 @@ def _run_mixed(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     """Re-verify recovery and secrecy after discarding shares down to max(k, d)."""
     n_prime = max(p.k, p.d)
     rec.metrics["retained_shares"] = n_prime
-    picked = _pick_secrets(cfg, p, "mixed")
-    if picked is None:
-        rec.status = "cap-exceeded"
-        rec.detail = f"branch count {p.branch_count} per basis secret exceeds cap {cfg.cap_branches}"
-        return
-    secrets, _ = picked
-    secrets = secrets[:4] if len(secrets) > 4 else secrets
+    secrets = _pick_secrets(cfg, p, "mixed")[:4]
     retained = range(1, n_prime + 1)
-    min_fid = 1.0
-    for secret in secrets:
-        dealt = convert_to_mixed(deal(secret, p, cfg.cap_branches), n_prime)
-        for subset in itertools.combinations(retained, p.k):
-            res = recover_from_k(dealt, subset)
-            rho = res.state.partial_trace(res.secret_registers, cfg.cap_dim)
-            fid = fidelity(rho, secret)
-            min_fid = min(min_fid, fid)
-            if fid < 1.0 - MATCH_TOL:
-                rec.fail(f"retained k-subset {subset}: fidelity {fid} below 1 - 1e-10")
-            rec.subsets_tested += 1
-        for subset in itertools.combinations(retained, p.d):
-            res = recover_from_d(dealt, subset)
-            rho = res.state.partial_trace(res.secret_registers, cfg.cap_dim)
-            fid = fidelity(rho, secret)
-            min_fid = min(min_fid, fid)
-            if fid < 1.0 - MATCH_TOL:
-                rec.fail(f"retained d-subset {subset}: fidelity {fid} below 1 - 1e-10")
-            rec.subsets_tested += 1
-    pairs = [(a, b) for a, b in zip(secrets[::2], secrets[1::2])] or [(secrets[0], secrets[0])]
-    max_td = 0.0
-    for size in range(1, p.k):
-        for subset in itertools.combinations(retained, size):
-            if p.q ** (p.m * size) > cfg.cap_dim:
-                continue
-            report = secrecy_check(p, subset, pairs, cfg.cap_dim, cfg.cap_branches)
-            max_td = max(max_td, report.max_trace_distance)
-            if not report.passed:
-                rec.fail(f"retained subset {subset}: trace distance {report.max_trace_distance} above 1e-10")
+    modes = ("recover-k", "recover-d")
+    rec.min_fidelity = _recovery_sweep(cfg, p, rec, secrets, modes, retained)
+    rec.subsets_tested = len(secrets) * (math.comb(n_prime, p.k) + math.comb(n_prime, p.d))
+    rec.max_trace_distance, _, _ = _secrecy_sweep(cfg, p, rec, secrets, retained)
     rec.secrets_tested = len(secrets)
-    rec.min_fidelity = min_fid
-    rec.max_trace_distance = max_td
 
 
 _MODE_RUNNERS = {
     "encode": _run_encode,
+    "recover-d": _run_recovery,
+    "recover-k": _run_recovery,
     "secrecy": _run_secrecy,
     "costs": _run_costs,
     "mixed": _run_mixed,
@@ -546,10 +531,7 @@ def run(cfg: ScenarioConfig) -> RunReport:
                 rec.detail = "d = k: bandwidth-efficient recovery coincides with threshold recovery"
             start = time.perf_counter()
             try:
-                if mode in ("recover-d", "recover-k"):
-                    _run_recovery(cfg, p, rec, mode)
-                else:
-                    _MODE_RUNNERS[mode](cfg, p, rec)
+                _MODE_RUNNERS[mode](cfg, p, rec)
             except (EnumerationCapError, DimensionCapError) as exc:
                 rec.status = "cap-exceeded"
                 rec.detail = str(exc)

@@ -17,9 +17,12 @@ procedures undo the encoding:
   re-randomizes the leftover registers so each mirrors the corresponding
   registers of the uncontacted shares.
 
-Every combiner operation is recorded in a transcript and is mechanically
-confined to the registers the combiner actually received; an operation
-touching anything else raises :class:`CombinerLocalityError`.  Secrecy of
+Every combiner operation is recorded, with its matrix, in a transcript and is
+mechanically confined to the registers the combiner actually received; an
+operation touching anything else raises :class:`CombinerLocalityError`.  The
+transcript is the session's program: when the session finishes, its ops are
+composed into one invertible matrix over F_q on the received registers and
+applied to the shared state in a single relabeling.  Secrecy of
 small participant subsets is checked operationally: reduced density
 matrices of a subset must be identical (zero trace distance) across
 secrets.
@@ -39,6 +42,7 @@ from .qsim import (
     MATCH_TOL,
     DimensionCapError,
     SparseState,
+    _as_labels,
     _mod_matmul,
     trace_distance,
 )
@@ -182,7 +186,7 @@ def deal(
     weight = 1.0 / np.sqrt(per_basis)
     for digits, amp in zip(sec.labels, sec.amps):
         base = (coeff_s @ digits.astype(np.int64)) % p.q
-        label_blocks.append(((rand_part + base.astype(rand_part.dtype)) % p.q).astype(np.int16))
+        label_blocks.append(_as_labels((rand_part + base.astype(rand_part.dtype)) % p.q, p.q))
         amp_blocks.append(np.full(per_basis, amp * weight, dtype=np.complex128))
     labels = np.concatenate(label_blocks, axis=0)
     amps = np.concatenate(amp_blocks)
@@ -202,18 +206,25 @@ def deal(
 
 @dataclass(frozen=True)
 class OpRecord:
-    """One combiner operation: what it did and which registers it touched."""
+    """One combiner operation: what it did, which registers it touched, and
+    its coefficient matrix over F_q.
+
+    An ``affine`` op maps the target digits x to ``matrix @ x``; a
+    ``controlled-add`` op adds ``matrix @ (source digits)`` into the targets.
+    """
 
     kind: str  # "affine" | "controlled-add"
     targets: tuple[int, ...]
     sources: tuple[int, ...]
     note: str
+    matrix: FieldMatrix
 
 
 @dataclass(frozen=True)
 class RecoveryTranscript:
     """Accounting for one recovery session.
 
+    ``operations`` is the session's program, in the order it runs.
     ``qudit_cost`` counts the registers communicated to the combiner and
     ``channel_dim`` is the total Hilbert-space dimension q**cost that had to
     cross the channel.
@@ -234,15 +245,19 @@ class RecoveryResult:
 
 
 class _CombinerSession:
-    """Applies operations to the shared state, refusing non-local ones."""
+    """Records a combiner's operations, refusing non-local ones, and runs
+    them on the shared state as one linear map when the session finishes."""
 
     def __init__(self, dealt: DealtState, accessed: dict[int, tuple[int, ...]]):
         self.accessed = accessed
-        self.allowed = frozenset(r for regs in accessed.values() for r in regs)
+        self.registers = [r for regs in accessed.values() for r in regs]
+        self.allowed = frozenset(self.registers)
         self.state = dealt.state
         self.ops: list[OpRecord] = []
 
     def _guard(self, registers: Sequence[int]) -> None:
+        if len(set(registers)) != len(registers):
+            raise ValueError(f"operation names a register twice: {list(registers)}")
         outside = sorted(set(registers) - self.allowed)
         if outside:
             raise CombinerLocalityError(
@@ -251,26 +266,46 @@ class _CombinerSession:
 
     def affine(self, targets: Sequence[int], matrix: FieldMatrix, note: str) -> None:
         self._guard(targets)
-        self.state = self.state.apply_affine(targets, matrix)
-        self.ops.append(OpRecord("affine", tuple(targets), (), note))
+        self.ops.append(OpRecord("affine", tuple(targets), (), note, matrix))
 
     def controlled_add(
         self, sources: Sequence[int], targets: Sequence[int], coeff: FieldMatrix, note: str
     ) -> None:
         self._guard(list(sources) + list(targets))
-        self.state = self.state.apply_controlled_add(sources, targets, coeff)
-        self.ops.append(OpRecord("controlled-add", tuple(targets), tuple(sources), note))
+        self.ops.append(OpRecord("controlled-add", tuple(targets), tuple(sources), note, coeff))
+
+    def _program(self) -> np.ndarray:
+        """The recorded ops composed into one matrix on ``self.registers``.
+
+        Row i of the running product gives received register i's digit as a
+        combination of the digits the combiner received, so each op acts on
+        the rows of its target registers exactly as it would on label digits.
+        """
+        q = self.state.q
+        pos = {r: i for i, r in enumerate(self.registers)}
+        prog = np.eye(len(self.registers), dtype=np.int64)
+        for op in self.ops:
+            tgt = [pos[r] for r in op.targets]
+            coeff = op.matrix.to_array()
+            if op.kind == "affine":
+                prog[tgt] = (coeff @ prog[tgt]) % q
+            else:
+                prog[tgt] = (prog[tgt] + coeff @ prog[[pos[r] for r in op.sources]]) % q
+        return prog
 
     def finish(self, output_registers: Sequence[int]) -> RecoveryResult:
+        # apply_affine rejects a singular program: its invertibility is the
+        # certificate that the whole session permutes basis states.
+        state = self.state.apply_affine(self.registers, self._program())
         cost = len(self.allowed)
         transcript = RecoveryTranscript(
             accessed=dict(self.accessed),
             operations=tuple(self.ops),
             qudit_cost=cost,
-            channel_dim=self.state.q**cost,
+            channel_dim=state.q**cost,
             output_registers=tuple(output_registers),
         )
-        return RecoveryResult(self.state, tuple(output_registers), transcript)
+        return RecoveryResult(state, tuple(output_registers), transcript)
 
 
 def recover_from_d(dealt: DealtState, participants: Iterable[int]) -> RecoveryResult:

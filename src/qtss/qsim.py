@@ -23,20 +23,18 @@ sits far below all three.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse
 
-from .gf import FieldMatrix, FieldVector, PrimeField, SingularMatrixError
+from .gf import FieldMatrix, PrimeField, SingularMatrixError
 
 __all__ = [
     "EmptyStateError",
     "DimensionCapError",
     "SparseState",
     "DensityMatrix",
-    "AffineMap",
     "superpose",
     "tensor",
     "fidelity",
@@ -58,12 +56,13 @@ MATCH_TOL = 1e-10
 DEFAULT_DIM_CAP = 4096
 
 # Full duplicate-label scan after a relabeling is O(N log N); above this
-# branch count we rely on the proven bijectivity of the map instead (the
-# linear part is checked invertible, and controlled additions are bijective
-# for any coefficient matrix).
+# branch count we rely on the proven bijectivity of the map instead (every
+# relabeling is an affine map whose linear part is checked invertible).
 _UNIQUENESS_SCAN_LIMIT = 100_000
 
-_LABEL_DTYPE = np.int16
+# Unsigned 16 bits hold every digit of every field PrimeField accepts
+# (q < 2**16); no other module names this dtype.
+_LABEL_DTYPE = np.uint16
 
 
 class EmptyStateError(ValueError):
@@ -74,11 +73,23 @@ class DimensionCapError(ValueError):
     """A dense object would exceed the configured dimension cap."""
 
 
+def _as_labels(digits, q: int) -> np.ndarray:
+    """Label rows in the simulator's dtype, after checking every digit lies in [0, q).
+
+    The range check runs before the cast, so an out-of-range digit raises
+    instead of wrapping.
+    """
+    arr = np.asarray(digits)
+    if arr.size and (arr.min() < 0 or arr.max() >= q):
+        raise ValueError(f"label digits must lie in [0, {q})")
+    return arr.astype(_LABEL_DTYPE, copy=False)
+
+
 def _pack(labels: np.ndarray, q: int) -> np.ndarray | None:
     """Base-q packing of label rows into int64 keys, or None on overflow.
 
     Accumulates column by column (key = (...(c0*q + c1)*q + c2)...), which
-    streams the int16 label columns directly instead of materializing a
+    streams the label columns directly instead of materializing a
     wide int64/float64 copy of the whole array.
     """
     t = labels.shape[1]
@@ -155,12 +166,10 @@ class SparseState:
 
     def __init__(self, q: int, labels, amps) -> None:
         PrimeField(q)  # validates primality / size
-        labels = np.array(labels, dtype=_LABEL_DTYPE, ndmin=2)
+        labels = _as_labels(np.array(labels, ndmin=2), q)
         amps = np.asarray(amps, dtype=np.complex128).ravel().copy()
         if labels.shape[0] != amps.shape[0]:
             raise ValueError("labels and amplitudes disagree on branch count")
-        if labels.size and (labels.min() < 0 or labels.max() >= q):
-            raise ValueError(f"label digits must lie in [0, {q})")
         labels, amps = _combine(labels, amps, q)
         labels, amps = _prune_normalize(labels, amps)
         self.q = q
@@ -204,7 +213,7 @@ class SparseState:
         lengths = {len(lbl) for lbl, _ in pairs}
         if len(lengths) != 1:
             raise ValueError(f"branch labels have differing lengths: {sorted(lengths)}")
-        labels = np.array([tuple(lbl) for lbl, _ in pairs], dtype=_LABEL_DTYPE)
+        labels = np.array([tuple(lbl) for lbl, _ in pairs], dtype=np.int64)
         if labels.ndim == 1:  # zero-register labels
             labels = labels.reshape(len(pairs), 0)
         amps = np.array([w for _, w in pairs], dtype=np.complex128)
@@ -295,25 +304,23 @@ class SparseState:
     ) -> SparseState:
         """Add ``coeff @ source-digits`` into the target digits (mod q).
 
-        Sources and targets must be disjoint; the map is then a bijection on
-        labels for any coefficient matrix, with inverse ``-coeff``.
+        Sources and targets must be disjoint; the map is then the affine map
+        ``[[I, 0], [coeff, I]]`` on sources + targets, a bijection on labels
+        for any coefficient matrix, with inverse ``-coeff``.
         """
         sources = self._check_registers(sources, "source")
         targets = self._check_registers(targets, "target")
         if set(sources) & set(targets):
             raise ValueError("source and target registers overlap")
         c = _coerce_matrix(coeff, self.q)
-        if c.shape != (len(targets), len(sources)):
+        s, t = len(sources), len(targets)
+        if c.shape != (t, s):
             raise ValueError(
-                f"coefficient shape {c.shape} does not map {len(sources)} sources "
-                f"to {len(targets)} targets"
+                f"coefficient shape {c.shape} does not map {s} sources to {t} targets"
             )
-        new_labels = self.labels.copy()
-        if len(targets) and len(sources):
-            shift = _mod_matmul(self.labels[:, sources], c.T, self.q)
-            tgt = self.labels[:, targets].astype(shift.dtype)
-            new_labels[:, targets] = ((tgt + shift) % self.q).astype(_LABEL_DTYPE)
-        return self._relabeled(new_labels)
+        block = np.eye(s + t, dtype=np.int64)
+        block[s:, :s] = c
+        return self.apply_affine(sources + targets, block)
 
     def _relabeled(self, new_labels: np.ndarray) -> SparseState:
         # Norm preservation is structural (the relabeling is bijective); for
@@ -434,36 +441,6 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     labels = np.concatenate([left, right], axis=1)
     amps = (a.amps[:, None] * b.amps[None, :]).ravel()
     return SparseState(a.q, labels, amps)
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """An invertible affine relabeling of a register subset.
-
-    The transcript-friendly form of a basis-permutation unitary: digits x of
-    the target registers become ``A x + b`` over F_q.
-    """
-
-    targets: tuple[int, ...]
-    matrix: FieldMatrix
-    offset: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        t = len(self.targets)
-        if self.matrix.rows != t or self.matrix.cols != t:
-            raise ValueError("matrix shape does not match target count")
-        if len(self.offset) != t:
-            raise ValueError("offset length does not match target count")
-        self.matrix.inverse()  # raises SingularMatrixError if not a bijection
-
-    def apply(self, state: SparseState) -> SparseState:
-        return state.apply_affine(self.targets, self.matrix, self.offset)
-
-    def inverse(self) -> AffineMap:
-        inv = self.matrix.inverse()
-        f = self.matrix.field
-        shifted = inv @ FieldVector(f, tuple(self.offset))
-        return AffineMap(self.targets, inv, tuple((-x) % f.q for x in shifted))
 
 
 def _require_invertible(a: np.ndarray, q: int) -> None:
@@ -639,7 +616,7 @@ def random_state(
     else:
         picks = rng.choice(dim, size=support, replace=False)
     amps = rng.normal(size=support) + 1j * rng.normal(size=support)
-    digits = np.zeros((support, num_registers), dtype=_LABEL_DTYPE)
+    digits = np.zeros((support, num_registers), dtype=np.int64)
     rem = picks.astype(np.int64)
     for pos in range(num_registers - 1, -1, -1):
         digits[:, pos] = rem % q

@@ -6,12 +6,14 @@ onto the original secret (fidelity 1, purity 1), with factor_check
 confirming full disentanglement.
 """
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from qtss.gf import FieldVector
+from qtss.gf import FieldMatrix, FieldVector, SingularMatrixError
 from qtss.protocol import (
     CombinerLocalityError,
     _CombinerSession,
@@ -102,6 +104,22 @@ class TestDeal:
     def test_branch_cap(self):
         with pytest.raises(EnumerationCapError):
             deal(basis_secret(P347, (0, 0)), P347, cap_branches=100)
+
+    def test_large_field_labels_not_wrapped(self):
+        # 4 x 32771 branches: above the size where deal validates by sorting.
+        p = make_params(2, 2, 32771)
+        secret = SparseState.from_branches(
+            p.q, [((s,), 0.5) for s in (0, 1, 32769, 32770)]
+        )
+        state = deal(secret, p).state
+        assert state.num_branches == 4 * 32771
+        assert int(state.labels.min()) == 0
+        assert int(state.labels.max()) == p.q - 1
+        # The shift code s + i*r: share 2 minus share 1 is r, share 1 minus r is s.
+        lab = state.labels.astype(np.int64)
+        r = (lab[:, 1] - lab[:, 0]) % p.q
+        assert set(np.unique((lab[:, 0] - r) % p.q)) == {0, 1, 32769, 32770}
+        assert np.array_equal((lab[:, 0] + 2 * r) % p.q, lab[:, 2])
 
 
 class TestRecoverFromD:
@@ -220,6 +238,108 @@ class TestCombinerLocality:
             for op in result.transcript.operations:
                 assert set(op.targets) | set(op.sources) <= allowed
             assert result.transcript.qudit_cost == len(allowed)
+
+
+def replay(dealt, transcript) -> SparseState:
+    """Run a transcript op by op with the simulator's own relabelings."""
+    state = dealt.state
+    for op in transcript.operations:
+        if op.kind == "affine":
+            state = state.apply_affine(op.targets, op.matrix)
+        else:
+            state = state.apply_controlled_add(op.sources, op.targets, op.matrix)
+    return state
+
+
+def rerun(dealt, result, ops) -> SparseState:
+    """Issue the given ops through a fresh session with the same registers."""
+    session = _CombinerSession(dealt, dict(result.transcript.accessed))
+    for op in ops:
+        if op.kind == "affine":
+            session.affine(op.targets, op.matrix, op.note)
+        else:
+            session.controlled_add(op.sources, op.targets, op.matrix, op.note)
+    return session.finish(result.secret_registers).state
+
+
+def sessions(p, secret, n_kept):
+    """(dealt, result) for every k- and d-subset of the first n_kept participants."""
+    dealt = convert_to_mixed(deal(secret, p), n_kept)
+    for size, recover in ((p.k, recover_from_k), (p.d, recover_from_d)):
+        for subset in itertools.combinations(range(1, n_kept + 1), size):
+            yield dealt, recover(dealt, subset)
+
+
+class TestProgram:
+    """A transcript is the session's program: composing its ops into one
+    matrix must act exactly like applying them one at a time."""
+
+    @pytest.mark.parametrize("p, n_kept", [(P235, 3), (P347, 5), (P347, 4)])
+    def test_fused_session_equals_op_by_op_replay(self, p, n_kept):
+        secret = random_state(p.q, p.m, rng_for(404))
+        count = 0
+        for dealt, result in sessions(p, secret, n_kept):
+            fused = result.state.canonical()
+            stepwise = replay(dealt, result.transcript).canonical()
+            assert np.array_equal(fused.labels, stepwise.labels)
+            assert np.array_equal(fused.amps, stepwise.amps)
+            count += 1
+        assert count == math.comb(n_kept, p.k) + math.comb(n_kept, p.d)
+
+    def test_one_relabeling_per_session(self, monkeypatch):
+        calls = []
+        original = SparseState.apply_affine
+
+        def counted(self, *args, **kwargs):
+            calls.append(args[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SparseState, "apply_affine", counted)
+        monkeypatch.setattr(SparseState, "apply_controlled_add", None)
+        dealt = deal(basis_secret(P347, (2, 5)), P347)
+        for recover, subset in ((recover_from_k, (1, 3, 5)), (recover_from_d, (1, 2, 4, 5))):
+            calls.clear()
+            result = recover(dealt, subset)
+            assert len(result.transcript.operations) > 1
+            assert len(calls) == 1
+
+    def test_singular_program_rejected(self):
+        dealt = deal(basis_secret(P235, (1, 2)), P235)
+        session = _CombinerSession(dealt, {1: (0,), 2: (2,)})
+        f = P235.field
+        session.affine([0, 2], FieldMatrix.from_rows(f, [[1, 2], [0, 1]]), "invertible")
+        session.controlled_add([0], [2], FieldMatrix.from_rows(f, [[3]]), "always invertible")
+        session.affine([2], FieldMatrix.zeros(f, 1, 1), "collapses register 2")
+        with pytest.raises(SingularMatrixError):
+            session.finish([0])
+
+    def test_repeated_register_rejected(self):
+        # Composition needs disjoint sources and targets, as the simulator does.
+        dealt = deal(basis_secret(P235, (1, 2)), P235)
+        session = _CombinerSession(dealt, {1: (0,), 2: (2,)})
+        f = P235.field
+        with pytest.raises(ValueError, match="twice"):
+            session.controlled_add([0], [0], FieldMatrix.from_rows(f, [[1]]), "overlap")
+        with pytest.raises(ValueError, match="twice"):
+            session.affine([2, 2], FieldMatrix.identity(f, 2), "duplicate")
+        assert session.ops == []
+
+    @pytest.mark.parametrize("recover, subset", [(recover_from_d, (1, 2, 3)), (recover_from_k, (1, 3))])
+    def test_tampered_coefficient_breaks_recovery(self, recover, subset):
+        secret = superpose(
+            [(basis_secret(P235, (4, 2)), 0.8), (basis_secret(P235, (3, 3)), 0.6j)]
+        )
+        dealt = deal(secret, P235)
+        result = recover(dealt, subset)
+        ops = list(result.transcript.operations)
+        first = ops[0].matrix
+        bumped = FieldMatrix(first.field, first.rows, first.cols, (first.entries[0] + 1,) + first.entries[1:])
+        ops[0] = dataclasses.replace(ops[0], matrix=bumped)
+        state = rerun(dealt, result, ops)
+        assert fidelity(state.partial_trace(result.secret_registers), secret) < 1.0 - TOL
+        # The untampered program, re-run the same way, still recovers.
+        untouched = rerun(dealt, result, result.transcript.operations)
+        assert fidelity(untouched.partial_trace(result.secret_registers), secret) >= 1.0 - TOL
 
 
 class TestSecrecy:

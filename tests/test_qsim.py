@@ -10,9 +10,8 @@ import itertools
 import numpy as np
 import pytest
 
-from qtss.gf import FieldMatrix, PrimeField, SingularMatrixError
+from qtss.gf import FieldMatrix, FieldVector, PrimeField, SingularMatrixError
 from qtss.qsim import (
-    AffineMap,
     DensityMatrix,
     DimensionCapError,
     EmptyStateError,
@@ -91,6 +90,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="lie in"):
             SparseState.basis(3, (3,))
 
+    def test_negative_digit_rejected_not_wrapped(self):
+        with pytest.raises(ValueError, match="lie in"):
+            SparseState(5, np.array([[1, -1]]), [1.0])
+        with pytest.raises(ValueError, match="lie in"):
+            SparseState.from_branches(5, [((-1,), 1.0)])
+
+    def test_large_field_digits_kept_exact(self):
+        # Digits above 2**15 must survive the label dtype unchanged.
+        st = SparseState.basis(40009, (40000,))
+        assert st.branch_dict() == {(40000,): 1.0}
+        out = st.apply_affine([0], FieldMatrix(PrimeField(40009), 1, 1, (2,)))
+        assert out.branch_dict() == {(39991,): 1.0}  # 80000 mod 40009
+        with pytest.raises(ValueError, match="lie in"):
+            SparseState.basis(40009, (40009,))
+
     def test_norm_invariant(self):
         rng = np.random.default_rng(5)
         st = SparseState.from_branches(
@@ -151,12 +165,13 @@ class TestAffine:
     def test_round_trip(self):
         rng = np.random.default_rng(42)
         st = random_state(5, 3, rng, support=10)
-        amap = AffineMap(
-            targets=(0, 2),
-            matrix=FieldMatrix.from_rows(F5, [[2, 1], [1, 1]]),
-            offset=(3, 4),
-        )
-        assert amap.inverse().apply(amap.apply(st)).allclose(st)
+        a = FieldMatrix.from_rows(F5, [[2, 1], [1, 1]])
+        b = (3, 4)
+        a_inv = a.inverse()
+        back_offset = [-x % 5 for x in a_inv @ FieldVector(F5, b)]
+        fwd = st.apply_affine([0, 2], a, offset=b)
+        assert not fwd.allclose(st)
+        assert fwd.apply_affine([0, 2], a_inv, offset=back_offset).allclose(st)
 
     def test_singular_rejected(self):
         st = SparseState.basis(5, (0, 0))
