@@ -40,6 +40,7 @@ from .gf import FieldMatrix, FieldVector
 from .qsim import (
     DEFAULT_DIM_CAP,
     MATCH_TOL,
+    DensityMatrix,
     DimensionCapError,
     SparseState,
     _as_labels,
@@ -506,15 +507,21 @@ def secrecy_check(
         raise DimensionCapError(
             f"reduced dimension {dim} for subset {members} exceeds the cap {dim_cap}"
         )
+    # Each distinct secret (by identity) is dealt once, and its reduced state
+    # is kept only until the last pair that names it.
+    last_use = {id(s): i for i, pair in enumerate(secret_pairs) for s in pair}
+    reduced: dict[int, DensityMatrix] = {}
     max_td = 0.0
-    seen: set[int] = set()
-    for left, right in secret_pairs:
-        seen.add(id(left))
-        seen.add(id(right))
-        rho = deal(left, p, cap_branches).state.partial_trace(regs, dim_cap)
-        sigma = deal(right, p, cap_branches).state.partial_trace(regs, dim_cap)
+    for i, pair in enumerate(secret_pairs):
+        for s in pair:
+            if id(s) not in reduced:
+                reduced[id(s)] = deal(s, p, cap_branches).state.partial_trace(regs, dim_cap)
+        rho, sigma = (reduced[id(s)] for s in pair)
         max_td = max(max_td, trace_distance(rho, sigma))
-    return SecrecyReport(frozenset(members), max_td, len(seen))
+        for s in pair:
+            if last_use[id(s)] == i:
+                reduced.pop(id(s), None)
+    return SecrecyReport(frozenset(members), max_td, len(last_use))
 
 
 def default_secret_pairs(

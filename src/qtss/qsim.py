@@ -52,13 +52,22 @@ NORM_TOL = 1e-12
 MATCH_TOL = 1e-10
 
 # Largest density matrix we will materialize (rows); 4096 x 4096 complex is
-# ~268 MB and a few seconds of eigensolver time.
+# ~268 MB.  Eigensolver time depends on the block structure of the matrix,
+# not its size: ``trace_distance`` solves each connected block of the
+# difference on its own, and 1x1 blocks (all of a diagonal one) cost nothing.
 DEFAULT_DIM_CAP = 4096
 
 # Full duplicate-label scan after a relabeling is O(N log N); above this
 # branch count we rely on the proven bijectivity of the map instead (every
 # relabeling is an affine map whose linear part is checked invertible).
 _UNIQUENESS_SCAN_LIMIT = 100_000
+
+# Rows per chunk of the label pass in ``partial_trace`` and per block of the
+# Hermiticity check: bounds their temporaries at a few megabytes.  Larger
+# chunks are slower, not faster: with two BLAS threads one 65536-row key
+# product costs several times what eight 8192-row ones do.
+_CHUNK_ROWS = 1 << 13
+_HERMITIAN_ROWS = 64
 
 # Unsigned 16 bits hold every digit of every field PrimeField accepts
 # (q < 2**16); no other module names this dtype.
@@ -346,9 +355,13 @@ class SparseState:
     def partial_trace(self, keep: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
         """Reduced density matrix of the kept registers (in the given order).
 
-        Groups branches by the digits of the discarded registers and
-        accumulates one outer product per group; cost is one sort of the
-        branch array plus a sparse matrix product.
+        Groups branches by the digits of the discarded registers; the reduced
+        matrix is the sum of one outer product per group.  A group of one
+        branch only adds ``|amp|**2`` to a diagonal entry, so singleton groups
+        are summed with one ``bincount`` and only groups of two or more
+        branches go through a sparse product.  Cost is one pass over the
+        labels for both keys, one sort of the discarded keys and, if any group
+        has two branches or more, that product.
         """
         keep = self._check_registers(keep, "kept")
         dim = self.q ** len(keep)
@@ -356,32 +369,61 @@ class SparseState:
             raise DimensionCapError(
                 f"reduced dimension {self.q}**{len(keep)} = {dim} exceeds the cap {dim_cap}"
             )
-        kept_idx = _pack(self.labels[:, keep], self.q)
-        assert kept_idx is not None  # dim <= cap guarantees packability
         rest = [r for r in range(self.num_registers) if r not in keep]
-        rest_labels = self.labels[:, rest]
-        rest_keys = _pack(rest_labels, self.q)
+        kept_idx, rest_keys = self._trace_keys(keep, rest)
         if rest_keys is not None:
             order = np.argsort(rest_keys)
-            new_group = np.ones(len(order), dtype=bool)
             sorted_keys = rest_keys[order]
-            new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
+            same = sorted_keys[1:] == sorted_keys[:-1]
         else:
+            rest_labels = self.labels[:, rest]
             order = _lex_order(rest_labels)
-            new_group = np.ones(len(order), dtype=bool)
-            new_group[1:] = ~_rows_equal_next(rest_labels[order])
-        # One row per group of branches sharing the discarded digits; the
-        # reduced matrix is the sum of the rows' outer products.
-        starts = np.flatnonzero(new_group)
-        indptr = np.concatenate((starts, [len(order)]))
-        spread = scipy.sparse.csr_matrix(
-            (self.amps[order], kept_idx[order], indptr),
-            shape=(len(starts), dim),
-            dtype=np.complex128,
+            same = _rows_equal_next(rest_labels[order])
+        # A branch shares its group iff it has the key of a sorted neighbour.
+        in_multi = np.zeros(len(order), dtype=bool)
+        in_multi[1:] = same
+        in_multi[:-1] |= same
+        single, multi = order[~in_multi], order[in_multi]
+        amps = self.amps[single]
+        rho = np.zeros((dim, dim), dtype=np.complex128)
+        rho[np.diag_indices(dim)] = np.bincount(
+            kept_idx[single], weights=amps.real**2 + amps.imag**2, minlength=dim
         )
-        rho = (spread.T @ spread.conj()).toarray()
-        rho = (rho + rho.conj().T) / 2.0
+        if len(multi):
+            # One row per multi-branch group; its outer product is the
+            # group's contribution.  The sparse sum P is symmetrized into rho
+            # entry by entry, (P + P^H) / 2, so no second dense matrix exists.
+            starts = np.flatnonzero(np.concatenate(([True], ~same))[in_multi])
+            spread = scipy.sparse.csr_matrix(
+                (self.amps[multi], kept_idx[multi], np.append(starts, len(multi))),
+                shape=(len(starts), dim),
+                dtype=np.complex128,
+            )
+            prod = (spread.T @ spread.conj()).tocoo()
+            prod.sum_duplicates()
+            half = prod.data * 0.5
+            rho[prod.row, prod.col] += half
+            rho[prod.col, prod.row] += half.conj()
         return DensityMatrix(self.q, len(keep), rho)
+
+    def _trace_keys(self, keep: list[int], rest: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
+        """Kept-block index and discarded-register key of every branch.
+
+        Both come from one chunked float pass over the label array (exact
+        below 2**53).  The key is None when the discarded digits need 53 bits
+        or more; the caller then sorts their label columns instead.
+        """
+        q = self.q
+        wide = len(rest) * math.log2(q) >= 53
+        weights = np.zeros((self.num_registers, 1 if wide else 2))
+        weights[keep, 0] = q ** np.arange(len(keep) - 1, -1, -1, dtype=np.float64)
+        if not wide:
+            weights[rest, 1] = q ** np.arange(len(rest) - 1, -1, -1, dtype=np.float64)
+        keys = np.empty((weights.shape[1], self.num_branches), dtype=np.int64)
+        for lo in range(0, self.num_branches, _CHUNK_ROWS):
+            chunk = self.labels[lo : lo + _CHUNK_ROWS].astype(np.float64)
+            keys[:, lo : lo + _CHUNK_ROWS] = weights.T @ chunk.T
+        return keys[0], None if wide else keys[1]
 
 
 def _freeze(state: SparseState) -> None:
@@ -454,6 +496,21 @@ def _require_invertible(a: np.ndarray, q: int) -> None:
         ) from None
 
 
+def _hermitian_within_tol(matrix: np.ndarray) -> bool:
+    """Every entry of ``M - M^H`` lies within ``NORM_TOL``; NaN fails.
+
+    Works through row blocks from the diagonal rightwards (the gap matrix is
+    anti-Hermitian, so that covers every entry), and no temporary is larger
+    than one block.
+    """
+    for lo in range(0, len(matrix), _HERMITIAN_ROWS):
+        hi = lo + _HERMITIAN_ROWS
+        gap = matrix[lo:hi, lo:] - matrix[lo:, lo:hi].conj().T
+        if not (np.abs(gap) <= NORM_TOL).all():
+            return False
+    return True
+
+
 class DensityMatrix:
     """A reduced state on a register subset, as a dense Hermitian matrix.
 
@@ -470,7 +527,7 @@ class DensityMatrix:
         if matrix.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix for {num_registers} registers of dimension {q}")
         if validate:
-            if not np.allclose(matrix, matrix.conj().T, atol=NORM_TOL, rtol=0.0):
+            if not _hermitian_within_tol(matrix):
                 raise ValueError("density matrix is not Hermitian")
             tr = complex(np.trace(matrix))
             if abs(tr - 1.0) > NORM_TOL * dim:
@@ -551,11 +608,45 @@ def fidelity(rho: DensityMatrix, psi: SparseState) -> float:
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Half the sum of the absolute eigenvalues of ``rho - sigma``."""
+    """Half the sum of the absolute eigenvalues of ``rho - sigma``, exactly.
+
+    A permutation of the basis makes the difference block diagonal, one
+    block per connected component of its nonzero pattern (lower triangle,
+    the part ``eigvalsh`` reads), and its spectrum is the union of the
+    blocks' spectra.  The blocks go to ``eigvalsh`` stacked by size; for a
+    1x1 block it returns the real part of the entry, exactly and at no real
+    cost.  The union is sorted before summing, as ``eigvalsh`` on the whole
+    matrix returns it.  The reduced states of an unauthorized subset are
+    diagonal, so their comparison costs no dense eigensolve.  A difference
+    whose pattern is connected (a dense one, say) is one block and gets one
+    ``eigvalsh`` of the whole matrix, with no gathered copy.
+    """
+    # Imported here: scipy.sparse.csgraph takes about 0.13 s to import, which
+    # every run would otherwise pay at start-up whether it compares states or not.
+    from scipy.sparse.csgraph import connected_components
+
     if rho.q != sigma.q or rho.num_registers != sigma.num_registers:
         raise ValueError("density matrices live on different registers")
-    diff = rho.matrix - sigma.matrix
-    vals = np.linalg.eigvalsh(diff)
+    a, b = rho.matrix, sigma.matrix
+    rows, cols = np.nonzero(a != b)
+    lower = rows >= cols
+    pattern = scipy.sparse.coo_matrix(
+        (np.ones(np.count_nonzero(lower), dtype=bool), (rows[lower], cols[lower])),
+        shape=a.shape,
+    )
+    count, comp = connected_components(pattern, directed=False)
+    if count == 1:
+        vals = np.linalg.eigvalsh(a - b)
+    else:
+        sizes = np.bincount(comp)
+        members = np.argsort(comp, kind="stable")  # each component's indices, contiguous
+        first = np.cumsum(sizes) - sizes
+        parts = []
+        for size in np.unique(sizes):
+            idx = members[first[sizes == size][:, None] + np.arange(size)]
+            block = idx[:, :, None], idx[:, None, :]
+            parts.append(np.linalg.eigvalsh(a[block] - b[block]).ravel())
+        vals = np.sort(np.concatenate(parts))
     return float(0.5 * np.sum(np.abs(vals)))
 
 

@@ -132,12 +132,7 @@ def secrecy_pairs_for(p):
 def subset_secrecy(p, subset) -> float:
     key = ((p.k, p.d, p.q), frozenset(subset))
     if key not in _secrecy_memo:
-        pairs = secrecy_pairs_for(p)
-        # Large reduced dimensions pay seconds per eigensolve; one pair is
-        # plenty there, the small dimensions get both.
-        if p.q ** (p.m * len(subset)) > 512:
-            pairs = pairs[:1]
-        _secrecy_memo[key] = secrecy_check(p, subset, pairs).max_trace_distance
+        _secrecy_memo[key] = secrecy_check(p, subset, secrecy_pairs_for(p)).max_trace_distance
     return _secrecy_memo[key]
 
 

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from qtss import protocol
 from qtss.gf import FieldMatrix, FieldVector, SingularMatrixError
 from qtss.protocol import (
     CombinerLocalityError,
@@ -359,8 +360,7 @@ class TestSecrecy:
 
     def test_share_pairs_at_k3(self):
         # Every singleton plus a sample of two-share subsets; the exhaustive
-        # two-share sweep runs in the acceptance suite (2401-dim eigensolves
-        # are a few seconds each).
+        # two-share sweep runs in the acceptance suite.
         rng = rng_for(404)
         pairs = [(random_state(P347.q, P347.m, rng), random_state(P347.q, P347.m, rng))]
         for subset in [(1,), (2,), (3,), (4,), (5,), (1, 4), (2, 5)]:
@@ -388,6 +388,50 @@ class TestSecrecy:
         a, b = basis_secret(P235, (0, 0)), basis_secret(P235, (1, 1))
         report = secrecy_check(P235, [1], [(a, b), (a, b)])
         assert report.secrets_tested == 2
+
+    def test_each_secret_dealt_once(self, monkeypatch):
+        dealt = []
+
+        def counted(secret, p, cap_branches=protocol.DEFAULT_BRANCH_CAP):
+            dealt.append(id(secret))
+            return deal(secret, p, cap_branches)
+
+        monkeypatch.setattr(protocol, "deal", counted)
+        a, b, c = (basis_secret(P235, d) for d in ((0, 0), (1, 1), (2, 3)))
+        report = secrecy_check(P235, [1], [(a, a), (a, b), (c, b)])
+        assert sorted(dealt) == sorted(map(id, (a, b, c)))
+        assert report.secrets_tested == 3 and report.passed
+
+    def test_leaky_dealer_fails(self, monkeypatch):
+        # Negative control: share 1's first register carries secret digit s_0
+        # in the clear and no other register depends on s_0.  Every check
+        # above must then fail on share 1.
+        honest = protocol._deal_tables
+        first = P235.layout().registers_of(1)[0]
+
+        def leaky(p):
+            coeff_s, rand_part = (t.copy() for t in honest(p))
+            coeff_s[:, 0] = 0
+            coeff_s[first, 0] = 1
+            rand_part[:, first] = 0
+            return coeff_s, rand_part
+
+        monkeypatch.setattr(protocol, "_deal_tables", leaky)
+        pairs = default_secret_pairs(P235)
+        report = secrecy_check(P235, [1], pairs)
+        assert report.max_trace_distance > 1e-10
+        assert report.passed is False
+        # The superposition pair differs by coherences between secret digits
+        # that share the other register's digit: several blocks of size > 1,
+        # so the distance goes through the block eigensolves.
+        regs = list(P235.layout().registers_of(1))
+        rho, sigma = (deal(s, P235).state.partial_trace(regs) for s in pairs[1])
+        diff = rho.matrix - sigma.matrix
+        assert np.count_nonzero(diff - np.diag(np.diag(diff))) > 0
+        assert np.count_nonzero(diff) < diff.size
+        td = secrecy_check(P235, [1], pairs[1:]).max_trace_distance
+        assert td > 1e-10
+        assert td == pytest.approx(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))), abs=1e-12)
 
 
 class TestComplementRule:

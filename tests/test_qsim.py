@@ -1,7 +1,8 @@
 """Sparse simulator tests.
 
 The partial trace is cross-checked against an independent dense oracle
-(build the full state vector, reshape, contract with einsum); relabeling
+(the amplitude matrix A over kept x discarded digits, then A A^H); the trace
+distance against one ``eigvalsh`` of the whole difference; relabeling
 operations are checked for exact norm preservation and round-trip identity.
 """
 
@@ -9,6 +10,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qtss.gf import FieldMatrix, FieldVector, PrimeField, SingularMatrixError
 from qtss.qsim import (
@@ -25,29 +28,79 @@ from qtss.qsim import (
 )
 
 F5 = PrimeField(5)
-
-
-def dense_vector(state: SparseState) -> np.ndarray:
-    """Independent dense representation (big-endian digit order)."""
-    vec = np.zeros(state.q**state.num_registers, dtype=np.complex128)
-    for row, amp in zip(state.labels, state.amps):
-        idx = 0
-        for d in row:
-            idx = idx * state.q + int(d)
-        vec[idx] += amp
-    return vec
+Q_WIDE = 2039  # prime with 11-bit digits: five discarded registers need 55 bits
 
 
 def dense_partial_trace(state: SparseState, keep) -> np.ndarray:
-    """Oracle: rho = Tr_rest |psi><psi| via explicit tensor contraction."""
-    t = state.num_registers
-    vec = dense_vector(state).reshape((state.q,) * t)
-    keep = list(keep)
-    rest = [r for r in range(t) if r not in keep]
-    perm = keep + rest
-    moved = np.transpose(vec, perm)
-    a = moved.reshape(state.q ** len(keep), state.q ** len(rest))
+    """Oracle: rho = A A^H, where A holds the amplitudes with rows indexed by
+    the kept digits (big-endian) and columns by the discarded digits.
+
+    Only discarded-digit rows that occur get a column (an absent column adds
+    nothing to A A^H), so the oracle also covers registers too wide for a
+    dense state vector.  Built with Python tuples and dicts, nothing from qsim.
+    """
+    keep = [int(r) for r in keep]
+    rest = [r for r in range(state.num_registers) if r not in keep]
+    columns: dict[tuple[int, ...], int] = {}
+    entries = []
+    for row, amp in zip(state.labels, state.amps):
+        idx = 0
+        for r in keep:
+            idx = idx * state.q + int(row[r])
+        col = columns.setdefault(tuple(int(row[r]) for r in rest), len(columns))
+        entries.append((idx, col, amp))
+    a = np.zeros((state.q ** len(keep), len(columns)), dtype=np.complex128)
+    for idx, col, amp in entries:
+        a[idx, col] += amp
     return a @ a.conj().T
+
+
+def grouped_state(
+    q: int, registers: int, keep, groups, rng: np.random.Generator, rest_digits=None
+) -> SparseState:
+    """A random state whose branches fall into the given discarded-digit
+    groups: ``groups[i]`` branches share the i-th random discarded row (drawn
+    from ``rest_digits``, default all of F_q) and carry distinct kept digits."""
+    rest = [r for r in range(registers) if r not in keep]
+    rest_digits = np.arange(q) if rest_digits is None else np.asarray(rest_digits)
+    rows = []
+    rest_rows = set()
+    for size in groups:
+        while True:
+            rest_row = tuple(int(x) for x in rng.choice(rest_digits, len(rest)))
+            if rest_row not in rest_rows:
+                rest_rows.add(rest_row)
+                break
+        kept_rows = set()
+        while len(kept_rows) < size:
+            kept_rows.add(tuple(int(x) for x in rng.integers(0, q, len(keep))))
+        for kept_row in kept_rows:
+            label = [0] * registers
+            for r, d in zip(keep, kept_row):
+                label[r] = d
+            for r, d in zip(rest, rest_row):
+                label[r] = d
+            rows.append(label)
+    amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+    return SparseState(q, np.array(rows, dtype=np.int64), amps)
+
+
+def block_hermitian(q: int, registers: int, blocks, rng: np.random.Generator) -> np.ndarray:
+    """A Hermitian matrix of dimension ``q**registers``, block diagonal with
+    block sizes cycling through ``blocks`` (the last one cut to fit), under a
+    random permutation of the basis.  Entries are scaled by 1/dim."""
+    dim = q**registers
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    lo = 0
+    for i in itertools.count():
+        if lo == dim:
+            break
+        size = min(blocks[i % len(blocks)], dim - lo)
+        b = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        h[lo : lo + size, lo : lo + size] = (b + b.conj().T) / (2 * dim)
+        lo += size
+    perm = rng.permutation(dim)
+    return h[np.ix_(perm, perm)]
 
 
 def random_small_state(rng: np.random.Generator) -> SparseState:
@@ -274,6 +327,41 @@ class TestPartialTrace:
             assert la.shape == rb.shape
             assert np.allclose(la, rb, atol=1e-10)
 
+    def test_wider_than_one_chunk(self):
+        # 70 000 branches over 3**11 labels: many chunks of the label pass,
+        # and discarded-digit groups of one and of several branches.
+        st = random_state(3, 11, np.random.default_rng(31), support=70_000)
+        keep = [7, 2]
+        rho = st.partial_trace(keep)
+        assert np.allclose(rho.matrix, dense_partial_trace(st, keep), atol=1e-12)
+
+    @pytest.mark.parametrize("registers", [6, 7])
+    def test_wide_discarded_keys(self, registers):
+        # 5 or 6 discarded registers of F_2039 need 55 or 66 bits, past the
+        # float key: their label columns are sorted instead.  Discarded
+        # digits from {0, 1, 2038} make groups share every column but one.
+        rng = np.random.default_rng(37 + registers)
+        keep = [registers // 2]
+        groups = [1, 3, 1, 2, 1, 4, 1, 2, 1, 1]
+        st = grouped_state(Q_WIDE, registers, keep, groups, rng, rest_digits=(0, 1, Q_WIDE - 1))
+        rho = st.partial_trace(keep)
+        assert np.allclose(rho.matrix, dense_partial_trace(st, keep), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        q=hst.sampled_from([2, 3, 5, 7]),
+        registers=hst.integers(2, 5),
+        groups=hst.lists(hst.integers(1, 4), min_size=1, max_size=12),
+    )
+    def test_singleton_and_multi_groups(self, seed, q, registers, groups):
+        rng = np.random.default_rng(seed)
+        keep = [int(r) for r in rng.permutation(registers)[: int(rng.integers(1, registers))]]
+        groups = [min(g, q ** len(keep)) for g in groups][: q ** (registers - len(keep))]
+        st = grouped_state(q, registers, keep, groups, rng)
+        rho = st.partial_trace(keep)
+        assert np.allclose(rho.matrix, dense_partial_trace(st, keep), atol=1e-12)
+
     def test_dimension_cap(self):
         st = SparseState.basis(7, (0,) * 5)
         with pytest.raises(DimensionCapError):
@@ -294,6 +382,24 @@ class TestDensityMatrix:
             DensityMatrix(2, 1, np.eye(2))
         with pytest.raises(ValueError, match="expected"):
             DensityMatrix(2, 2, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("pos", [(0, 1), (70, 5), (5, 70), (80, 80)])
+    def test_hermiticity_tolerance_unchanged(self, pos):
+        # dim 81 spans several row blocks of the check; the gap M - M^H must
+        # stay within NORM_TOL entry by entry, and NaN never passes.
+        base = np.eye(81, dtype=np.complex128) / 81
+        step = 1j if pos[0] == pos[1] else 1.0
+        within = base.copy()
+        within[pos] += 0.4e-12 * step
+        DensityMatrix(3, 4, within)
+        off = base.copy()
+        off[pos] += 2e-12 * step
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(3, 4, off)
+        nan = base.copy()
+        nan[pos] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(3, 4, nan)
 
     def test_psd_check_on_eigenvalues(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
@@ -322,6 +428,44 @@ class TestDistances:
         a = DensityMatrix.from_pure(SparseState.basis(2, (0,)))
         b = DensityMatrix.from_pure(SparseState.basis(2, (1,)))
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        shape=hst.sampled_from([(2, 1), (2, 3), (3, 2), (5, 2), (2, 6), (3, 4)]),
+        blocks=hst.lists(hst.integers(1, 9), min_size=1, max_size=6),
+    )
+    def test_trace_distance_matches_full_eigensolve(self, seed, shape, blocks):
+        # Mixed 1x1, 2x2 and dense blocks (sizes 3..9) under a permutation.
+        rng = np.random.default_rng(seed)
+        q, registers = shape
+        h = block_hermitian(q, registers, blocks, rng)
+        g = np.diag(rng.normal(size=q**registers)).astype(np.complex128)
+        rho = DensityMatrix(q, registers, h + g, validate=False)
+        sigma = DensityMatrix(q, registers, g, validate=False)
+        expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)))
+        assert trace_distance(rho, sigma) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), shape=hst.sampled_from([(2, 1), (3, 2), (7, 2), (7, 3)]))
+    def test_diagonal_difference_bit_identical(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        q, registers = shape
+        dim = q**registers
+        a = np.diag(rng.random(dim) / dim).astype(np.complex128)
+        b = np.diag(rng.random(dim) / dim).astype(np.complex128)
+        rho = DensityMatrix(q, registers, a, validate=False)
+        sigma = DensityMatrix(q, registers, b, validate=False)
+        expected = float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+        assert trace_distance(rho, sigma) == expected
+
+    def test_dense_difference_is_one_eigensolve(self):
+        rng = np.random.default_rng(41)
+        h = block_hermitian(3, 3, [27], rng)
+        rho = DensityMatrix(3, 3, h, validate=False)
+        zero = DensityMatrix(3, 3, np.zeros((27, 27), dtype=np.complex128), validate=False)
+        expected = float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(h))))
+        assert trace_distance(rho, zero) == expected
 
     def test_dimension_mismatch(self):
         a = DensityMatrix.maximally_mixed(2, 1)
