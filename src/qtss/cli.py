@@ -388,12 +388,15 @@ def _secrecy_sweep(
     retained: Sequence[int],
 ) -> tuple[float, int, int]:
     """Compare the reduced states of every unauthorized subset of the retained
-    participants across consecutive secret pairs.
+    participants across consecutive secret pairs; with an odd count the last
+    secret is paired with the first, so every secret is compared.
 
     Returns the maximum trace distance, the number of subsets checked and the
     number skipped for exceeding the dimension cap.
     """
-    pairs = list(zip(secrets[::2], secrets[1::2])) or [(secrets[0], secrets[0])]
+    pairs = list(zip(secrets[::2], secrets[1::2]))
+    if len(secrets) % 2:
+        pairs.append((secrets[-1], secrets[0]))
     max_td, tested, skipped = 0.0, 0, 0
     for size in range(1, p.k):
         for subset in itertools.combinations(retained, size):

@@ -43,7 +43,9 @@ from .qsim import (
     DensityMatrix,
     DimensionCapError,
     SparseState,
+    _UNIQUENESS_SCAN_LIMIT,
     _as_labels,
+    _mod_add,
     _mod_matmul,
     trace_distance,
 )
@@ -151,10 +153,10 @@ def _all_randomness(p: SchemeParams) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _deal_tables(p: SchemeParams) -> tuple[np.ndarray, np.ndarray]:
     """Secret-independent dealer tables: the secret-column coefficients and
-    the randomness contribution to every codeword label."""
+    the randomness contribution to every codeword label, as label rows."""
     coeff = _encoding_matrix(p)
     coeff_s = coeff[:, : p.m]
-    rand_part = _mod_matmul(_all_randomness(p), coeff[:, p.m :].T, p.q)
+    rand_part = _as_labels(_mod_matmul(_all_randomness(p), coeff[:, p.m :].T, p.q), p.q)
     coeff_s.setflags(write=False)
     rand_part.setflags(write=False)
     return coeff_s, rand_part
@@ -182,16 +184,16 @@ def deal(
         )
     coeff_s, rand_part = _deal_tables(p)
     sec = secret.canonical()
-    label_blocks = []
-    amp_blocks = []
+    # Block i holds basis component i's codewords: the randomness rows
+    # shifted by that component's secret contribution.
+    labels = np.empty((total, rand_part.shape[1]), dtype=rand_part.dtype)
+    amps = np.empty(total, dtype=np.complex128)
     weight = 1.0 / np.sqrt(per_basis)
-    for digits, amp in zip(sec.labels, sec.amps):
-        base = (coeff_s @ digits.astype(np.int64)) % p.q
-        label_blocks.append(_as_labels((rand_part + base.astype(rand_part.dtype)) % p.q, p.q))
-        amp_blocks.append(np.full(per_basis, amp * weight, dtype=np.complex128))
-    labels = np.concatenate(label_blocks, axis=0)
-    amps = np.concatenate(amp_blocks)
-    if total <= 100_000:
+    for lo, digits, amp in zip(range(0, total, per_basis), sec.labels, sec.amps):
+        block = slice(lo, lo + per_basis)
+        _mod_add(rand_part, (coeff_s @ digits.astype(np.int64)) % p.q, p.q, out=labels[block])
+        amps[block] = amp * weight
+    if total <= _UNIQUENESS_SCAN_LIMIT:
         state = SparseState(p.q, labels, amps)
         if state.num_branches != total:
             raise AssertionError("encoding produced colliding codeword labels")

@@ -6,12 +6,17 @@ register subset, and additions into a target block controlled on disjoint
 source registers -- so amplitudes are carried around unchanged and the only
 floating-point effect is ordinary rounding in the amplitudes themselves.
 
-Representation.  A state is a pair of parallel arrays: an ``(N, R)`` integer
+Representation.  A state is a pair of parallel arrays: an ``(N, R)`` uint16
 matrix of basis labels (one row per branch, one column per register) and an
 ``(N,)`` complex vector of amplitudes.  This is a sparse map keyed by label
 rows; labels are packed into base-q integers internally for sorting and
 grouping.  Rows are always unique; they are kept lexicographically sorted
 lazily, since the relabeling operations do not care about order.
+
+Label passes.  The passes over large label arrays -- the dealer's modular
+add, the relabeling of ``apply_affine`` and the key pass of ``partial_trace``
+-- work through blocks of ``_CHUNK_ROWS`` rows in one stream, so none builds a
+wide (int32, int64, float or complex) copy of the whole label array.
 
 Tolerances.  Normalization, Hermiticity and trace checks use ``NORM_TOL``
 (1e-12); state/fidelity comparisons use ``MATCH_TOL`` (1e-10); amplitudes
@@ -57,15 +62,16 @@ MATCH_TOL = 1e-10
 # difference on its own, and 1x1 blocks (all of a diagonal one) cost nothing.
 DEFAULT_DIM_CAP = 4096
 
-# Full duplicate-label scan after a relabeling is O(N log N); above this
-# branch count we rely on the proven bijectivity of the map instead (every
-# relabeling is an affine map whose linear part is checked invertible).
+# Full duplicate-label scan after a relabeling or a deal is O(N log N); above
+# this branch count we rely on the proven bijectivity of the map instead (every
+# relabeling is an affine map whose linear part is checked invertible, and the
+# dealer's encoding is injective on (secret, randomness)).
 _UNIQUENESS_SCAN_LIMIT = 100_000
 
-# Rows per chunk of the label pass in ``partial_trace`` and per block of the
-# Hermiticity check: bounds their temporaries at a few megabytes.  Larger
-# chunks are slower, not faster: with two BLAS threads one 65536-row key
-# product costs several times what eight 8192-row ones do.
+# Rows per block of the label passes (deal, relabel, partial trace): bounds
+# their temporaries at a few megabytes.  Larger blocks are slower, not
+# faster: with two BLAS threads one 65536-row key product costs several times
+# what eight 8192-row ones do.
 _CHUNK_ROWS = 1 << 13
 _HERMITIAN_ROWS = 64
 
@@ -132,6 +138,22 @@ def _mod_matmul(rows: np.ndarray, coeff_t: np.ndarray, q: int) -> np.ndarray:
     else:
         prod = (rows.astype(np.float64) @ coeff_t.astype(np.float64)).astype(np.int64)
     return prod % q
+
+
+def _mod_add(labels: np.ndarray, digits: np.ndarray, q: int, out: np.ndarray) -> None:
+    """Write ``(labels + digits) % q`` into ``out``, ``_CHUNK_ROWS`` rows at a time.
+
+    ``digits`` is one row of residues, added to every label row.  Below
+    q = 2**15 the sum of two residues fits the label dtype, and its wrapped
+    difference ``x - q`` is smaller than ``x`` exactly when ``x >= q``, so
+    ``min(x, x - q)`` is the residue.  Larger fields sum each block in 32 bits.
+    """
+    work = _LABEL_DTYPE if 2 * (q - 1) <= np.iinfo(_LABEL_DTYPE).max else np.uint32
+    row = np.asarray(digits).astype(work)
+    modulus = work(q)
+    for lo in range(0, len(labels), _CHUNK_ROWS):
+        x = np.add(labels[lo : lo + _CHUNK_ROWS], row, dtype=work)
+        np.minimum(x, x - modulus, out=out[lo : lo + _CHUNK_ROWS], casting="unsafe")
 
 
 def _lex_order(labels: np.ndarray) -> np.ndarray:
@@ -300,12 +322,14 @@ class SparseState:
             b = np.asarray([int(x) for x in offset], dtype=np.int64) % self.q
             if b.shape != (t,):
                 raise ValueError("offset length does not match target registers")
+        # One pass of row blocks over a copy of the labels: each block's target
+        # columns are gathered, mapped and written back while still in cache.
         new_labels = self.labels.copy()
-        if t:
-            block = _mod_matmul(self.labels[:, targets], a.T, self.q)
-            if b.any():
-                block = (block + b.astype(block.dtype)) % self.q
-            new_labels[:, targets] = block.astype(_LABEL_DTYPE)
+        shift = b.any()
+        for lo in range(0, len(new_labels), _CHUNK_ROWS):
+            rows = new_labels[lo : lo + _CHUNK_ROWS]
+            block = _mod_matmul(rows[:, targets], a.T, self.q)
+            rows[:, targets] = (block + b) % self.q if shift else block
         return self._relabeled(new_labels)
 
     def apply_controlled_add(
@@ -360,8 +384,10 @@ class SparseState:
         branch only adds ``|amp|**2`` to a diagonal entry, so singleton groups
         are summed with one ``bincount`` and only groups of two or more
         branches go through a sparse product.  Cost is one pass over the
-        labels for both keys, one sort of the discarded keys and, if any group
-        has two branches or more, that product.
+        labels and amplitudes for both keys and the weights ``|amp|**2``, one
+        sort of the discarded keys, a gather of the singletons' weights and
+        kept indices in sorted order and, if any group has two branches or
+        more, that product.
         """
         keep = self._check_registers(keep, "kept")
         dim = self.q ** len(keep)
@@ -369,8 +395,9 @@ class SparseState:
             raise DimensionCapError(
                 f"reduced dimension {self.q}**{len(keep)} = {dim} exceeds the cap {dim_cap}"
             )
+        rho = np.zeros((dim, dim), dtype=np.complex128)
         rest = [r for r in range(self.num_registers) if r not in keep]
-        kept_idx, rest_keys = self._trace_keys(keep, rest)
+        kept_idx, rest_keys, weights = self._trace_keys(keep, rest)
         if rest_keys is not None:
             order = np.argsort(rest_keys)
             sorted_keys = rest_keys[order]
@@ -380,14 +407,15 @@ class SparseState:
             order = _lex_order(rest_labels)
             same = _rows_equal_next(rest_labels[order])
         # A branch shares its group iff it has the key of a sorted neighbour.
+        # The split skips its copy of ``order`` when one side is empty, as it
+        # is for a dealt state (all singletons) or a recovered one (no singleton).
         in_multi = np.zeros(len(order), dtype=bool)
         in_multi[1:] = same
         in_multi[:-1] |= same
-        single, multi = order[~in_multi], order[in_multi]
-        amps = self.amps[single]
-        rho = np.zeros((dim, dim), dtype=np.complex128)
+        single = order[~in_multi] if same.any() else order
+        multi = order[in_multi] if len(single) else order
         rho[np.diag_indices(dim)] = np.bincount(
-            kept_idx[single], weights=amps.real**2 + amps.imag**2, minlength=dim
+            kept_idx[single], weights=weights[single], minlength=dim
         )
         if len(multi):
             # One row per multi-branch group; its outer product is the
@@ -399,31 +427,44 @@ class SparseState:
                 shape=(len(starts), dim),
                 dtype=np.complex128,
             )
-            prod = (spread.T @ spread.conj()).tocoo()
+            prod = (spread.T @ spread.conj(copy=False)).tocoo()
             prod.sum_duplicates()
             half = prod.data * 0.5
             rho[prod.row, prod.col] += half
             rho[prod.col, prod.row] += half.conj()
         return DensityMatrix(self.q, len(keep), rho)
 
-    def _trace_keys(self, keep: list[int], rest: list[int]) -> tuple[np.ndarray, np.ndarray | None]:
-        """Kept-block index and discarded-register key of every branch.
+    def _trace_keys(
+        self, keep: list[int], rest: list[int]
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Kept-block index, discarded-register key and ``|amp|**2`` of every branch.
 
-        Both come from one chunked float pass over the label array (exact
-        below 2**53).  The key is None when the discarded digits need 53 bits
-        or more; the caller then sorts their label columns instead.
+        All three come from one chunked pass over the labels and amplitudes,
+        in branch order; the keys are float dot products (exact below 2**53).
+        The key is None when the discarded digits need 53 bits or more; the
+        caller then sorts their label columns instead.
         """
-        q = self.q
+        q, n = self.q, self.num_branches
         wide = len(rest) * math.log2(q) >= 53
-        weights = np.zeros((self.num_registers, 1 if wide else 2))
-        weights[keep, 0] = q ** np.arange(len(keep) - 1, -1, -1, dtype=np.float64)
+        powers = np.zeros((self.num_registers, 1 if wide else 2))
+        powers[keep, 0] = q ** np.arange(len(keep) - 1, -1, -1, dtype=np.float64)
         if not wide:
-            weights[rest, 1] = q ** np.arange(len(rest) - 1, -1, -1, dtype=np.float64)
-        keys = np.empty((weights.shape[1], self.num_branches), dtype=np.int64)
-        for lo in range(0, self.num_branches, _CHUNK_ROWS):
-            chunk = self.labels[lo : lo + _CHUNK_ROWS].astype(np.float64)
-            keys[:, lo : lo + _CHUNK_ROWS] = weights.T @ chunk.T
-        return keys[0], None if wide else keys[1]
+            powers[rest, 1] = q ** np.arange(len(rest) - 1, -1, -1, dtype=np.float64)
+        # The kept index is below the dimension of the dense matrix the caller
+        # has allocated, so 32 bits hold it; that is also the index width of
+        # the sparse product.
+        kept_idx = np.empty(n, dtype=np.int32)
+        rest_keys = None if wide else np.empty(n, dtype=np.int64)
+        weights = np.empty(n)
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = lo + _CHUNK_ROWS
+            keys = self.labels[lo:hi].astype(np.float64) @ powers
+            kept_idx[lo:hi] = keys[:, 0]
+            if not wide:
+                rest_keys[lo:hi] = keys[:, 1]
+            amps = self.amps[lo:hi]
+            weights[lo:hi] = amps.real**2 + amps.imag**2
+        return kept_idx, rest_keys, weights
 
 
 def _freeze(state: SparseState) -> None:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qtss import protocol
 from qtss.cli import (
     ALL_MODES,
     ConfigError,
@@ -115,6 +116,23 @@ class TestRun:
         cfg = parse_config("params = 2,3,5\nmodes = secrecy\nsecrets = random:2\ncap_dim = 4")
         report = run(cfg)
         assert report.records[0].status == "cap-exceeded"
+
+    def test_odd_secret_count_deals_every_secret(self, monkeypatch):
+        # Three secrets: one consecutive pair, then the last secret against
+        # the first, so all three reach the dealer on every subset.
+        dealt = []
+        honest = protocol.deal
+
+        def counted(secret, p, cap_branches=protocol.DEFAULT_BRANCH_CAP):
+            dealt.append(id(secret))
+            return honest(secret, p, cap_branches)
+
+        monkeypatch.setattr(protocol, "deal", counted)
+        cfg = parse_config("params = 2,3,5\nmodes = secrecy\nsecrets = random:3\nseed = 11")
+        (record,) = run(cfg).records
+        assert record.status == "pass" and record.secrets_tested == 3
+        assert record.subsets_tested == 3
+        assert len(set(dealt)) == 3 and len(dealt) == 3 * record.subsets_tested
 
     def test_random_secrets_deterministic(self):
         cfg = parse_config("params = 2,3,5\nmodes = recover-d\nsecrets = random:2\nseed = 3")

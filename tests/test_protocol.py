@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from qtss import protocol
+from qtss import protocol, qsim
 from qtss.gf import FieldMatrix, FieldVector, SingularMatrixError
 from qtss.protocol import (
     CombinerLocalityError,
@@ -121,6 +121,23 @@ class TestDeal:
         r = (lab[:, 1] - lab[:, 0]) % p.q
         assert set(np.unique((lab[:, 0] - r) % p.q)) == {0, 1, 32769, 32770}
         assert np.array_equal((lab[:, 0] + 2 * r) % p.q, lab[:, 2])
+
+    def test_top_of_label_range_matches_int64_oracle(self):
+        # q = 65521: a randomness digit plus a secret shift overflows 16 bits.
+        # 2 x 65521 branches, above the size where deal validates by sorting.
+        p = make_params(2, 2, 65521)
+        secret = SparseState.from_branches(p.q, [((1,), 0.6), ((p.q - 1,), 0.8j)])
+        state = deal(secret, p).state
+        assert state.num_branches == 2 * p.q > qsim._UNIQUENESS_SCAN_LIMIT
+        # The shift code in int64: share i holds s + i*r.
+        r = np.arange(p.q, dtype=np.int64)
+        expected = np.concatenate(
+            [np.stack([(s + i * r) % p.q for i in (1, 2, 3)], axis=1) for s in (1, p.q - 1)]
+        )
+        order = np.lexsort(expected.T[::-1])
+        assert np.array_equal(state.canonical().labels, expected[order])
+        amps = np.repeat([0.6, 0.8j], p.q) / math.sqrt(p.q)
+        assert np.allclose(state.canonical().amps, amps[order], rtol=0, atol=1e-15)
 
 
 class TestRecoverFromD:

@@ -10,10 +10,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from qtss import qsim
 from qtss.gf import FieldMatrix, FieldVector, PrimeField, SingularMatrixError
+from qtss.protocol import deal, default_secret_pairs, recover_from_k
 from qtss.qsim import (
     DensityMatrix,
     DimensionCapError,
@@ -26,6 +29,7 @@ from qtss.qsim import (
     tensor,
     trace_distance,
 )
+from qtss.staircase import make_params
 
 F5 = PrimeField(5)
 Q_WIDE = 2039  # prime with 11-bit digits: five discarded registers need 55 bits
@@ -53,6 +57,48 @@ def dense_partial_trace(state: SparseState, keep) -> np.ndarray:
     for idx, col, amp in entries:
         a[idx, col] += amp
     return a @ a.conj().T
+
+
+def reference_partial_trace(state: SparseState, keep) -> np.ndarray:
+    """The reduced matrix by the earlier formula, which ``partial_trace`` must
+    reproduce bit for bit: int64 keys, singleton groups summed onto the
+    diagonal by one ``bincount`` in discarded-key order, larger groups through
+    one sparse product symmetrized entry by entry."""
+    q, keep = state.q, [int(r) for r in keep]
+    rest = [r for r in range(state.num_registers) if r not in keep]
+
+    def key(cols):
+        k = np.zeros(state.num_branches, dtype=np.int64)
+        for c in cols:
+            k = k * q + state.labels[:, c]
+        return k
+
+    kept_idx, rest_keys = key(keep), key(rest)
+    dim = q ** len(keep)
+    order = np.argsort(rest_keys)
+    sorted_keys = rest_keys[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    in_multi = np.zeros(len(order), dtype=bool)
+    in_multi[1:] = same
+    in_multi[:-1] |= same
+    single, multi = order[~in_multi], order[in_multi]
+    amps = state.amps[single]
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho[np.diag_indices(dim)] = np.bincount(
+        kept_idx[single], weights=amps.real**2 + amps.imag**2, minlength=dim
+    )
+    if len(multi):
+        starts = np.flatnonzero(np.concatenate(([True], ~same))[in_multi])
+        spread = scipy.sparse.csr_matrix(
+            (state.amps[multi], kept_idx[multi], np.append(starts, len(multi))),
+            shape=(len(starts), dim),
+        )
+        prod = (spread.T @ spread.conj()).tocoo()
+        prod.sum_duplicates()
+        half = prod.data * 0.5
+        rho[prod.row, prod.col] += half
+        rho[prod.col, prod.row] += half.conj()
+    return rho
 
 
 def grouped_state(
@@ -243,6 +289,25 @@ class TestAffine:
         with pytest.raises(IndexError):
             st.apply_affine([1], FieldMatrix.identity(F5, 1))
 
+    @pytest.mark.parametrize("q", [11, 65521])
+    def test_row_blocks_match_int64_oracle(self, q):
+        # Three full row blocks and a partial one.  Over F_65521 the products
+        # exceed float32 and take the float64 path; the oracle maps every row
+        # in int64.  The map is a row permutation of an upper-triangular
+        # matrix with a nonzero diagonal, so it is invertible.
+        rng = np.random.default_rng(q)
+        n = 3 * qsim._CHUNK_ROWS + 5
+        st = SparseState(q, rng.integers(0, q, (n, 6)), rng.normal(size=n) + 1j * rng.normal(size=n))
+        targets = [5, 1, 3, 0]
+        upper = np.array([[2, 3, 0, q - 1], [0, q - 1, 7, 0], [0, 0, 1, 4], [0, 0, 0, 9]])
+        a, b = upper[[2, 0, 3, 1]], np.array([1, q - 1, 0, 7])
+        out = st.apply_affine(targets, a, offset=b).canonical()
+        expected = st.labels.astype(np.int64)
+        expected[:, targets] = (expected[:, targets] @ a.T + b) % q
+        order = np.lexsort(expected.T[::-1])
+        assert np.array_equal(out.labels, expected[order])
+        assert np.array_equal(out.amps, st.amps[order])
+
 
 class TestControlledAdd:
     def test_zero_coeff_noop(self):
@@ -361,6 +426,28 @@ class TestPartialTrace:
         st = grouped_state(q, registers, keep, groups, rng)
         rho = st.partial_trace(keep)
         assert np.allclose(rho.matrix, dense_partial_trace(st, keep), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "params, shares",
+        [((4, 5, 11), [3]), ((3, 4, 7), [1, 2])],
+        ids=["4-5-11-share", "3-4-7-pair"],
+    )
+    def test_dealt_subset_bit_identical_to_reference(self, params, shares):
+        # Dealt states put every branch in a group of its own.
+        p = make_params(*params)
+        st = deal(default_secret_pairs(p)[1][0], p).state
+        regs = [r for i in shares for r in p.layout().registers_of(i)]
+        assert np.array_equal(st.partial_trace(regs).matrix, reference_partial_trace(st, regs))
+
+    def test_recovered_secret_block_bit_identical_to_reference(self):
+        # After recovery every discarded-digit group holds one branch per
+        # secret component, so the whole state goes through the sparse product.
+        p = make_params(3, 4, 7)
+        res = recover_from_k(deal(default_secret_pairs(p)[1][1], p), [1, 3, 5])
+        regs = list(res.secret_registers)
+        rho = res.state.partial_trace(regs).matrix
+        assert np.count_nonzero(rho - np.diag(np.diag(rho))) > 0
+        assert np.array_equal(rho, reference_partial_trace(res.state, regs))
 
     def test_dimension_cap(self):
         st = SparseState.basis(7, (0,) * 5)
