@@ -30,7 +30,6 @@ from .qsim import (
     fidelity,
     random_state,
     superpose,
-    tensor,
     trace_distance,
 )
 from .protocol import (
@@ -81,7 +80,6 @@ __all__ = [
     "EmptyStateError",
     "DimensionCapError",
     "superpose",
-    "tensor",
     "fidelity",
     "trace_distance",
     "factor_check",

@@ -2,9 +2,10 @@
 
 Residues are plain Python ints in ``[0, q)``.  :class:`FieldVector` and
 :class:`FieldMatrix` are immutable value objects; every operation returns a
-new object, so values can be shared freely between threads.  Matrix
-inversion is Gauss-Jordan elimination with first-nonzero pivoting, which is
-exact over a field, so pivot choice never affects correctness.
+new object, so values can be shared freely between threads.  Matrix rank
+and inversion share one Gauss-Jordan elimination with first-nonzero
+pivoting, which is exact over a field, so pivot choice never affects
+correctness.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ class PrimeField:
             raise ZeroDivisionError(f"0 has no multiplicative inverse mod {self.q}")
         return pow(a, -1, self.q)
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
 
@@ -98,10 +96,6 @@ class FieldVector:
     def __post_init__(self) -> None:
         q = self.field.q
         object.__setattr__(self, "entries", tuple(int(e) % q for e in self.entries))
-
-    @classmethod
-    def zeros(cls, field: PrimeField, n: int) -> FieldVector:
-        return cls(field, (0,) * n)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -177,11 +171,6 @@ class FieldMatrix:
             raise IndexError(f"row {i} out of range")
         return FieldVector(self.field, self.entries[i * self.cols : (i + 1) * self.cols])
 
-    def col(self, j: int) -> FieldVector:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} out of range")
-        return FieldVector(self.field, self.entries[j :: self.cols] if self.cols else ())
-
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
         c = self.cols
         return tuple(self.entries[i * c : (i + 1) * c] for i in range(self.rows))
@@ -251,23 +240,18 @@ class FieldMatrix:
         rows = [self.row(i).entries + other.row(i).entries for i in range(self.rows)]
         return FieldMatrix.from_rows(self.field, rows)
 
+    def rank(self) -> int:
+        """Rank over F_q, by the same elimination as :meth:`inverse`."""
+        return _row_reduce([list(r) for r in self.row_tuples()], self.cols, self.field.q)
+
     def inverse(self) -> FieldMatrix:
         """Gauss-Jordan inverse; raises :class:`SingularMatrixError` if rank-deficient."""
         if self.rows != self.cols:
             raise ValueError(f"cannot invert non-square {self.rows}x{self.cols} matrix")
         n, q = self.rows, self.field.q
         aug = [list(self.row(i).entries) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] % q != 0), None)
-            if piv is None:
-                raise SingularMatrixError(f"matrix is singular over F_{q}")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = pow(aug[col][col], -1, q)
-            aug[col] = [(e * inv_p) % q for e in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [(er - f * ec) % q for er, ec in zip(aug[r], aug[col])]
+        if _row_reduce(aug, n, q) < n:
+            raise SingularMatrixError(f"matrix is singular over F_{q}")
         flat = tuple(aug[i][n + j] for i in range(n) for j in range(n))
         return FieldMatrix(self.field, n, n, flat)
 
@@ -276,6 +260,31 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix(q={self.field.q}, {self.row_tuples()})"
+
+
+def _row_reduce(rows: list[list[int]], ncols: int, q: int) -> int:
+    """Gauss-Jordan elimination in place on the first ``ncols`` columns of
+    ``rows``; returns the rank.
+
+    The pivot rows come first, each scaled to 1 on its pivot column, which
+    is cleared in every other row; columns past ``ncols`` (an augmented
+    identity, say) ride along.  At full rank on a square block, row i
+    pivots on column i.
+    """
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % q != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv_p = pow(rows[rank][col], -1, q)
+        rows[rank] = [(e * inv_p) % q for e in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(er - f * ec) % q for er, ec in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def vandermonde(field: PrimeField, nodes: FieldVector | Sequence[int], width: int) -> FieldMatrix:

@@ -22,7 +22,13 @@ mechanically confined to the registers the combiner actually received; an
 operation touching anything else raises :class:`CombinerLocalityError`.  The
 transcript is the session's program: when the session finishes, its ops are
 composed into one invertible matrix over F_q on the received registers and
-applied to the shared state in a single relabeling.  Secrecy of
+applied to the shared state in a single relabeling.
+
+Labels stay distinct by rank facts over F_q, not by scanning: the dealer's
+encoding matrix has full column rank m*k (checked once per parameter set),
+and every session's composed matrix is invertible (checked by the
+relabeling on each call).  Both hold at every state size; there is no size
+threshold below which labels are re-sorted or scanned.  Secrecy of
 small participant subsets is checked operationally: reduced density
 matrices of a subset must be identical (zero trace distance) across
 secrets.
@@ -43,7 +49,6 @@ from .qsim import (
     DensityMatrix,
     DimensionCapError,
     SparseState,
-    _UNIQUENESS_SCAN_LIMIT,
     _as_labels,
     _mod_add,
     _mod_matmul,
@@ -153,8 +158,15 @@ def _all_randomness(p: SchemeParams) -> np.ndarray:
 @lru_cache(maxsize=2)
 def _deal_tables(p: SchemeParams) -> tuple[np.ndarray, np.ndarray]:
     """Secret-independent dealer tables: the secret-column coefficients and
-    the randomness contribution to every codeword label, as label rows."""
+    the randomness contribution to every codeword label, as label rows.
+
+    Raises AssertionError unless the encoding matrix has full column rank
+    m*k over F_q: that rank is what makes distinct (secret, randomness)
+    pairs give distinct labels, so the dealer never checks labels itself.
+    """
     coeff = _encoding_matrix(p)
+    if FieldMatrix.from_rows(p.field, coeff.tolist()).rank() != coeff.shape[1]:
+        raise AssertionError(f"encoding matrix of {p} is not injective over F_{p.q}")
     coeff_s = coeff[:, : p.m]
     rand_part = _as_labels(_mod_matmul(_all_randomness(p), coeff[:, p.m :].T, p.q), p.q)
     coeff_s.setflags(write=False)
@@ -169,8 +181,10 @@ def deal(
 
     Each basis component |s> of the secret becomes the uniform superposition
     of its q**(m*(k-1)) codeword labels; the extension to superpositions is
-    linear, and distinct (secret, randomness) pairs yield distinct labels, so
-    the total branch count is (secret support) * q**(m*(k-1)).
+    linear.  The encoding matrix has full column rank (checked once per
+    parameter set), so distinct (secret, randomness) pairs yield distinct
+    labels at every size and the total branch count is (secret support) *
+    q**(m*(k-1)).  The labels are returned unsorted.
     """
     if secret.q != p.q:
         raise ValueError(f"secret is over F_{secret.q}, scheme over F_{p.q}")
@@ -193,12 +207,7 @@ def deal(
         block = slice(lo, lo + per_basis)
         _mod_add(rand_part, (coeff_s @ digits.astype(np.int64)) % p.q, p.q, out=labels[block])
         amps[block] = amp * weight
-    if total <= _UNIQUENESS_SCAN_LIMIT:
-        state = SparseState(p.q, labels, amps)
-        if state.num_branches != total:
-            raise AssertionError("encoding produced colliding codeword labels")
-    else:
-        state = SparseState._wrap(p.q, labels, amps, is_sorted=False)
+    state = SparseState._wrap(p.q, labels, amps, is_sorted=False)
     return DealtState(p, state, p.layout(), frozenset(range(1, p.n + 1)))
 
 

@@ -10,8 +10,12 @@ Representation.  A state is a pair of parallel arrays: an ``(N, R)`` uint16
 matrix of basis labels (one row per branch, one column per register) and an
 ``(N,)`` complex vector of amplitudes.  This is a sparse map keyed by label
 rows; labels are packed into base-q integers internally for sorting and
-grouping.  Rows are always unique; they are kept lexicographically sorted
-lazily, since the relabeling operations do not care about order.
+grouping.  Rows are always unique, at every state size and with no scan
+for collisions: the array constructor merges duplicate rows, the dealer's
+generator matrix has full column rank over F_q (checked once per parameter
+set), and every relabeling matrix is invertible over F_q (checked on each
+call), so each is injective on labels.  Rows are kept lexicographically
+sorted lazily, since the relabeling operations do not care about order.
 
 Label passes.  The passes over large label arrays -- the dealer's modular
 add, the relabeling of ``apply_affine`` and the key pass of ``partial_trace``
@@ -41,7 +45,6 @@ __all__ = [
     "SparseState",
     "DensityMatrix",
     "superpose",
-    "tensor",
     "fidelity",
     "trace_distance",
     "factor_check",
@@ -61,12 +64,6 @@ MATCH_TOL = 1e-10
 # not its size: ``trace_distance`` solves each connected block of the
 # difference on its own, and 1x1 blocks (all of a diagonal one) cost nothing.
 DEFAULT_DIM_CAP = 4096
-
-# Full duplicate-label scan after a relabeling or a deal is O(N log N); above
-# this branch count we rely on the proven bijectivity of the map instead (every
-# relabeling is an affine map whose linear part is checked invertible, and the
-# dealer's encoding is injective on (secret, randomness)).
-_UNIQUENESS_SCAN_LIMIT = 100_000
 
 # Rows per block of the label passes (deal, relabel, partial trace): bounds
 # their temporaries at a few megabytes.  Larger blocks are slower, not
@@ -101,27 +98,17 @@ def _as_labels(digits, q: int) -> np.ndarray:
 
 
 def _pack(labels: np.ndarray, q: int) -> np.ndarray | None:
-    """Base-q packing of label rows into int64 keys, or None on overflow.
+    """Base-q packing of label rows into int64 keys, or None from 53 bits up.
 
-    Accumulates column by column (key = (...(c0*q + c1)*q + c2)...), which
-    streams the label columns directly instead of materializing a
-    wide int64/float64 copy of the whole array.
+    The keys are float64 dot products with the powers of q: exact below
+    2**53, and through BLAS much faster than an integer matmul.  Wider rows
+    are sorted by their columns instead (:func:`_sort_order`).
     """
     t = labels.shape[1]
-    if t == 0:
-        return np.zeros(len(labels), dtype=np.int64)
-    if t * math.log2(q) >= 62:
+    if t * math.log2(q) >= 53:
         return None
-    if t * math.log2(q) < 53:
-        # float64 dot products are exact below 2**53 and go through BLAS,
-        # much faster than both integer matmul and per-column accumulation.
-        powers = q ** np.arange(t - 1, -1, -1, dtype=np.float64)
-        return (labels.astype(np.float64) @ powers).astype(np.int64)
-    keys = labels[:, 0].astype(np.int64)
-    for col in range(1, t):
-        keys *= q
-        keys += labels[:, col]
-    return keys
+    powers = q ** np.arange(t - 1, -1, -1, dtype=np.float64)
+    return (labels.astype(np.float64) @ powers).astype(np.int64)
 
 
 def _mod_matmul(rows: np.ndarray, coeff_t: np.ndarray, q: int) -> np.ndarray:
@@ -308,7 +295,8 @@ class SparseState:
 
         ``A`` must be invertible over F_q, which makes the relabeling a
         permutation of basis states (hence unitary); amplitudes are reused
-        untouched, so the 2-norm is preserved exactly.
+        untouched, so the 2-norm is preserved exactly.  That check is the
+        certificate that the new labels are distinct; they are not re-sorted.
         """
         targets = self._check_registers(targets, "target")
         a = _coerce_matrix(matrix, self.q)
@@ -330,7 +318,7 @@ class SparseState:
             rows = new_labels[lo : lo + _CHUNK_ROWS]
             block = _mod_matmul(rows[:, targets], a.T, self.q)
             rows[:, targets] = (block + b) % self.q if shift else block
-        return self._relabeled(new_labels)
+        return SparseState._wrap(self.q, new_labels, self.amps, False)
 
     def apply_controlled_add(
         self, sources: Sequence[int], targets: Sequence[int], coeff
@@ -354,16 +342,6 @@ class SparseState:
         block = np.eye(s + t, dtype=np.int64)
         block[s:, :s] = c
         return self.apply_affine(sources + targets, block)
-
-    def _relabeled(self, new_labels: np.ndarray) -> SparseState:
-        # Norm preservation is structural (the relabeling is bijective); for
-        # states small enough to scan we also verify no labels collided.
-        if len(new_labels) <= _UNIQUENESS_SCAN_LIMIT:
-            order = _sort_order(new_labels, self.q)
-            if np.any(_rows_equal_next(new_labels[order])):
-                raise AssertionError("relabeling collided branches; norm would not be preserved")
-            return SparseState._wrap(self.q, new_labels[order], self.amps[order].copy(), True)
-        return SparseState._wrap(self.q, new_labels, self.amps, False)
 
     def _check_registers(self, regs: Sequence[int], what: str) -> list[int]:
         regs = [int(r) for r in regs]
@@ -512,18 +490,6 @@ def superpose(parts: Sequence[tuple[SparseState, complex]]) -> SparseState:
     labels = np.concatenate([st.labels for st, _ in parts], axis=0)
     amps = np.concatenate([st.amps * complex(c) for st, c in parts])
     return SparseState(q, labels, amps)
-
-
-def tensor(a: SparseState, b: SparseState) -> SparseState:
-    """Product state: a's registers first, then b's."""
-    if a.q != b.q:
-        raise ValueError("states over different qudit dimensions")
-    na, nb = a.num_branches, b.num_branches
-    left = np.repeat(a.labels, nb, axis=0)
-    right = np.tile(b.labels, (na, 1))
-    labels = np.concatenate([left, right], axis=1)
-    amps = (a.amps[:, None] * b.amps[None, :]).ravel()
-    return SparseState(a.q, labels, amps)
 
 
 def _require_invertible(a: np.ndarray, q: int) -> None:
@@ -733,10 +699,13 @@ def random_state(
 
     With ``support=None`` the state covers all ``q**num_registers`` basis
     labels; otherwise that many distinct labels are drawn at random.
+    ``q**num_registers`` must stay below 2**63.
     Complex-Gaussian amplitudes normalized to the sphere give the rotation-
     invariant distribution on the chosen support.
     """
     dim = q**num_registers
+    if dim >= 1 << 63:  # label indices are drawn and decoded as int64
+        raise ValueError(f"{q}**{num_registers} basis labels reach the limit of 2**63")
     if support is None or support >= dim:
         support = dim
     elif support < 1:

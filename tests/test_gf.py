@@ -1,7 +1,9 @@
 """Field arithmetic and exact linear algebra tests.
 
 Matrix inverses are checked against the multiplication oracle (product with
-the original must be the identity); Vandermonde invertibility properties
+the original must be the identity); ranks against inverse() on square
+matrices, against stacking and transposing, and against the size of the row
+space counted by enumeration; Vandermonde invertibility properties
 are checked by enumerating submatrices and running Gaussian elimination on
 each.
 """
@@ -10,6 +12,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qtss.gf import (
     FieldMatrix,
@@ -236,3 +240,60 @@ class TestMatrixAlgebra:
     def test_non_square_inverse_rejected(self):
         with pytest.raises(ValueError, match="non-square"):
             FieldMatrix.zeros(F5, 2, 3).inverse()
+
+
+@hst.composite
+def small_matrices(draw, max_rows=5, max_cols=5):
+    f = PrimeField(draw(hst.sampled_from([2, 3, 5, 7])))
+    rows = draw(hst.integers(0, max_rows))
+    cols = draw(hst.integers(0, max_cols))
+    # Entries drawn mostly from {0, 1} give many rank-deficient matrices.
+    entries = draw(
+        hst.lists(
+            hst.one_of(hst.integers(0, 1), hst.integers(0, f.q - 1)),
+            min_size=rows * cols,
+            max_size=rows * cols,
+        )
+    )
+    return FieldMatrix(f, rows, cols, tuple(entries))
+
+
+class TestRank:
+    def test_examples(self):
+        assert FieldMatrix.from_rows(F5, [[1, 1], [2, 2]]).rank() == 1
+        assert FieldMatrix.zeros(F5, 3, 4).rank() == 0
+        assert FieldMatrix.zeros(F5, 0, 3).rank() == 0
+        assert vandermonde(F7, (1, 2, 3, 4), 6).rank() == 4
+        assert vandermonde(F7, (1, 2, 3, 4), 6).transpose().rank() == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=small_matrices())
+    def test_inverse_exists_iff_full_rank(self, m):
+        r = m.rank()
+        assert 0 <= r <= min(m.rows, m.cols)
+        square = m.submatrix(None, range(m.rows)) if m.rows <= m.cols else m.submatrix(range(m.cols))
+        full = square.rank() == square.rows
+        try:
+            square.inverse()
+        except SingularMatrixError:
+            assert not full
+        else:
+            assert full
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=small_matrices())
+    def test_stacked_and_transposed_rank(self, m):
+        stacked = FieldMatrix.from_rows(m.field, m.row_tuples() + m.row_tuples())
+        if m.rows:
+            assert stacked.rank() == m.rank()
+        assert m.transpose().rank() == m.rank()
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=small_matrices(max_rows=4))
+    def test_row_space_has_q_to_the_rank_vectors(self, m):
+        q = m.field.q
+        span = {
+            tuple(sum(c * x for c, x in zip(coeffs, col)) % q for col in zip(*m.row_tuples()))
+            for coeffs in itertools.product(range(q), repeat=m.rows)
+        }
+        assert len(span) == q ** m.rank()

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from qtss import protocol, qsim
+from qtss import protocol
 from qtss.gf import FieldMatrix, FieldVector, SingularMatrixError
 from qtss.protocol import (
     CombinerLocalityError,
@@ -106,8 +106,29 @@ class TestDeal:
         with pytest.raises(EnumerationCapError):
             deal(basis_secret(P347, (0, 0)), P347, cap_branches=100)
 
+    @pytest.mark.parametrize("kdq", [(2, 3, 5), (4, 5, 11)], ids=["2-3-5", "4-5-11"])
+    def test_non_injective_generator_rejected(self, monkeypatch, kdq):
+        # Equal last two randomness columns: the codeword map is no longer
+        # injective, so labels would collide.  At (4,5,11) the dealt state
+        # would have 11**6 branches on 11**5 distinct labels.
+        honest = protocol._encoding_matrix
+
+        def collapsed(p):
+            coeff = honest(p)
+            coeff[:, -1] = coeff[:, -2]
+            return coeff
+
+        monkeypatch.setattr(protocol, "_encoding_matrix", collapsed)
+        protocol._deal_tables.cache_clear()
+        try:
+            p = make_params(*kdq)
+            with pytest.raises(AssertionError, match="not injective"):
+                deal(basis_secret(p, (0,) * p.m), p)
+        finally:
+            protocol._deal_tables.cache_clear()
+
     def test_large_field_labels_not_wrapped(self):
-        # 4 x 32771 branches: above the size where deal validates by sorting.
+        # 4 x 32771 branches, digits above 2**15.
         p = make_params(2, 2, 32771)
         secret = SparseState.from_branches(
             p.q, [((s,), 0.5) for s in (0, 1, 32769, 32770)]
@@ -124,11 +145,11 @@ class TestDeal:
 
     def test_top_of_label_range_matches_int64_oracle(self):
         # q = 65521: a randomness digit plus a secret shift overflows 16 bits.
-        # 2 x 65521 branches, above the size where deal validates by sorting.
+        # 2 x 65521 branches.
         p = make_params(2, 2, 65521)
         secret = SparseState.from_branches(p.q, [((1,), 0.6), ((p.q - 1,), 0.8j)])
         state = deal(secret, p).state
-        assert state.num_branches == 2 * p.q > qsim._UNIQUENESS_SCAN_LIMIT
+        assert state.num_branches == 2 * p.q
         # The shift code in int64: share i holds s + i*r.
         r = np.arange(p.q, dtype=np.int64)
         expected = np.concatenate(

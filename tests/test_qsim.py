@@ -26,7 +26,6 @@ from qtss.qsim import (
     fidelity,
     random_state,
     superpose,
-    tensor,
     trace_distance,
 )
 from qtss.staircase import make_params
@@ -211,6 +210,27 @@ class TestConstruction:
                 zip(rng.integers(0, 5, (8, 2)), rng.normal(size=(8, 2)))]
         )
         assert abs(st.norm_sq - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("registers", [5, 6])
+    def test_wide_labels_sorted_and_merged(self, registers):
+        # 5 or 6 registers of F_2039 need 55 or 66 bits, past a float key:
+        # rows are sorted by their columns.  Digits from {0, 1, 2038} make
+        # rows that differ in one column, and every row is given twice.
+        rng = np.random.default_rng(registers)
+        rows = rng.choice([0, 1, Q_WIDE - 1], size=(40, registers))
+        amps = rng.normal(size=40) + 1j * rng.normal(size=40)
+        st = SparseState(Q_WIDE, np.concatenate([rows, rows]), np.concatenate([amps, amps]))
+        unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+        summed = np.zeros(len(unique), dtype=np.complex128)
+        np.add.at(summed, inverse.ravel(), 2 * amps)
+        assert np.array_equal(st.labels, unique)  # np.unique sorts rows lexicographically
+        assert np.allclose(st.amps, summed / np.linalg.norm(summed), rtol=0, atol=1e-15)
+        # Reversing the register order leaves the rows unsorted until canonical().
+        rev = np.eye(registers, dtype=np.int64)[::-1]
+        out = st.apply_affine(range(registers), rev).canonical()
+        order = np.lexsort(st.labels[:, ::-1].T[::-1])
+        assert np.array_equal(out.labels, st.labels[order][:, ::-1])
+        assert np.array_equal(out.amps, st.amps[order])
 
     def test_immutability(self):
         st = SparseState.basis(5, (1,))
@@ -568,7 +588,14 @@ class TestFactorCheck:
         rng = np.random.default_rng(8)
         a = random_state(3, 1, rng)
         b = random_state(3, 2, rng, support=4)
-        st = tensor(a, b)
+        st = SparseState.from_branches(
+            3,
+            [
+                ((*la, *lb), x * y)
+                for la, x in zip(a.labels, a.amps)
+                for lb, y in zip(b.labels, b.amps)
+            ],
+        )
         assert factor_check(st, [0], a)
         assert factor_check(st, [1, 2], b)
 
@@ -578,9 +605,7 @@ class TestFactorCheck:
         assert not factor_check(st, [0], ref)
 
     def test_wrong_reference_false(self):
-        a = SparseState.basis(3, (0,))
-        b = SparseState.basis(3, (1, 2))
-        st = tensor(a, b)
+        st = SparseState.basis(3, (0, 1, 2))
         assert not factor_check(st, [0], SparseState.basis(3, (1,)))
 
 
@@ -615,3 +640,12 @@ class TestRandomState:
     def test_normalized(self):
         st = random_state(7, 2, np.random.default_rng(1))
         assert abs(st.norm_sq - 1.0) < 1e-12
+
+    def test_label_space_past_int64_rejected(self):
+        # 65521**4 and 65521**6 basis labels reach 2**63; 65521**3 does not.
+        rng = np.random.default_rng(2)
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            random_state(65521, 4, rng, support=3)
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            random_state(65521, 6, rng, support=24581)
+        assert random_state(65521, 3, rng, support=3).num_branches == 3
