@@ -45,7 +45,6 @@ from .protocol import (
     cost_table,
     deal,
     default_secret_pairs,
-    encode_reference_cleve23,
     lower_bound,
     recover_from_d,
     recover_from_k,
@@ -101,6 +100,5 @@ __all__ = [
     "convert_to_mixed",
     "lower_bound",
     "cost_table",
-    "encode_reference_cleve23",
     "default_secret_pairs",
 ]

@@ -125,6 +125,8 @@ class ScenarioConfig:
                 make_params(*triple)
             except ParameterError as exc:
                 raise ConfigError(f"invalid params {triple}: {exc}") from exc
+        if not self.modes:
+            raise ConfigError("config names no modes")
         bad = [m for m in self.modes if m not in ALL_MODES]
         if bad:
             raise ConfigError(f"unknown modes {bad}; valid: {list(ALL_MODES)}")
@@ -139,6 +141,11 @@ class ScenarioConfig:
                 raise ConfigError(f"bad random secret count in {self.secrets!r}") from exc
             if count < 1:
                 raise ConfigError("random secret count must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in ("cap_branches", "cap_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
     @property
     def random_count(self) -> int | None:

@@ -82,7 +82,6 @@ __all__ = [
     "convert_to_mixed",
     "lower_bound",
     "cost_table",
-    "encode_reference_cleve23",
     "default_secret_pairs",
 ]
 
@@ -682,27 +681,3 @@ def cost_table(p: SchemeParams) -> list[CostRow]:
             )
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Reference scheme: the classic ((2,3)) threshold code over F_3
-# ---------------------------------------------------------------------------
-
-
-def encode_reference_cleve23(secret: SparseState) -> SparseState:
-    """Encode one qutrit as |s> -> sum_r |r, s+r, 2s+r> / sqrt(3).
-
-    A fixture independent of the staircase construction: any two of the
-    three qutrits recover the secret, any single one is maximally mixed.
-    """
-    if secret.q != 3:
-        raise ValueError(f"reference scheme works over F_3, got q={secret.q}")
-    if secret.num_registers != 1:
-        raise ValueError("reference scheme shares a single qutrit")
-    w = 1.0 / np.sqrt(3.0)
-    branches = []
-    for row, amp in zip(secret.labels, secret.amps):
-        s = int(row[0])
-        for r in range(3):
-            branches.append(((r, (s + r) % 3, (2 * s + r) % 3), complex(amp) * w))
-    return SparseState.from_branches(3, branches)

@@ -20,7 +20,11 @@ sorted lazily, since the relabeling operations do not care about order.
 Label passes.  The passes over large label arrays -- the dealer's modular
 add, the relabeling of ``apply_affine`` and the key pass of ``partial_trace``
 -- work through blocks of ``_CHUNK_ROWS`` rows in one stream, so none builds a
-wide (int32, int64, float or complex) copy of the whole label array.
+wide (int32, int64, float or complex) copy of the whole label array.  The key
+pass packs each branch's key and index into one uint64, so one in-place sort
+gives both the branch order and the group boundaries; keys too wide to pack
+are sorted by their label columns.  Canonical order and duplicate merging
+take the same two paths (:func:`_branch_order`).
 
 Tolerances.  Normalization, Hermiticity and trace checks use ``NORM_TOL``
 (1e-12); state/fidelity comparisons use ``MATCH_TOL`` (1e-10); amplitudes
@@ -97,18 +101,37 @@ def _as_labels(digits, q: int) -> np.ndarray:
     return arr.astype(_LABEL_DTYPE, copy=False)
 
 
-def _pack(labels: np.ndarray, q: int) -> np.ndarray | None:
-    """Base-q packing of label rows into int64 keys, or None from 53 bits up.
+def _powers(q: int, width: int) -> np.ndarray:
+    """Place values of ``width`` big-endian base-q digits, as float64."""
+    return q ** np.arange(width - 1, -1, -1, dtype=np.float64)
 
-    The keys are float64 dot products with the powers of q: exact below
-    2**53, and through BLAS much faster than an integer matmul.  Wider rows
-    are sorted by their columns instead (:func:`_sort_order`).
+
+def _index_bits(n: int) -> int:
+    """Low bits of a packed key that hold a branch index below n."""
+    return (n - 1).bit_length()
+
+
+def _packs(q: int, width: int, n: int) -> bool:
+    """Whether ``width`` base-q digits and an index below n fit one packed key.
+
+    The digits' key is a float64 dot product with :func:`_powers`, so it must
+    be exact (below 2**53); its bit count plus :func:`_index_bits` must fit
+    the 64 bits of the packed key.
     """
-    t = labels.shape[1]
-    if t * math.log2(q) >= 53:
-        return None
-    powers = q ** np.arange(t - 1, -1, -1, dtype=np.float64)
-    return (labels.astype(np.float64) @ powers).astype(np.int64)
+    key_bits = (q**width - 1).bit_length()
+    return key_bits <= 53 and key_bits + _index_bits(n) <= 64
+
+
+def _pack(keys: np.ndarray, start: int, bits: int, out: np.ndarray) -> None:
+    """Write packed sort keys of consecutive branches into uint64 ``out``.
+
+    ``keys`` holds the branches' exact integer keys as floats; each is
+    shifted up by ``bits`` and the branch index (``start``, ``start + 1``,
+    ...) fills the low bits.  Packed keys are distinct, so one plain sort of
+    them orders branches by key and, within a key, by index.
+    """
+    np.left_shift(keys.astype(np.uint64), np.uint64(bits), out=out)
+    out |= np.arange(start, start + len(out), dtype=np.uint64)
 
 
 def _mod_matmul(rows: np.ndarray, coeff_t: np.ndarray, q: int) -> np.ndarray:
@@ -143,21 +166,38 @@ def _mod_add(labels: np.ndarray, digits: np.ndarray, q: int, out: np.ndarray) ->
         np.minimum(x, x - modulus, out=out[lo : lo + _CHUNK_ROWS], casting="unsafe")
 
 
-def _lex_order(labels: np.ndarray) -> np.ndarray:
-    # np.lexsort sorts by the last key first; feed columns right-to-left.
-    return np.lexsort(labels.T[::-1]) if labels.shape[1] else np.arange(len(labels))
+def _sort_keys(labels: np.ndarray, q: int) -> np.ndarray:
+    """What :func:`_branch_order` sorts label rows by: their packed keys where
+    :func:`_packs` allows, the rows themselves otherwise."""
+    n, t = labels.shape
+    if not _packs(q, t, n):
+        return labels
+    packed = np.empty(n, dtype=np.uint64)
+    _pack(labels.astype(np.float64) @ _powers(q, t), 0, _index_bits(n), packed)
+    return packed
 
 
-def _sort_order(labels: np.ndarray, q: int) -> np.ndarray:
-    keys = _pack(labels, q)
-    return np.argsort(keys) if keys is not None else _lex_order(labels)
+def _branch_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts branches by key, and which sorted keys equal the next.
 
-
-def _rows_equal_next(labels: np.ndarray) -> np.ndarray:
-    """Boolean mask: row i equals row i+1 (labels assumed sorted)."""
-    if len(labels) < 2:
-        return np.zeros(0, dtype=bool)
-    return np.all(labels[1:] == labels[:-1], axis=1)
+    Every branch order in this module comes from here, by one of two paths
+    that the key's bit width selects.  Packed keys (one uint64 per branch,
+    see :func:`_pack`) are sorted in place and consumed: afterwards the low
+    bits are the order and equal high bits mark a shared key.  An ``(n, t)``
+    array of label columns, too wide to pack, goes through ``np.lexsort``.
+    Both paths keep the branches of one key in index order.
+    """
+    if keys.ndim == 2:
+        # np.lexsort sorts by the last key first; feed columns right-to-left.
+        order = np.lexsort(keys.T[::-1])
+        rows = keys[order]
+        return order, np.all(rows[1:] == rows[:-1], axis=1)
+    keys.sort()
+    bits = np.uint64(_index_bits(len(keys)))
+    high = keys >> bits
+    same = high[1:] == high[:-1]
+    keys &= (np.uint64(1) << bits) - np.uint64(1)
+    return keys.view(np.int64), same
 
 
 def _coerce_matrix(matrix, q: int) -> np.ndarray:
@@ -251,7 +291,7 @@ class SparseState:
         """The same state with branches sorted lexicographically by label."""
         if self._is_sorted:
             return self
-        order = _sort_order(self.labels, self.q)
+        order, _ = _branch_order(_sort_keys(self.labels, self.q))
         return SparseState._wrap(self.q, self.labels[order], self.amps[order], True)
 
     def branch_dict(self) -> dict[tuple[int, ...], complex]:
@@ -363,9 +403,10 @@ class SparseState:
         are summed with one ``bincount`` and only groups of two or more
         branches go through a sparse product.  Cost is one pass over the
         labels and amplitudes for both keys and the weights ``|amp|**2``, one
-        sort of the discarded keys, a gather of the singletons' weights and
-        kept indices in sorted order and, if any group has two branches or
-        more, that product.
+        in-place sort of the discarded keys packed with the branch index (a
+        ``np.lexsort`` of the discarded columns if the two exceed 64 bits), a
+        gather of the singletons' weights and kept indices in sorted order
+        and, if any group has two branches or more, that product.
         """
         keep = self._check_registers(keep, "kept")
         dim = self.q ** len(keep)
@@ -376,14 +417,7 @@ class SparseState:
         rho = np.zeros((dim, dim), dtype=np.complex128)
         rest = [r for r in range(self.num_registers) if r not in keep]
         kept_idx, rest_keys, weights = self._trace_keys(keep, rest)
-        if rest_keys is not None:
-            order = np.argsort(rest_keys)
-            sorted_keys = rest_keys[order]
-            same = sorted_keys[1:] == sorted_keys[:-1]
-        else:
-            rest_labels = self.labels[:, rest]
-            order = _lex_order(rest_labels)
-            same = _rows_equal_next(rest_labels[order])
+        order, same = _branch_order(rest_keys)
         # A branch shares its group iff it has the key of a sorted neighbour.
         # The split skips its copy of ``order`` when one side is empty, as it
         # is for a dealt state (all singletons) or a recovered one (no singleton).
@@ -414,32 +448,35 @@ class SparseState:
 
     def _trace_keys(
         self, keep: list[int], rest: list[int]
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """Kept-block index, discarded-register key and ``|amp|**2`` of every branch.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kept-block index, discarded-register sort key and ``|amp|**2`` of every branch.
 
         All three come from one chunked pass over the labels and amplitudes,
-        in branch order; the keys are float dot products (exact below 2**53).
-        The key is None when the discarded digits need 53 bits or more; the
-        caller then sorts their label columns instead.
+        in branch order; the keys are float dot products (exact below 2**53),
+        and the discarded one is packed with the branch index (:func:`_pack`).
+        Where key and index do not fit 64 bits together (:func:`_packs`), the
+        discarded label columns take the packed key's place, as in
+        :func:`_sort_keys`.
         """
         q, n = self.q, self.num_branches
-        wide = len(rest) * math.log2(q) >= 53
-        powers = np.zeros((self.num_registers, 1 if wide else 2))
-        powers[keep, 0] = q ** np.arange(len(keep) - 1, -1, -1, dtype=np.float64)
-        if not wide:
-            powers[rest, 1] = q ** np.arange(len(rest) - 1, -1, -1, dtype=np.float64)
+        packs = _packs(q, len(rest), n)
+        powers = np.zeros((self.num_registers, 2 if packs else 1))
+        powers[keep, 0] = _powers(q, len(keep))
+        if packs:
+            powers[rest, 1] = _powers(q, len(rest))
+        bits = _index_bits(n)
         # The kept index is below the dimension of the dense matrix the caller
         # has allocated, so 32 bits hold it; that is also the index width of
         # the sparse product.
         kept_idx = np.empty(n, dtype=np.int32)
-        rest_keys = None if wide else np.empty(n, dtype=np.int64)
+        rest_keys = np.empty(n, dtype=np.uint64) if packs else self.labels[:, rest]
         weights = np.empty(n)
         for lo in range(0, n, _CHUNK_ROWS):
             hi = lo + _CHUNK_ROWS
             keys = self.labels[lo:hi].astype(np.float64) @ powers
             kept_idx[lo:hi] = keys[:, 0]
-            if not wide:
-                rest_keys[lo:hi] = keys[:, 1]
+            if packs:
+                _pack(keys[:, 1], lo, bits, rest_keys[lo:hi])
             amps = self.amps[lo:hi]
             weights[lo:hi] = amps.real**2 + amps.imag**2
         return kept_idx, rest_keys, weights
@@ -454,9 +491,8 @@ def _combine(labels: np.ndarray, amps: np.ndarray, q: int) -> tuple[np.ndarray, 
     """Sort rows and sum amplitudes of duplicate labels."""
     if len(labels) == 0:
         return labels, amps
-    order = _sort_order(labels, q)
+    order, dup = _branch_order(_sort_keys(labels, q))
     labels, amps = labels[order], amps[order]
-    dup = _rows_equal_next(labels)
     if not dup.any():
         return labels, amps
     starts = np.flatnonzero(np.concatenate(([True], ~dup)))
@@ -544,15 +580,6 @@ class DensityMatrix:
         self.matrix = matrix
         self.matrix.setflags(write=False)
 
-    @classmethod
-    def maximally_mixed(cls, q: int, num_registers: int) -> DensityMatrix:
-        dim = q**num_registers
-        return cls(q, num_registers, np.eye(dim, dtype=np.complex128) / dim)
-
-    @classmethod
-    def from_pure(cls, state: SparseState, dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
-        return state.partial_trace(range(state.num_registers), dim_cap)
-
     @property
     def dim(self) -> int:
         return self.q**self.num_registers
@@ -608,7 +635,7 @@ def fidelity(rho: DensityMatrix, psi: SparseState) -> float:
     if psi.q != rho.q or psi.num_registers != rho.num_registers:
         raise ValueError("state and density matrix live on different registers")
     vec = np.zeros(rho.dim, dtype=np.complex128)
-    idx = _pack(psi.labels, psi.q)
+    idx = (psi.labels @ _powers(psi.q, psi.num_registers)).astype(np.int64)
     vec[idx] = psi.amps
     val = np.vdot(vec, rho.matrix @ vec)
     return float(val.real)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .gf import FieldMatrix, FieldVector, PrimeField, _is_prime, vandermonde
+from .gf import _MAX_MODULUS, FieldMatrix, FieldVector, PrimeField, _is_prime, vandermonde
 
 __all__ = [
     "ParameterError",
@@ -86,6 +86,8 @@ class SchemeParams:
         n = 2 * k - 1
         if not k <= d <= n:
             raise ParameterError(f"d must satisfy k <= d <= 2k-1, got k={k}, d={d}")
+        if q >= _MAX_MODULUS:
+            raise ParameterError(f"modulus q={q} exceeds the desk-scale bound {_MAX_MODULUS}")
         if not _is_prime(q):
             raise ParameterError(f"modulus q={q} is not prime")
         if q <= n:

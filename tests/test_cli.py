@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qtss import protocol
 from qtss.cli import (
@@ -11,6 +13,7 @@ from qtss.cli import (
     demo,
     emit_cost_table,
     main,
+    ScenarioConfig,
     parse_config,
     run,
 )
@@ -22,6 +25,16 @@ modes = encode, recover-d, recover-k, secrecy, costs, mixed
 secrets = basis-exhaustive
 seed = 7
 """
+
+CONFIG_KEYS = (
+    "params", "modes", "secrets", "seed", "output", "format", "cap_branches", "cap_dim",
+    "PARAMS", "bogus", "",
+)
+CONFIG_VALUES = (
+    "2,2,5", "2,3,5; 3,4,7", "2,2,65537", "3,4,5", "-1,0,2", "1,1,2", "2,2,4",
+    "costs", "encode, secrecy", "fly", "random:3", "random:0", "random:x",
+    "basis-exhaustive", "json", "csv", "0", "-1", "7", "1e3",
+)
 
 
 class TestParseConfig:
@@ -83,6 +96,30 @@ class TestParseConfig:
     def test_bad_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("params = 2,2,5\nnonsense here")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=hst.one_of(
+            hst.text(),
+            hst.lists(
+                hst.tuples(
+                    hst.sampled_from(CONFIG_KEYS),
+                    hst.one_of(
+                        hst.text(alphabet=" ,;:-0123456789", max_size=20),
+                        hst.sampled_from(CONFIG_VALUES),
+                        hst.text(max_size=10),
+                    ),
+                ),
+                max_size=6,
+            ).map(lambda pairs: "\n".join(f"{k} = {v}" for k, v in pairs)),
+        )
+    )
+    def test_any_text_parses_or_raises_config_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert isinstance(cfg, ScenarioConfig)
 
 
 class TestRun:
@@ -229,6 +266,43 @@ class TestMainEntry:
 
     def test_costs_verb_invalid(self, capsys):
         assert main(["costs", "3", "4", "5"]) == 2
+
+    def test_modulus_past_label_width_is_config_error(self, tmp_path, capsys):
+        # 65537 is prime but its digits do not fit the 16-bit labels.
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("params = 2,2,65537\nmodes = encode\n")
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "65537" in err and "Traceback" not in err
+        assert main(["costs", "2", "2", "65537"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error:" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "line, args, message",
+        [
+            ("seed = -1", [], "seed must be non-negative"),
+            ("", ["--seed", "-1"], "seed must be non-negative"),
+            ("cap_dim = 0", [], "cap_dim must be at least 1"),
+            ("", ["--cap-dim", "0"], "cap_dim must be at least 1"),
+            ("cap_branches = 0", [], "cap_branches must be at least 1"),
+            ("", ["--cap-branches", "-3"], "cap_branches must be at least 1"),
+            ("modes =", [], "config names no modes"),
+            ("modes = , ,", [], "config names no modes"),
+        ],
+        ids=[
+            "seed", "seed-flag", "cap-dim", "cap-dim-flag", "cap-branches",
+            "cap-branches-flag", "modes-empty", "modes-commas",
+        ],
+    )
+    def test_out_of_range_values_exit_two(self, tmp_path, capsys, line, args, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"params = 2,2,5\n{line}\n")
+        assert main(["run", str(cfg), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {message}" in captured.err and "Traceback" not in captured.err
 
     def test_costs_json(self, capsys):
         assert main(["costs", "2", "2", "5", "--format", "json"]) == 0

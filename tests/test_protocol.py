@@ -23,7 +23,6 @@ from qtss.protocol import (
     cost_table,
     deal,
     default_secret_pairs,
-    encode_reference_cleve23,
     lower_bound,
     recover_from_d,
     recover_from_k,
@@ -581,6 +580,30 @@ class TestCostTable:
         assert k_row.qudits == 12
 
 
+def encode_reference_cleve23(secret: SparseState) -> SparseState:
+    """Encode one qutrit as |s> -> sum_r |r, s+r, 2s+r> / sqrt(3).
+
+    A fixture independent of the staircase construction: any two of the
+    three qutrits recover the secret, any single one is maximally mixed.
+    """
+    if secret.q != 3:
+        raise ValueError(f"reference scheme works over F_3, got q={secret.q}")
+    if secret.num_registers != 1:
+        raise ValueError("reference scheme shares a single qutrit")
+    w = 1.0 / np.sqrt(3.0)
+    branches = []
+    for row, amp in zip(secret.labels, secret.amps):
+        s = int(row[0])
+        for r in range(3):
+            branches.append(((r, (s + r) % 3, (2 * s + r) % 3), complex(amp) * w))
+    return SparseState.from_branches(3, branches)
+
+
+def maximally_mixed(q: int, num_registers: int) -> DensityMatrix:
+    dim = q**num_registers
+    return DensityMatrix(q, num_registers, np.eye(dim, dtype=np.complex128) / dim)
+
+
 class TestCleve23Reference:
     def test_zero_secret(self):
         st = encode_reference_cleve23(SparseState.basis(3, (0,)))
@@ -599,12 +622,12 @@ class TestCleve23Reference:
             st = encode_reference_cleve23(SparseState.basis(3, (s,)))
             for reg in range(3):
                 rho = st.partial_trace([reg])
-                assert rho.allclose(DensityMatrix.maximally_mixed(3, 1), tol=1e-12)
+                assert rho.allclose(maximally_mixed(3, 1), tol=1e-12)
                 rhos.append(rho)
         sup = encode_reference_cleve23(
             superpose([(SparseState.basis(3, (0,)), 0.6), (SparseState.basis(3, (2,)), 0.8)])
         )
-        assert sup.partial_trace([1]).allclose(DensityMatrix.maximally_mixed(3, 1), tol=1e-12)
+        assert sup.partial_trace([1]).allclose(maximally_mixed(3, 1), tol=1e-12)
 
     def test_linearity(self):
         a, b = SparseState.basis(3, (0,)), SparseState.basis(3, (1,))

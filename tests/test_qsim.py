@@ -211,11 +211,12 @@ class TestConstruction:
         )
         assert abs(st.norm_sq - 1.0) < 1e-12
 
-    @pytest.mark.parametrize("registers", [5, 6])
+    @pytest.mark.parametrize("registers", [4, 5, 6])
     def test_wide_labels_sorted_and_merged(self, registers):
-        # 5 or 6 registers of F_2039 need 55 or 66 bits, past a float key:
-        # rows are sorted by their columns.  Digits from {0, 1, 2038} make
-        # rows that differ in one column, and every row is given twice.
+        # 4 registers of F_2039 need 44 bits and pack with the row index;
+        # 5 or 6 need 55 or 66 bits, past a float key: rows are sorted by
+        # their columns.  Digits from {0, 1, 2038} make rows that differ in
+        # one column, and every row is given twice.
         rng = np.random.default_rng(registers)
         rows = rng.choice([0, 1, Q_WIDE - 1], size=(40, registers))
         amps = rng.normal(size=40) + 1j * rng.normal(size=40)
@@ -231,6 +232,25 @@ class TestConstruction:
         order = np.lexsort(st.labels[:, ::-1].T[::-1])
         assert np.array_equal(out.labels, st.labels[order][:, ::-1])
         assert np.array_equal(out.amps, st.amps[order])
+
+    @pytest.mark.parametrize("q, registers", [(5, 3), (Q_WIDE, 5)], ids=["packed", "lexsort"])
+    def test_three_or_more_duplicates_merged(self, q, registers):
+        # Three to five copies of each label, interleaved with the others,
+        # merge into one branch carrying the sum of their amplitudes.
+        rng = np.random.default_rng(q)
+        distinct = np.unique(rng.choice([0, 1, q - 1], size=(12, registers)), axis=0)
+        picks = rng.permutation(np.repeat(np.arange(len(distinct)), rng.integers(3, 6, len(distinct))))
+        amps = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
+        assert qsim._packs(q, registers, len(picks)) == (q == 5)
+        sums: dict[tuple[int, ...], complex] = {}
+        for i, a in zip(picks, amps):
+            key = tuple(int(d) for d in distinct[i])
+            sums[key] = sums.get(key, 0j) + a
+        keys = sorted(sums)
+        summed = np.array([sums[k] for k in keys])
+        st = SparseState(q, distinct[picks], amps)
+        assert np.array_equal(st.labels, np.array(keys))
+        assert np.allclose(st.amps, summed / np.linalg.norm(summed), rtol=0, atol=1e-15)
 
     def test_immutability(self):
         st = SparseState.basis(5, (1,))
@@ -364,7 +384,7 @@ class TestPartialTrace:
     def test_correlated_pair_maximally_mixed(self):
         st = SparseState.from_branches(5, [((i, i), 1.0) for i in range(5)])
         rho = st.partial_trace([0])
-        assert rho.allclose(DensityMatrix.maximally_mixed(5, 1), tol=1e-12)
+        assert rho.allclose(DensityMatrix(5, 1, np.eye(5) / 5), tol=1e-12)
 
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -469,6 +489,24 @@ class TestPartialTrace:
         assert np.count_nonzero(rho - np.diag(np.diag(rho))) > 0
         assert np.array_equal(rho, reference_partial_trace(res.state, regs))
 
+    @pytest.mark.parametrize("groups", ["singletons", "multi"])
+    @pytest.mark.parametrize("branches, packs", [(4096, True), (4097, False)], ids=["64-bit", "65-bit"])
+    def test_packed_key_width_edge(self, branches, packs, groups):
+        # 22 discarded registers of F_5 have 52-bit keys.  4096 branches need
+        # 12 index bits, 64 in all: one packed sort.  4097 need 13, 65 in
+        # all: the discarded columns are lexsorted.  Reversing the registers
+        # leaves the branches out of key order.
+        keep = [3, 17]
+        assert (5**22 - 1).bit_length() == 52 and qsim._packs(5, 22, branches) == packs
+        sizes = [1] * branches if groups == "singletons" else [5] * (branches // 5) + [branches % 5]
+        st = grouped_state(5, 24, keep, sizes, np.random.default_rng(branches))
+        st = st.apply_affine(range(24), np.eye(24, dtype=np.int64)[::-1])
+        keep = [23 - r for r in keep]
+        assert st.num_branches == branches
+        rho = st.partial_trace(keep).matrix
+        assert (np.count_nonzero(rho - np.diag(np.diag(rho))) > 0) == (groups == "multi")
+        assert np.array_equal(rho, reference_partial_trace(st, keep))
+
     def test_dimension_cap(self):
         st = SparseState.basis(7, (0,) * 5)
         with pytest.raises(DimensionCapError):
@@ -524,16 +562,16 @@ class TestDensityMatrix:
 class TestDistances:
     def test_fidelity_projector(self):
         st = random_state(3, 2, np.random.default_rng(3), support=6)
-        assert fidelity(DensityMatrix.from_pure(st), st) == pytest.approx(1.0, abs=1e-12)
+        assert fidelity(st.partial_trace([0, 1]), st) == pytest.approx(1.0, abs=1e-12)
 
     def test_trace_distance_self(self):
         st = random_state(3, 2, np.random.default_rng(4), support=6)
-        rho = DensityMatrix.from_pure(st)
+        rho = st.partial_trace([0, 1])
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_trace_distance_orthogonal(self):
-        a = DensityMatrix.from_pure(SparseState.basis(2, (0,)))
-        b = DensityMatrix.from_pure(SparseState.basis(2, (1,)))
+        a = SparseState.basis(2, (0,)).partial_trace([0])
+        b = SparseState.basis(2, (1,)).partial_trace([0])
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -575,8 +613,8 @@ class TestDistances:
         assert trace_distance(rho, zero) == expected
 
     def test_dimension_mismatch(self):
-        a = DensityMatrix.maximally_mixed(2, 1)
-        b = DensityMatrix.maximally_mixed(2, 2)
+        a = DensityMatrix(2, 1, np.eye(2) / 2)
+        b = DensityMatrix(2, 2, np.eye(4) / 4)
         with pytest.raises(ValueError, match="different registers"):
             trace_distance(a, b)
         with pytest.raises(ValueError, match="different registers"):

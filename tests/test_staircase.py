@@ -47,6 +47,13 @@ class TestMakeParams:
         with pytest.raises(ParameterError, match="not prime"):
             make_params(2, 3, 9)
 
+    def test_modulus_past_label_width(self):
+        # 65537 is prime, but digits from 2**16 up fit neither PrimeField nor
+        # the uint16 labels of the simulator.
+        with pytest.raises(ParameterError, match="desk-scale bound 65536"):
+            make_params(2, 2, 65537)
+        assert make_params(2, 2, 65521).q == 65521
+
     def test_dimension_identity(self):
         for k in range(1, 6):
             for d in range(k, 2 * k):
