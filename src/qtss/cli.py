@@ -166,8 +166,10 @@ class ScenarioConfig:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse the flat key = value config grammar."""
+    """Parse the flat key = value config grammar; keys are case-insensitive
+    and each may appear once."""
     values: dict[str, str] = {}
+    key_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -175,7 +177,11 @@ def parse_config(text: str) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        values[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in key_line:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {key_line[key]}")
+        key_line[key] = lineno
+        values[key] = val.strip()
 
     def parse_params(text: str) -> tuple[tuple[int, int, int], ...]:
         triples = []
@@ -442,7 +448,7 @@ def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
         dealt = deal(basis, p, cfg.cap_branches)
         labels = {tuple(int(x) for x in row) for row in dealt.state.labels}
         expected_labels = {
-            tuple(e for e in codeword.entries)
+            tuple(codeword.array.ravel().tolist())
             for _, codeword in enumerate_codewords(
                 FieldVector(p.field, digits), p, cfg.cap_branches
             )

@@ -1,15 +1,21 @@
 """Exact arithmetic and small dense linear algebra over prime fields.
 
-Residues are plain Python ints in ``[0, q)``.  :class:`FieldVector` and
-:class:`FieldMatrix` are immutable value objects; every operation returns a
-new object, so values can be shared freely between threads.  Matrix rank
-and inversion share one Gauss-Jordan elimination with first-nonzero
-pivoting, which is exact over a field, so pivot choice never affects
-correctness.
+Residues are integers in ``[0, q)``.  :class:`FieldVector` holds them as a
+tuple of ints.  :class:`FieldMatrix` stores one read-only int64
+``(rows, cols)`` numpy array, reduced mod q once at construction; every
+matrix entry and every relabeling offset is built by :func:`_residues`,
+which rejects non-integral input with ``TypeError`` instead of truncating
+it.  With q < 2**16 every product of two residues is below 2**32, so a
+product ``(a @ b) % q`` is exact in int64.  Rank and inversion share one
+Gauss-Jordan elimination (:func:`_row_reduce`) that updates whole rows per
+pivot and pivots on the first nonzero entry at or below the current rank;
+it is exact over a field, so pivot choice never affects correctness.
+Both types are immutable values that can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -58,24 +64,6 @@ class PrimeField:
             raise ValueError(f"modulus {q} is not prime")
         self.q = q
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; zero has none."""
-        if a % self.q == 0:
-            raise ZeroDivisionError(f"0 has no multiplicative inverse mod {self.q}")
-        return pow(a, -1, self.q)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.q == self.q
 
@@ -84,6 +72,23 @@ class PrimeField:
 
     def __repr__(self) -> str:
         return f"PrimeField({self.q})"
+
+
+def _residues(entries, q: int) -> np.ndarray:
+    """``entries`` as a new int64 array of residues mod q, in their shape.
+
+    Integer and bool arrays are reduced in one pass.  Anything else (floats,
+    strings, ints beyond int64) is taken entry by entry through
+    ``operator.index``, so a non-integral entry raises ``TypeError``.
+    """
+    arr = np.asarray(entries)
+    if np.can_cast(arr.dtype, np.int64):
+        return arr.astype(np.int64) % q
+    try:
+        flat = [operator.index(x) % q for x in arr.ravel().tolist()]
+    except TypeError:
+        raise TypeError(f"F_{q} entries must be integers, got {arr.dtype} entries") from None
+    return np.array(flat, dtype=np.int64).reshape(arr.shape)
 
 
 @dataclass(frozen=True)
@@ -113,32 +118,41 @@ class FieldVector:
             raise ValueError("cannot concatenate vectors over different fields")
         return FieldVector(self.field, self.entries + other.entries)
 
-    def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
-
     def __repr__(self) -> str:
         return f"FieldVector(q={self.field.q}, {self.entries})"
 
 
-@dataclass(frozen=True)
 class FieldMatrix:
-    """An immutable row-major matrix of residues over a fixed prime field."""
+    """An immutable matrix over a fixed prime field: one read-only int64
+    ``(rows, cols)`` array of residues, ``array``.
 
-    field: PrimeField
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    ``entries`` may be flat (row-major) or already shaped; it is reduced mod
+    q once here, and every derived matrix is built from residues directly.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("field", "array")
+
+    def __init__(self, field: PrimeField, rows: int, cols: int, entries) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows * self.cols:
+        arr = _residues(entries, field.q)
+        if arr.size != rows * cols:
             raise ValueError(
-                f"expected {self.rows * self.cols} entries for a "
-                f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
+                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {arr.size}"
             )
-        q = self.field.q
-        object.__setattr__(self, "entries", tuple(int(e) % q for e in self.entries))
+        self.field = field
+        self.array = arr.reshape(rows, cols)
+        self.array.setflags(write=False)
+
+    @classmethod
+    def _wrap(cls, field: PrimeField, array: np.ndarray) -> FieldMatrix:
+        """Adopt a 2-D int64 array that already holds residues mod q; it
+        becomes read-only and must not be written through another name."""
+        self = object.__new__(cls)
+        self.field = field
+        self.array = array
+        array.setflags(write=False)
+        return self
 
     # -- construction -------------------------------------------------
 
@@ -148,32 +162,38 @@ class FieldMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("all rows must have the same length")
-        flat = tuple(e for r in rows for e in r)
-        return cls(field, len(rows), ncols, flat)
+        return cls(field, len(rows), ncols, [e for r in rows for e in r])
 
     @classmethod
     def identity(cls, field: PrimeField, n: int) -> FieldMatrix:
-        return cls(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls._wrap(field, np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> FieldMatrix:
-        return cls(field, rows, cols, (0,) * (rows * cols))
+        return cls._wrap(field, np.zeros((rows, cols), dtype=np.int64))
 
     # -- access -------------------------------------------------------
+
+    @property
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
 
     def at(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
+        return int(self.array[i, j])
 
     def row(self, i: int) -> FieldVector:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} out of range")
-        return FieldVector(self.field, self.entries[i * self.cols : (i + 1) * self.cols])
+        return FieldVector(self.field, tuple(self.array[i].tolist()))
 
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
-        c = self.cols
-        return tuple(self.entries[i * c : (i + 1) * c] for i in range(self.rows))
+        return tuple(map(tuple, self.array.tolist()))
 
     def submatrix(
         self,
@@ -181,108 +201,98 @@ class FieldMatrix:
         col_idx: Sequence[int] | None = None,
     ) -> FieldMatrix:
         """Extract rows/columns in the given order; ``None`` keeps all."""
-        rows = range(self.rows) if row_idx is None else list(row_idx)
-        cols = range(self.cols) if col_idx is None else list(col_idx)
-        for i in rows:
-            if not 0 <= i < self.rows:
-                raise IndexError(f"row index {i} out of range")
-        for j in cols:
-            if not 0 <= j < self.cols:
-                raise IndexError(f"column index {j} out of range")
-        if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
-            raise ValueError("duplicate indices in submatrix selection")
-        flat = tuple(self.entries[i * self.cols + j] for i in rows for j in cols)
-        return FieldMatrix(self.field, len(rows), len(cols), flat)
+        arr = self.array
+        if row_idx is not None:
+            arr = arr[_selection(row_idx, self.rows, "row")]
+        if col_idx is not None:
+            arr = arr[:, _selection(col_idx, self.cols, "column")]
+        return FieldMatrix._wrap(self.field, arr)
 
     # -- algebra ------------------------------------------------------
 
     def __matmul__(self, other):
-        q = self.field.q
-        if isinstance(other, FieldVector):
-            if other.field != self.field:
-                raise ValueError("operands over different fields")
-            if len(other) != self.cols:
-                raise ValueError(f"cannot multiply {self.rows}x{self.cols} matrix by length-{len(other)} vector")
-            ent = self.entries
-            out = tuple(
-                sum(ent[i * self.cols + j] * other.entries[j] for j in range(self.cols)) % q
-                for i in range(self.rows)
-            )
-            return FieldVector(self.field, out)
-        if isinstance(other, FieldMatrix):
-            if other.field != self.field:
-                raise ValueError("operands over different fields")
-            if other.rows != self.cols:
-                raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            a, b = self.entries, other.entries
-            n, m, p = self.rows, self.cols, other.cols
-            flat = tuple(
-                sum(a[i * m + t] * b[t * p + j] for t in range(m)) % q
-                for i in range(n)
-                for j in range(p)
-            )
-            return FieldMatrix(self.field, n, p, flat)
-        return NotImplemented
+        if not isinstance(other, (FieldVector, FieldMatrix)):
+            return NotImplemented
+        if other.field != self.field:
+            raise ValueError("operands over different fields")
+        vector = isinstance(other, FieldVector)
+        right = np.array(other.entries, dtype=np.int64) if vector else other.array
+        if len(right) != self.cols:
+            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other!r}")
+        prod = self.array @ right % self.field.q
+        if vector:
+            return FieldVector(self.field, tuple(prod.tolist()))
+        return FieldMatrix._wrap(self.field, prod)
 
     def __neg__(self) -> FieldMatrix:
-        q = self.field.q
-        return FieldMatrix(self.field, self.rows, self.cols, tuple(-e % q for e in self.entries))
+        return FieldMatrix._wrap(self.field, -self.array % self.field.q)
 
     def transpose(self) -> FieldMatrix:
-        flat = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
-        return FieldMatrix(self.field, self.cols, self.rows, flat)
+        return FieldMatrix._wrap(self.field, self.array.T)
 
     def hstack(self, other: FieldMatrix) -> FieldMatrix:
         if other.field != self.field:
             raise ValueError("operands over different fields")
         if other.rows != self.rows:
             raise ValueError("row counts differ")
-        rows = [self.row(i).entries + other.row(i).entries for i in range(self.rows)]
-        return FieldMatrix.from_rows(self.field, rows)
+        return FieldMatrix._wrap(self.field, np.hstack([self.array, other.array]))
 
     def rank(self) -> int:
         """Rank over F_q, by the same elimination as :meth:`inverse`."""
-        return _row_reduce([list(r) for r in self.row_tuples()], self.cols, self.field.q)
+        return _row_reduce(self.array.copy(), self.cols, self.field.q)
 
     def inverse(self) -> FieldMatrix:
         """Gauss-Jordan inverse; raises :class:`SingularMatrixError` if rank-deficient."""
         if self.rows != self.cols:
             raise ValueError(f"cannot invert non-square {self.rows}x{self.cols} matrix")
         n, q = self.rows, self.field.q
-        aug = [list(self.row(i).entries) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+        aug = np.hstack([self.array, np.eye(n, dtype=np.int64)])
         if _row_reduce(aug, n, q) < n:
             raise SingularMatrixError(f"matrix is singular over F_{q}")
-        flat = tuple(aug[i][n + j] for i in range(n) for j in range(n))
-        return FieldMatrix(self.field, n, n, flat)
+        return FieldMatrix._wrap(self.field, aug[:, n:])
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
+        """The stored read-only int64 array itself (no copy)."""
+        return self.array
 
     def __repr__(self) -> str:
         return f"FieldMatrix(q={self.field.q}, {self.row_tuples()})"
 
 
-def _row_reduce(rows: list[list[int]], ncols: int, q: int) -> int:
-    """Gauss-Jordan elimination in place on the first ``ncols`` columns of
-    ``rows``; returns the rank.
+def _selection(idx: Sequence[int], bound: int, what: str) -> list[int]:
+    """Validated indices for :meth:`FieldMatrix.submatrix`."""
+    idx = [int(i) for i in idx]
+    for i in idx:
+        if not 0 <= i < bound:
+            raise IndexError(f"{what} index {i} out of range")
+    if len(set(idx)) != len(idx):
+        raise ValueError("duplicate indices in submatrix selection")
+    return idx
 
-    The pivot rows come first, each scaled to 1 on its pivot column, which
-    is cleared in every other row; columns past ``ncols`` (an augmented
-    identity, say) ride along.  At full rank on a square block, row i
-    pivots on column i.
+
+def _row_reduce(rows: np.ndarray, ncols: int, q: int) -> int:
+    """Gauss-Jordan elimination in place on the first ``ncols`` columns of
+    the int64 residue array ``rows``; returns the rank.
+
+    Each pivot is the first nonzero entry of its column at or below the
+    current rank.  Its row moves up to that rank, is scaled to 1 on the
+    pivot column, and clears that column in every other row by one
+    whole-array update.  Columns past ``ncols`` (an augmented identity, say)
+    ride along.  At full rank on a square block, row i pivots on column i.
     """
     rank = 0
     for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % q != 0), None)
-        if piv is None:
+        if rank == len(rows):
+            break
+        nonzero = rows[rank:, col].nonzero()[0]
+        if not len(nonzero):
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_p = pow(rows[rank][col], -1, q)
-        rows[rank] = [(e * inv_p) % q for e in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(er - f * ec) % q for er, ec in zip(rows[r], rows[rank])]
+        piv = rank + int(nonzero[0])
+        pivot_row = rows[piv] * pow(int(rows[piv, col]), -1, q) % q
+        rows[piv] = rows[rank]
+        rows -= rows[:, col, None] * pivot_row
+        rows %= q
+        rows[rank] = pivot_row
         rank += 1
     return rank
 
@@ -308,5 +318,4 @@ def vandermonde(field: PrimeField, nodes: FieldVector | Sequence[int], width: in
     if any(v == 0 for v in vals):
         raise ValueError("nodes must be nonzero")
     q = field.q
-    flat = tuple(pow(x, j, q) for x in vals for j in range(width))
-    return FieldMatrix(field, len(vals), width, flat)
+    return FieldMatrix(field, len(vals), width, [pow(x, j, q) for x in vals for j in range(width)])

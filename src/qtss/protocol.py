@@ -22,7 +22,9 @@ mechanically confined to the registers the combiner actually received; an
 operation touching anything else raises :class:`CombinerLocalityError`.  The
 transcript is the session's program: when the session finishes, its ops are
 composed into one invertible matrix over F_q on the received registers and
-applied to the shared state in a single relabeling.
+applied to the shared state in a single relabeling.  A session is built from
+the parameters and the contacted participants alone, so its program can be
+checked over F_q for schemes whose states are far too large to simulate.
 
 Labels stay distinct by rank facts over F_q, not by scanning: the dealer's
 encoding matrix has full column rank m*k (checked once per parameter set),
@@ -42,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gf import FieldMatrix, FieldVector
+from .gf import FieldMatrix, FieldVector, PrimeField
 from .qsim import (
     DEFAULT_DIM_CAP,
     MATCH_TOL,
@@ -138,8 +140,7 @@ def _encoding_matrix(p: SchemeParams) -> np.ndarray:
     for z in range(n_in):
         s = FieldVector(f, tuple(1 if i == z else 0 for i in range(p.m)))
         r = tuple(1 if (i + p.m) == z else 0 for i in range(p.randomness_len))
-        c = encode_classical(s, RandomnessSplit.from_flat(p, r), p)
-        cols.append(np.array(c.entries, dtype=np.int64))
+        cols.append(encode_classical(s, RandomnessSplit.from_flat(p, r), p).array.ravel())
     return np.stack(cols, axis=1)  # (n*m, n_in)
 
 
@@ -164,13 +165,12 @@ def _deal_tables(p: SchemeParams) -> tuple[np.ndarray, np.ndarray]:
     pairs give distinct labels, so the dealer never checks labels itself.
     """
     coeff = _encoding_matrix(p)
-    if FieldMatrix.from_rows(p.field, coeff.tolist()).rank() != coeff.shape[1]:
+    gen = FieldMatrix(p.field, *coeff.shape, coeff)
+    if gen.rank() != gen.cols:
         raise AssertionError(f"encoding matrix of {p} is not injective over F_{p.q}")
-    coeff_s = coeff[:, : p.m]
-    rand_part = _as_labels(_mod_matmul(_all_randomness(p), coeff[:, p.m :].T, p.q), p.q)
-    coeff_s.setflags(write=False)
+    rand_part = _as_labels(_mod_matmul(_all_randomness(p), gen.array[:, p.m :].T, p.q), p.q)
     rand_part.setflags(write=False)
-    return coeff_s, rand_part
+    return gen.array[:, : p.m], rand_part
 
 
 def deal(
@@ -256,14 +256,18 @@ class RecoveryResult:
 
 
 class _CombinerSession:
-    """Records a combiner's operations, refusing non-local ones, and runs
-    them on the shared state as one linear map when the session finishes."""
+    """Records a combiner's operations over F_q, refusing non-local ones.
 
-    def __init__(self, dealt: DealtState, accessed: dict[int, tuple[int, ...]]):
+    Building the program needs only q and the registers each contacted
+    participant sent; :meth:`finish` is the one step that touches a state,
+    running the whole program on it as one linear map.
+    """
+
+    def __init__(self, q: int, accessed: dict[int, tuple[int, ...]]):
+        self.field = PrimeField(q)
         self.accessed = accessed
         self.registers = [r for regs in accessed.values() for r in regs]
         self.allowed = frozenset(self.registers)
-        self.state = dealt.state
         self.ops: list[OpRecord] = []
 
     def _guard(self, registers: Sequence[int]) -> None:
@@ -285,29 +289,29 @@ class _CombinerSession:
         self._guard(list(sources) + list(targets))
         self.ops.append(OpRecord("controlled-add", tuple(targets), tuple(sources), note, coeff))
 
-    def _program(self) -> np.ndarray:
+    def program(self) -> FieldMatrix:
         """The recorded ops composed into one matrix on ``self.registers``.
 
         Row i of the running product gives received register i's digit as a
         combination of the digits the combiner received, so each op acts on
         the rows of its target registers exactly as it would on label digits.
         """
-        q = self.state.q
+        q = self.field.q
         pos = {r: i for i, r in enumerate(self.registers)}
         prog = np.eye(len(self.registers), dtype=np.int64)
         for op in self.ops:
             tgt = [pos[r] for r in op.targets]
-            coeff = op.matrix.to_array()
             if op.kind == "affine":
-                prog[tgt] = (coeff @ prog[tgt]) % q
+                prog[tgt] = op.matrix.array @ prog[tgt] % q
             else:
-                prog[tgt] = (prog[tgt] + coeff @ prog[[pos[r] for r in op.sources]]) % q
-        return prog
+                src = prog[[pos[r] for r in op.sources]]
+                prog[tgt] = (prog[tgt] + op.matrix.array @ src) % q
+        return FieldMatrix._wrap(self.field, prog)
 
-    def finish(self, output_registers: Sequence[int]) -> RecoveryResult:
+    def finish(self, state: SparseState, output_registers: Sequence[int]) -> RecoveryResult:
         # apply_affine rejects a singular program: its invertibility is the
         # certificate that the whole session permutes basis states.
-        state = self.state.apply_affine(self.registers, self._program())
+        state = state.apply_affine(self.registers, self.program())
         cost = len(self.allowed)
         transcript = RecoveryTranscript(
             accessed=dict(self.accessed),
@@ -338,14 +342,26 @@ def recover_from_d(dealt: DealtState, participants: Iterable[int]) -> RecoveryRe
     The secret ends in the first m received registers, disentangled from
     everything else; cost is exactly d qudits.
     """
-    p = dealt.params
+    return _run_session(dealt, participants, dealt.params.d, "d", _d_session)
+
+
+def _run_session(dealt: DealtState, participants: Iterable[int], size: int, what: str, build):
+    """Check the contacted participants, build their session's program from
+    the parameters alone, and run it on the dealt state."""
     chosen = sorted(set(participants))
-    if len(chosen) != p.d:
-        raise ValueError(f"need exactly d={p.d} distinct participants, got {len(chosen)}")
+    if len(chosen) != size:
+        raise ValueError(f"need exactly {what}={size} distinct participants, got {len(chosen)}")
     dealt.require_active(chosen)
-    layout = dealt.layout
+    session, output = build(dealt.params, chosen)
+    return session.finish(dealt.state, output)
+
+
+def _d_session(p: SchemeParams, chosen: Sequence[int]) -> tuple[_CombinerSession, Sequence[int]]:
+    """The d-share combiner's session on the sorted participants ``chosen``
+    (see :func:`recover_from_d`), and the registers left holding the secret."""
+    layout = p.layout()
     regs = [layout.first_register_of(i) for i in chosen]
-    session = _CombinerSession(dealt, {i: (layout.first_register_of(i),) for i in chosen})
+    session = _CombinerSession(p.q, {i: (layout.first_register_of(i),) for i in chosen})
 
     vand = scheme_vandermonde(p)
     block_d = vand.submatrix([i - 1 for i in chosen], None)
@@ -377,7 +393,7 @@ def recover_from_d(dealt: DealtState, participants: Iterable[int]) -> RecoveryRe
             "fold the secret and tail digits into the head block so it "
             "mirrors the uncontacted shares' first qudits",
         )
-    return session.finish(regs[: p.m])
+    return session, regs[: p.m]
 
 
 def recover_from_k(dealt: DealtState, participants: Iterable[int]) -> RecoveryResult:
@@ -403,15 +419,16 @@ def recover_from_k(dealt: DealtState, participants: Iterable[int]) -> RecoveryRe
     The secret ends in the first m registers of the first column; cost is
     exactly m*k qudits.
     """
-    p = dealt.params
-    chosen = sorted(set(participants))
-    if len(chosen) != p.k:
-        raise ValueError(f"need exactly k={p.k} distinct participants, got {len(chosen)}")
-    dealt.require_active(chosen)
-    layout = dealt.layout
+    return _run_session(dealt, participants, dealt.params.k, "k", _k_session)
+
+
+def _k_session(p: SchemeParams, chosen: Sequence[int]) -> tuple[_CombinerSession, Sequence[int]]:
+    """The k-share combiner's session on the sorted participants ``chosen``
+    (see :func:`recover_from_k`), and the registers left holding the secret."""
+    layout = p.layout()
     cols = [tuple(layout.register_of(i, j) for i in chosen) for j in range(p.m)]
     session = _CombinerSession(
-        dealt, {i: tuple(layout.register_of(i, j) for j in range(p.m)) for i in chosen}
+        p.q, {i: tuple(layout.register_of(i, j) for j in range(p.m)) for i in chosen}
     )
 
     vand = scheme_vandermonde(p)
@@ -472,7 +489,7 @@ def recover_from_k(dealt: DealtState, participants: Iterable[int]) -> RecoveryRe
             "add the secret's contribution so the block mirrors the "
             "uncontacted shares' first qudits",
         )
-    return session.finish(cols[0][: p.m])
+    return session, cols[0][: p.m]
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse
 
-from .gf import FieldMatrix, PrimeField, SingularMatrixError
+from .gf import FieldMatrix, PrimeField, SingularMatrixError, _residues
 
 __all__ = [
     "EmptyStateError",
@@ -200,15 +200,17 @@ def _branch_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys.view(np.int64), same
 
 
-def _coerce_matrix(matrix, q: int) -> np.ndarray:
+def _coerce_matrix(matrix, q: int) -> FieldMatrix:
+    """A relabeling matrix over F_q: a :class:`FieldMatrix` as is, anything
+    else through the field's one residue constructor."""
     if isinstance(matrix, FieldMatrix):
         if matrix.field.q != q:
             raise ValueError(f"matrix over F_{matrix.field.q}, state over F_{q}")
-        return matrix.to_array()
-    arr = np.asarray(matrix, dtype=np.int64) % q
+        return matrix
+    arr = _residues(matrix, q)
     if arr.ndim != 2:
         raise ValueError("coefficient matrix must be two-dimensional")
-    return arr
+    return FieldMatrix._wrap(PrimeField(q), arr)
 
 
 class SparseState:
@@ -341,22 +343,22 @@ class SparseState:
         targets = self._check_registers(targets, "target")
         a = _coerce_matrix(matrix, self.q)
         t = len(targets)
-        if a.shape != (t, t):
-            raise ValueError(f"matrix shape {a.shape} does not match {t} target registers")
-        _require_invertible(a, self.q)
-        if offset is None:
-            b = np.zeros(t, dtype=np.int64)
-        else:
-            b = np.asarray([int(x) for x in offset], dtype=np.int64) % self.q
-            if b.shape != (t,):
-                raise ValueError("offset length does not match target registers")
+        if a.array.shape != (t, t):
+            raise ValueError(f"matrix shape {a.array.shape} does not match {t} target registers")
+        if a.rank() != t:
+            raise SingularMatrixError(
+                f"affine map matrix is singular over F_{self.q}; not a basis permutation"
+            )
+        b = np.zeros(t, dtype=np.int64) if offset is None else _residues(offset, self.q)
+        if b.shape != (t,):
+            raise ValueError("offset length does not match target registers")
         # One pass of row blocks over a copy of the labels: each block's target
         # columns are gathered, mapped and written back while still in cache.
         new_labels = self.labels.copy()
         shift = b.any()
         for lo in range(0, len(new_labels), _CHUNK_ROWS):
             rows = new_labels[lo : lo + _CHUNK_ROWS]
-            block = _mod_matmul(rows[:, targets], a.T, self.q)
+            block = _mod_matmul(rows[:, targets], a.array.T, self.q)
             rows[:, targets] = (block + b) % self.q if shift else block
         return SparseState._wrap(self.q, new_labels, self.amps, False)
 
@@ -375,13 +377,13 @@ class SparseState:
             raise ValueError("source and target registers overlap")
         c = _coerce_matrix(coeff, self.q)
         s, t = len(sources), len(targets)
-        if c.shape != (t, s):
+        if c.array.shape != (t, s):
             raise ValueError(
-                f"coefficient shape {c.shape} does not map {s} sources to {t} targets"
+                f"coefficient shape {c.array.shape} does not map {s} sources to {t} targets"
             )
         block = np.eye(s + t, dtype=np.int64)
-        block[s:, :s] = c
-        return self.apply_affine(sources + targets, block)
+        block[s:, :s] = c.array
+        return self.apply_affine(sources + targets, FieldMatrix._wrap(c.field, block))
 
     def _check_registers(self, regs: Sequence[int], what: str) -> list[int]:
         regs = [int(r) for r in regs]
@@ -528,17 +530,6 @@ def superpose(parts: Sequence[tuple[SparseState, complex]]) -> SparseState:
     return SparseState(q, labels, amps)
 
 
-def _require_invertible(a: np.ndarray, q: int) -> None:
-    f = PrimeField(q)
-    m = FieldMatrix(f, a.shape[0], a.shape[1], tuple(int(x) for x in a.ravel()))
-    try:
-        m.inverse()
-    except SingularMatrixError:
-        raise SingularMatrixError(
-            f"affine map matrix is singular over F_{q}; not a basis permutation"
-        ) from None
-
-
 def _hermitian_within_tol(matrix: np.ndarray) -> bool:
     """Every entry of ``M - M^H`` lies within ``NORM_TOL``; NaN fails.
 
@@ -558,8 +549,9 @@ class DensityMatrix:
     """A reduced state on a register subset, as a dense Hermitian matrix.
 
     Hermiticity and unit trace are validated on construction (within
-    ``NORM_TOL``); positive semidefiniteness is an invariant verified where
-    eigenvalues are computed, to avoid an eigensolve per construction.
+    ``NORM_TOL``); positive semidefiniteness is an invariant of every
+    reduction of a normalized state, not checked, to avoid an eigensolve per
+    construction.
     """
 
     __slots__ = ("q", "num_registers", "matrix")
@@ -589,35 +581,6 @@ class DensityMatrix:
 
     def purity(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))
-
-    def eigenvalues(self, psd_tol: float = MATCH_TOL) -> np.ndarray:
-        """Ascending real spectrum; checks positivity within ``psd_tol``."""
-        vals = np.linalg.eigvalsh(self.matrix)
-        if vals.size and vals[0] < -psd_tol:
-            raise ValueError(f"density matrix has negative eigenvalue {vals[0]}")
-        return vals
-
-    def partial_trace(self, keep: Sequence[int]) -> DensityMatrix:
-        """Trace out all but the given positions (relative to this matrix)."""
-        keep = [int(p) for p in keep]
-        t = self.num_registers
-        for p in keep:
-            if not 0 <= p < t:
-                raise IndexError(f"position {p} out of range")
-        if len(set(keep)) != len(keep):
-            raise ValueError("duplicate positions")
-        tensor_form = self.matrix.reshape((self.q,) * (2 * t))
-        drop = [p for p in range(t) if p not in keep]
-        for offset, p in enumerate(sorted(drop)):
-            axis = p - offset
-            tensor_form = np.trace(tensor_form, axis1=axis, axis2=axis + tensor_form.ndim // 2)
-        # Axes now follow the kept positions in ascending order; reorder.
-        ascending = sorted(keep)
-        perm = [ascending.index(p) for p in keep]
-        kd = len(keep)
-        tensor_form = tensor_form.transpose(tuple(perm) + tuple(kd + i for i in perm))
-        dim = self.q**kd
-        return DensityMatrix(self.q, kd, tensor_form.reshape(dim, dim))
 
     def allclose(self, other: DensityMatrix, tol: float = MATCH_TOL) -> bool:
         return (

@@ -1,0 +1,45 @@
+"""Dense density-matrix helpers that only the tests need.
+
+``qtss.qsim`` reduces sparse states straight to the registers it keeps and
+never needs a spectrum of a whole reduced state, so these two operations on a
+:class:`~qtss.qsim.DensityMatrix` live here, as oracles for the tests.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from qtss.qsim import MATCH_TOL, DensityMatrix
+
+
+def eigenvalues(rho: DensityMatrix, psd_tol: float = MATCH_TOL) -> np.ndarray:
+    """Ascending real spectrum; checks positivity within ``psd_tol``."""
+    vals = np.linalg.eigvalsh(rho.matrix)
+    if vals.size and vals[0] < -psd_tol:
+        raise ValueError(f"density matrix has negative eigenvalue {vals[0]}")
+    return vals
+
+
+def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Trace out all but the given positions (relative to this matrix)."""
+    keep = [int(p) for p in keep]
+    t = rho.num_registers
+    for p in keep:
+        if not 0 <= p < t:
+            raise IndexError(f"position {p} out of range")
+    if len(set(keep)) != len(keep):
+        raise ValueError("duplicate positions")
+    tensor_form = rho.matrix.reshape((rho.q,) * (2 * t))
+    drop = [p for p in range(t) if p not in keep]
+    for offset, p in enumerate(sorted(drop)):
+        axis = p - offset
+        tensor_form = np.trace(tensor_form, axis1=axis, axis2=axis + tensor_form.ndim // 2)
+    # Axes now follow the kept positions in ascending order; reorder.
+    ascending = sorted(keep)
+    perm = [ascending.index(p) for p in keep]
+    kd = len(keep)
+    tensor_form = tensor_form.transpose(tuple(perm) + tuple(kd + i for i in perm))
+    dim = rho.q**kd
+    return DensityMatrix(rho.q, kd, tensor_form.reshape(dim, dim))

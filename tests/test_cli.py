@@ -267,6 +267,18 @@ class TestMainEntry:
     def test_costs_verb_invalid(self, capsys):
         assert main(["costs", "3", "4", "5"]) == 2
 
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        # Keys compare case-insensitively: SEED on line 4 repeats seed on line 2.
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("params = 2,2,5\nseed = 3\nmodes = costs\nSEED = 9\n")
+        assert main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: line 4: key 'seed' repeats line 2" in captured.err
+        assert "Traceback" not in captured.err
+        with pytest.raises(ConfigError, match="line 3: key 'params' repeats line 1"):
+            parse_config("params = 2,2,5\nseed = 3\nparams = 3,4,7\nSEED = 9")
+
     def test_modulus_past_label_width_is_config_error(self, tmp_path, capsys):
         # 65537 is prime but its digits do not fit the 16-bit labels.
         cfg = tmp_path / "wide.cfg"

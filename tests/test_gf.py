@@ -11,6 +11,7 @@ each.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -37,35 +38,6 @@ class TestPrimeField:
     def test_modulus_desk_scale(self):
         with pytest.raises(ValueError, match="desk-scale"):
             PrimeField(65537)
-
-    def test_add_mul_sub(self):
-        assert F5.add(3, 4) == 2  # 7 mod 5
-        assert F5.mul(2, 4) == 3  # 8 mod 5
-        assert F5.sub(0, 1) == 4  # additive inverse
-        assert F5.neg(2) == 3
-
-    def test_inverse(self):
-        assert F5.inv(2) == 3  # 2*3 = 6 = 1 mod 5
-        assert F7.inv(1) == 1
-        with pytest.raises(ZeroDivisionError):
-            F5.inv(0)
-
-    def test_inverse_involution(self):
-        for q in (2, 3, 5, 7, 11, 13):
-            f = PrimeField(q)
-            for a in range(1, q):
-                assert f.inv(f.inv(a)) == a
-                assert f.mul(a, f.inv(a)) == 1
-
-    def test_ring_axioms_exhaustive_small(self):
-        for q in (2, 3, 5):
-            f = PrimeField(q)
-            for a in range(q):
-                for b in range(q):
-                    assert f.add(a, b) == (a + b) % q
-                    assert f.mul(a, b) == (a * b) % q
-                    assert f.add(f.sub(a, b), b) == a
-                    assert f.add(a, f.neg(a)) == 0
 
     def test_equality_hash(self):
         assert PrimeField(5) == F5
@@ -241,6 +213,19 @@ class TestMatrixAlgebra:
         with pytest.raises(ValueError, match="non-square"):
             FieldMatrix.zeros(F5, 2, 3).inverse()
 
+    def test_non_integral_entries_rejected(self):
+        # 1.9 used to be stored as 1; it is now refused before any residue is taken.
+        with pytest.raises(TypeError, match="integers"):
+            FieldMatrix(F5, 2, 2, (1.9, 2, 3, 4))
+        big = FieldMatrix(F5, 1, 2, (2**70 + 3, np.uint64(2**64 - 2)))
+        assert big.row_tuples() == (((2**70 + 3) % 5, (2**64 - 2) % 5),)
+
+    def test_stored_array_is_read_only_and_shared(self):
+        m = FieldMatrix.from_rows(F5, [[1, 2], [3, 4]])
+        assert m.to_array() is m.array and m.array.dtype == np.int64
+        with pytest.raises(ValueError):
+            m.array[0, 0] = 0
+
 
 @hst.composite
 def small_matrices(draw, max_rows=5, max_cols=5):
@@ -297,3 +282,56 @@ class TestRank:
             for coeffs in itertools.product(range(q), repeat=m.rows)
         }
         assert len(span) == q ** m.rank()
+
+
+def reference_row_reduce(rows: list[list[int]], ncols: int, q: int) -> int:
+    """The pure-Python Gauss-Jordan elimination that ``gf`` ran before its
+    matrices moved to numpy; kept as the oracle for rank and inverse.
+
+    Runs in place on the first ``ncols`` columns of ``rows`` and returns the
+    rank, pivoting on the first nonzero entry at or below the current rank.
+    """
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] % q != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv_p = pow(rows[rank][col], -1, q)
+        rows[rank] = [(e * inv_p) % q for e in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(er - f * ec) % q for er, ec in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@hst.composite
+def top_heavy_matrices(draw, max_size=7):
+    """Matrices over F_5, F_11 and F_65521 whose entries lean to q-1, where
+    products of residues are largest (an int32 or float32 path overflows)."""
+    q = draw(hst.sampled_from([5, 11, 65521]))
+    rows = draw(hst.integers(0, max_size))
+    cols = draw(hst.integers(0, max_size))
+    entry = hst.one_of(
+        hst.just(q - 1), hst.integers(max(q - 4, 0), q - 1), hst.integers(0, q - 1), hst.just(0)
+    )
+    entries = draw(hst.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return FieldMatrix(PrimeField(q), rows, cols, entries)
+
+
+class TestAgainstReferenceElimination:
+    @settings(max_examples=300, deadline=None)
+    @given(m=top_heavy_matrices())
+    def test_rank_and_inverse_match_reference(self, m):
+        q = m.field.q
+        assert m.rank() == reference_row_reduce([list(r) for r in m.row_tuples()], m.cols, q)
+        n = min(m.rows, m.cols)
+        square = m.submatrix(range(n), range(n))
+        aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(square.row_tuples())]
+        if reference_row_reduce(aug, n, q) < n:
+            with pytest.raises(SingularMatrixError):
+                square.inverse()
+        else:
+            assert square.inverse().row_tuples() == tuple(tuple(r[n:]) for r in aug)

@@ -64,7 +64,8 @@ class TestDeal:
         assert dealt.state.num_branches == 25
         got = {tuple(int(x) for x in row) for row in dealt.state.labels}
         expected = {
-            c.entries for _, c in enumerate_codewords(FieldVector(P235.field, (1, 0)), P235)
+            tuple(c.array.ravel().tolist())
+            for _, c in enumerate_codewords(FieldVector(P235.field, (1, 0)), P235)
         }
         assert got == expected
         assert np.allclose(np.abs(dealt.state.amps), 0.2)
@@ -258,8 +259,7 @@ class TestRecoverFromK:
 
 class TestCombinerLocality:
     def test_session_refuses_outside_registers(self):
-        dealt = deal(basis_secret(P235, (0, 0)), P235)
-        session = _CombinerSession(dealt, {1: (0,), 2: (2,)})
+        session = _CombinerSession(P235.q, {1: (0,), 2: (2,)})
         from qtss.gf import FieldMatrix
 
         with pytest.raises(CombinerLocalityError, match=r"\[4\]"):
@@ -278,6 +278,30 @@ class TestCombinerLocality:
             assert result.transcript.qudit_cost == len(allowed)
 
 
+class TestProgramsWithoutState:
+    def test_every_program_recovers_exactly_at_6_9_13(self):
+        # (6,9,13) deals 13**20 branches per secret, far past simulation, so
+        # the combiners' programs are checked over F_q alone.  With G the
+        # generator and P a session's program on its received registers, P
+        # must be invertible and the output rows of P @ G[received] must be
+        # [I_m | 0]: the secret digits come out with no randomness mixed in.
+        p = make_params(6, 9, 13)
+        g = protocol._encoding_matrix(p)
+        exact = np.eye(p.m, p.m + p.randomness_len, dtype=np.int64)
+        checked = {}
+        for size, build in ((p.k, protocol._k_session), (p.d, protocol._d_session)):
+            subsets = list(itertools.combinations(range(1, p.n + 1), size))
+            for subset in subsets:
+                session, output = build(p, subset)
+                prog = session.program()
+                assert prog.rank() == prog.rows == len(session.registers)
+                out = prog.array @ g[session.registers] % p.q
+                rows = [session.registers.index(r) for r in output]
+                assert np.array_equal(out[rows], exact), subset
+            checked[size] = len(subsets)
+        assert checked == {p.k: 462, p.d: 55}
+
+
 def replay(dealt, transcript) -> SparseState:
     """Run a transcript op by op with the simulator's own relabelings."""
     state = dealt.state
@@ -291,13 +315,13 @@ def replay(dealt, transcript) -> SparseState:
 
 def rerun(dealt, result, ops) -> SparseState:
     """Issue the given ops through a fresh session with the same registers."""
-    session = _CombinerSession(dealt, dict(result.transcript.accessed))
+    session = _CombinerSession(dealt.params.q, dict(result.transcript.accessed))
     for op in ops:
         if op.kind == "affine":
             session.affine(op.targets, op.matrix, op.note)
         else:
             session.controlled_add(op.sources, op.targets, op.matrix, op.note)
-    return session.finish(result.secret_registers).state
+    return session.finish(dealt.state, result.secret_registers).state
 
 
 def sessions(p, secret, n_kept):
@@ -343,18 +367,17 @@ class TestProgram:
 
     def test_singular_program_rejected(self):
         dealt = deal(basis_secret(P235, (1, 2)), P235)
-        session = _CombinerSession(dealt, {1: (0,), 2: (2,)})
+        session = _CombinerSession(P235.q, {1: (0,), 2: (2,)})
         f = P235.field
         session.affine([0, 2], FieldMatrix.from_rows(f, [[1, 2], [0, 1]]), "invertible")
         session.controlled_add([0], [2], FieldMatrix.from_rows(f, [[3]]), "always invertible")
         session.affine([2], FieldMatrix.zeros(f, 1, 1), "collapses register 2")
         with pytest.raises(SingularMatrixError):
-            session.finish([0])
+            session.finish(dealt.state, [0])
 
     def test_repeated_register_rejected(self):
         # Composition needs disjoint sources and targets, as the simulator does.
-        dealt = deal(basis_secret(P235, (1, 2)), P235)
-        session = _CombinerSession(dealt, {1: (0,), 2: (2,)})
+        session = _CombinerSession(P235.q, {1: (0,), 2: (2,)})
         f = P235.field
         with pytest.raises(ValueError, match="twice"):
             session.controlled_add([0], [0], FieldMatrix.from_rows(f, [[1]]), "overlap")
@@ -371,7 +394,9 @@ class TestProgram:
         result = recover(dealt, subset)
         ops = list(result.transcript.operations)
         first = ops[0].matrix
-        bumped = FieldMatrix(first.field, first.rows, first.cols, (first.entries[0] + 1,) + first.entries[1:])
+        entries = first.array.copy()
+        entries[0, 0] += 1
+        bumped = FieldMatrix(first.field, first.rows, first.cols, entries)
         ops[0] = dataclasses.replace(ops[0], matrix=bumped)
         state = rerun(dealt, result, ops)
         assert fidelity(state.partial_trace(result.secret_registers), secret) < 1.0 - TOL

@@ -8,6 +8,7 @@ operations are checked for exact norm preservation and round-trip identity.
 
 import itertools
 
+import densities
 import numpy as np
 import pytest
 import scipy.sparse
@@ -329,6 +330,19 @@ class TestAffine:
         with pytest.raises(IndexError):
             st.apply_affine([1], FieldMatrix.identity(F5, 1))
 
+    def test_non_integral_matrix_rejected(self):
+        # 1.7 used to be relabeled as 1.
+        st = SparseState.basis(5, (1, 2))
+        with pytest.raises(TypeError, match="integers"):
+            st.apply_affine([0, 1], [[1.7, 0], [0, 1]])
+
+    def test_non_integral_offset_rejected(self):
+        # An offset of 2.9 used to shift by 2.
+        st = SparseState.basis(5, (1, 2))
+        with pytest.raises(TypeError, match="integers"):
+            st.apply_affine([0], [[1]], offset=[2.9])
+        assert set(st.apply_affine([0], [[1]], offset=[7]).branch_dict()) == {(3, 2)}
+
     @pytest.mark.parametrize("q", [11, 65521])
     def test_row_blocks_match_int64_oracle(self, q):
         # Three full row blocks and a partial one.  Over F_65521 the products
@@ -413,7 +427,7 @@ class TestPartialTrace:
             outer = sorted(rng.choice(t, size=size, replace=False))
             inner_size = int(rng.integers(0, size + 1))
             inner_pos = sorted(rng.choice(size, size=inner_size, replace=False))
-            via = st.partial_trace(outer).partial_trace(inner_pos)
+            via = densities.partial_trace(st.partial_trace(outer), inner_pos)
             direct = st.partial_trace([outer[i] for i in inner_pos])
             assert via.allclose(direct, tol=1e-10)
 
@@ -425,8 +439,8 @@ class TestPartialTrace:
             if t < 2:
                 continue
             cut = int(rng.integers(1, t))
-            left = st.partial_trace(range(cut)).eigenvalues()
-            right = st.partial_trace(range(cut, t)).eigenvalues()
+            left = densities.eigenvalues(st.partial_trace(range(cut)))
+            right = densities.eigenvalues(st.partial_trace(range(cut, t)))
             la = np.sort(left[left > 1e-10])
             rb = np.sort(right[right > 1e-10])
             assert la.shape == rb.shape
@@ -550,12 +564,12 @@ class TestDensityMatrix:
         bad = np.diag([1.5, -0.5]).astype(complex)
         rho = DensityMatrix(2, 1, bad)
         with pytest.raises(ValueError, match="negative eigenvalue"):
-            rho.eigenvalues()
+            densities.eigenvalues(rho)
 
     def test_nested_partial_trace_reorder(self):
         st = SparseState.basis(3, (0, 1, 2))
         rho = st.partial_trace([0, 1, 2])
-        sub = rho.partial_trace([2, 0])
+        sub = densities.partial_trace(rho, [2, 0])
         assert sub.matrix[2 * 3 + 0, 2 * 3 + 0] == pytest.approx(1.0)
 
 

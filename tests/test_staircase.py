@@ -199,7 +199,7 @@ class TestEnumerateCodewords:
         p = make_params(2, 3, 5)
         seen = set()
         for _, c in enumerate_codewords(FieldVector(p.field, (1, 3)), p):
-            seen.add(c.entries)
+            seen.add(c.row_tuples())
         assert len(seen) == 25
 
     def test_injective_across_secrets(self):
@@ -207,7 +207,7 @@ class TestEnumerateCodewords:
         seen = set()
         for s in range(5):
             for _, c in enumerate_codewords(FieldVector(p.field, (s,)), p):
-                seen.add((c.entries))
+                seen.add(c.row_tuples())
         assert len(seen) == 25  # 5 secrets * 5 randomness values, no collisions
 
     def test_cap(self):

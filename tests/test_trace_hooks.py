@@ -1,0 +1,37 @@
+"""The benchmark's span tracer (perfbench/worker.py) wraps qtss methods and
+functions by name.  Installing and removing it here makes a rename of any
+patched name fail the unit suite, not only a traced benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import worker  # noqa: E402
+from spantrace import Tracer  # noqa: E402
+
+from qtss import gf, protocol, qsim  # noqa: E402
+
+
+def test_tracer_installs_and_uninstalls():
+    originals = {
+        (gf.FieldMatrix, "inverse"): gf.FieldMatrix.__dict__["inverse"],
+        (gf.FieldMatrix, "__matmul__"): gf.FieldMatrix.__dict__["__matmul__"],
+        (qsim.SparseState, "apply_affine"): qsim.SparseState.__dict__["apply_affine"],
+        (qsim.SparseState, "partial_trace"): qsim.SparseState.__dict__["partial_trace"],
+    }
+    deal = protocol.deal
+    tracer = Tracer()
+    try:
+        worker.install_tracer(tracer, set())
+        for (owner, name), original in originals.items():
+            assert owner.__dict__[name] is not original
+        assert protocol.deal is not deal
+    finally:
+        tracer.uninstall()
+    for (owner, name), original in originals.items():
+        assert owner.__dict__[name] is original
+    assert protocol.deal is deal
