@@ -8,16 +8,16 @@ Secrecy of k-1 or fewer shares and optimality of the communication cost are
 checked numerically against exact sparse state simulation.
 """
 
-from .gf import FieldMatrix, FieldVector, PrimeField, SingularMatrixError, vandermonde
+from .gf import FieldMatrix, PrimeField, SingularMatrixError, vandermonde
 from .staircase import (
     EnumerationCapError,
     ParameterError,
-    RandomnessSplit,
     SchemeParams,
     ShareLayout,
     build_message_matrix,
     encode_classical,
     enumerate_codewords,
+    generator_matrix,
     make_params,
     scheme_vandermonde,
 )
@@ -58,13 +58,11 @@ __all__ = [
     "__version__",
     # gf
     "PrimeField",
-    "FieldVector",
     "FieldMatrix",
     "SingularMatrixError",
     "vandermonde",
     # staircase
     "SchemeParams",
-    "RandomnessSplit",
     "ShareLayout",
     "ParameterError",
     "EnumerationCapError",
@@ -73,6 +71,7 @@ __all__ = [
     "build_message_matrix",
     "encode_classical",
     "enumerate_codewords",
+    "generator_matrix",
     # qsim
     "SparseState",
     "DensityMatrix",

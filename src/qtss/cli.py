@@ -40,7 +40,6 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from .gf import FieldVector
 from .protocol import (
     basis_secret,
     convert_to_mixed,
@@ -449,9 +448,7 @@ def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
         labels = {tuple(int(x) for x in row) for row in dealt.state.labels}
         expected_labels = {
             tuple(codeword.array.ravel().tolist())
-            for _, codeword in enumerate_codewords(
-                FieldVector(p.field, digits), p, cfg.cap_branches
-            )
+            for _, codeword in enumerate_codewords(digits, p, cfg.cap_branches)
         }
         if labels != expected_labels:
             rec.fail("dealt branches disagree with codeword enumeration")

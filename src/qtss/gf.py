@@ -1,30 +1,28 @@
 """Exact arithmetic and small dense linear algebra over prime fields.
 
-Residues are integers in ``[0, q)``.  :class:`FieldVector` holds them as a
-tuple of ints.  :class:`FieldMatrix` stores one read-only int64
-``(rows, cols)`` numpy array, reduced mod q once at construction; every
-matrix entry and every relabeling offset is built by :func:`_residues`,
-which rejects non-integral input with ``TypeError`` instead of truncating
-it.  With q < 2**16 every product of two residues is below 2**32, so a
-product ``(a @ b) % q`` is exact in int64.  Rank and inversion share one
+Residues are integers in ``[0, q)``.  :class:`FieldMatrix` stores one
+read-only int64 ``(rows, cols)`` numpy array, reduced mod q once at
+construction; every matrix entry, Vandermonde node, relabeling offset and
+staircase digit is built by :func:`_residues`, which rejects non-integral
+input with ``TypeError`` instead of truncating it.  With q < 2**16 every
+product of two residues is below 2**32, so a product ``(a @ b) % q`` is
+exact in int64.  Rank and inversion share one
 Gauss-Jordan elimination (:func:`_row_reduce`) that updates whole rows per
 pivot and pivots on the first nonzero entry at or below the current rank;
 it is exact over a field, so pivot choice never affects correctness.
-Both types are immutable values that can be shared freely between threads.
+Matrices are immutable values that can be shared freely between threads.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SingularMatrixError",
     "PrimeField",
-    "FieldVector",
     "FieldMatrix",
     "vandermonde",
 ]
@@ -79,47 +77,22 @@ def _residues(entries, q: int) -> np.ndarray:
 
     Integer and bool arrays are reduced in one pass.  Anything else (floats,
     strings, ints beyond int64) is taken entry by entry through
-    ``operator.index``, so a non-integral entry raises ``TypeError``.
+    :func:`_exact_ints`, so a non-integral entry raises ``TypeError``.
     """
     arr = np.asarray(entries)
     if np.can_cast(arr.dtype, np.int64):
         return arr.astype(np.int64) % q
-    try:
-        flat = [operator.index(x) % q for x in arr.ravel().tolist()]
-    except TypeError:
-        raise TypeError(f"F_{q} entries must be integers, got {arr.dtype} entries") from None
+    flat = [x % q for x in _exact_ints(arr)]
     return np.array(flat, dtype=np.int64).reshape(arr.shape)
 
 
-@dataclass(frozen=True)
-class FieldVector:
-    """An immutable vector of residues over a fixed prime field."""
-
-    field: PrimeField
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        q = self.field.q
-        object.__setattr__(self, "entries", tuple(int(e) % q for e in self.entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.entries)
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return FieldVector(self.field, self.entries[idx])
-        return self.entries[idx]
-
-    def concat(self, other: FieldVector) -> FieldVector:
-        if other.field != self.field:
-            raise ValueError("cannot concatenate vectors over different fields")
-        return FieldVector(self.field, self.entries + other.entries)
-
-    def __repr__(self) -> str:
-        return f"FieldVector(q={self.field.q}, {self.entries})"
+def _exact_ints(arr: np.ndarray) -> list[int]:
+    """The entries of ``arr`` as Python ints, through ``operator.index``;
+    a non-integral entry (1.9, or even 2.0) raises ``TypeError``."""
+    try:
+        return [operator.index(x) for x in arr.ravel().tolist()]
+    except TypeError:
+        raise TypeError(f"entries must be integers, got {arr.dtype} entries") from None
 
 
 class FieldMatrix:
@@ -182,16 +155,6 @@ class FieldMatrix:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def at(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index ({i}, {j}) out of range for {self.rows}x{self.cols} matrix")
-        return int(self.array[i, j])
-
-    def row(self, i: int) -> FieldVector:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} out of range")
-        return FieldVector(self.field, tuple(self.array[i].tolist()))
-
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.array.tolist()))
 
@@ -211,18 +174,15 @@ class FieldMatrix:
     # -- algebra ------------------------------------------------------
 
     def __matmul__(self, other):
-        if not isinstance(other, (FieldVector, FieldMatrix)):
+        if not isinstance(other, FieldMatrix):
             return NotImplemented
         if other.field != self.field:
             raise ValueError("operands over different fields")
-        vector = isinstance(other, FieldVector)
-        right = np.array(other.entries, dtype=np.int64) if vector else other.array
-        if len(right) != self.cols:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other!r}")
-        prod = self.array @ right % self.field.q
-        if vector:
-            return FieldVector(self.field, tuple(prod.tolist()))
-        return FieldMatrix._wrap(self.field, prod)
+        if other.rows != self.cols:
+            raise ValueError(
+                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
+            )
+        return FieldMatrix._wrap(self.field, self.array @ other.array % self.field.q)
 
     def __neg__(self) -> FieldMatrix:
         return FieldMatrix._wrap(self.field, -self.array % self.field.q)
@@ -250,10 +210,6 @@ class FieldMatrix:
         if _row_reduce(aug, n, q) < n:
             raise SingularMatrixError(f"matrix is singular over F_{q}")
         return FieldMatrix._wrap(self.field, aug[:, n:])
-
-    def to_array(self) -> np.ndarray:
-        """The stored read-only int64 array itself (no copy)."""
-        return self.array
 
     def __repr__(self) -> str:
         return f"FieldMatrix(q={self.field.q}, {self.row_tuples()})"
@@ -297,7 +253,7 @@ def _row_reduce(rows: np.ndarray, ncols: int, q: int) -> int:
     return rank
 
 
-def vandermonde(field: PrimeField, nodes: FieldVector | Sequence[int], width: int) -> FieldMatrix:
+def vandermonde(field: PrimeField, nodes: Sequence[int], width: int) -> FieldMatrix:
     """Matrix with rows ``(1, x, x**2, ..., x**(width-1))`` for each node x.
 
     Nodes must be pairwise distinct and nonzero: distinctness makes every
@@ -305,12 +261,7 @@ def vandermonde(field: PrimeField, nodes: FieldVector | Sequence[int], width: in
     square selection of a contiguous column block (the entry ``x**(c+j)``
     factors as ``x**c`` times a plain Vandermonde entry).
     """
-    if isinstance(nodes, FieldVector):
-        if nodes.field != field:
-            raise ValueError("node vector is over a different field")
-        vals = nodes.entries
-    else:
-        vals = tuple(int(x) % field.q for x in nodes)
+    vals = _residues(nodes, field.q).ravel().tolist()
     if width < 1:
         raise ValueError("width must be at least 1")
     if len(set(vals)) != len(vals):

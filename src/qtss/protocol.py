@@ -27,7 +27,7 @@ the parameters and the contacted participants alone, so its program can be
 checked over F_q for schemes whose states are far too large to simulate.
 
 Labels stay distinct by rank facts over F_q, not by scanning: the dealer's
-encoding matrix has full column rank m*k (checked once per parameter set),
+generator matrix has full column rank m*k (checked once per parameter set),
 and every session's composed matrix is invertible (checked by the
 relabeling on each call).  Both hold at every state size; there is no size
 threshold below which labels are re-sorted or scanned.  Secrecy of
@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gf import FieldMatrix, FieldVector, PrimeField
+from .gf import FieldMatrix, PrimeField
 from .qsim import (
     DEFAULT_DIM_CAP,
     MATCH_TOL,
@@ -59,10 +59,9 @@ from .qsim import (
 from .staircase import (
     DEFAULT_BRANCH_CAP,
     EnumerationCapError,
-    RandomnessSplit,
     SchemeParams,
     ShareLayout,
-    encode_classical,
+    generator_matrix,
     scheme_vandermonde,
 )
 
@@ -126,24 +125,6 @@ def basis_secret(p: SchemeParams, digits: Sequence[int]) -> SparseState:
     return SparseState.basis(p.q, digits)
 
 
-def _encoding_matrix(p: SchemeParams) -> np.ndarray:
-    """Coefficient matrix taking (secret digits, randomness digits) to the
-    flattened codeword table, share-major.
-
-    Built column by column from :func:`encode_classical` on unit vectors, so
-    the vectorized dealer is by construction the linear extension of the
-    scalar encoder.
-    """
-    f = p.field
-    n_in = p.m + p.randomness_len
-    cols = []
-    for z in range(n_in):
-        s = FieldVector(f, tuple(1 if i == z else 0 for i in range(p.m)))
-        r = tuple(1 if (i + p.m) == z else 0 for i in range(p.randomness_len))
-        cols.append(encode_classical(s, RandomnessSplit.from_flat(p, r), p).array.ravel())
-    return np.stack(cols, axis=1)  # (n*m, n_in)
-
-
 def _all_randomness(p: SchemeParams) -> np.ndarray:
     """All q**(m*(k-1)) randomness rows, last digit fastest."""
     count = p.branch_count
@@ -160,14 +141,13 @@ def _deal_tables(p: SchemeParams) -> tuple[np.ndarray, np.ndarray]:
     """Secret-independent dealer tables: the secret-column coefficients and
     the randomness contribution to every codeword label, as label rows.
 
-    Raises AssertionError unless the encoding matrix has full column rank
+    Raises AssertionError unless the generator matrix has full column rank
     m*k over F_q: that rank is what makes distinct (secret, randomness)
     pairs give distinct labels, so the dealer never checks labels itself.
     """
-    coeff = _encoding_matrix(p)
-    gen = FieldMatrix(p.field, *coeff.shape, coeff)
+    gen = generator_matrix(p)
     if gen.rank() != gen.cols:
-        raise AssertionError(f"encoding matrix of {p} is not injective over F_{p.q}")
+        raise AssertionError(f"generator matrix of {p} is not injective over F_{p.q}")
     rand_part = _as_labels(_mod_matmul(_all_randomness(p), gen.array[:, p.m :].T, p.q), p.q)
     rand_part.setflags(write=False)
     return gen.array[:, : p.m], rand_part
@@ -180,7 +160,7 @@ def deal(
 
     Each basis component |s> of the secret becomes the uniform superposition
     of its q**(m*(k-1)) codeword labels; the extension to superpositions is
-    linear.  The encoding matrix has full column rank (checked once per
+    linear.  The generator matrix has full column rank (checked once per
     parameter set), so distinct (secret, randomness) pairs yield distinct
     labels at every size and the total branch count is (secret support) *
     q**(m*(k-1)).  The labels are returned unsorted.

@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse
 
-from .gf import FieldMatrix, PrimeField, SingularMatrixError, _residues
+from .gf import FieldMatrix, PrimeField, SingularMatrixError, _exact_ints, _residues
 
 __all__ = [
     "EmptyStateError",
@@ -90,12 +90,16 @@ class DimensionCapError(ValueError):
 
 
 def _as_labels(digits, q: int) -> np.ndarray:
-    """Label rows in the simulator's dtype, after checking every digit lies in [0, q).
+    """Label rows in the simulator's dtype, after checking every digit is an
+    integer in [0, q).
 
-    The range check runs before the cast, so an out-of-range digit raises
-    instead of wrapping.
+    Non-integral digits raise ``TypeError`` and out-of-range digits
+    ``ValueError``, both before the cast, so nothing is truncated or wrapped.
+    An empty array of any dtype (zero-register labels) is accepted.
     """
     arr = np.asarray(digits)
+    if arr.size and arr.dtype.kind not in "biu":
+        arr = np.array(_exact_ints(arr)).reshape(arr.shape)
     if arr.size and (arr.min() < 0 or arr.max() >= q):
         raise ValueError(f"label digits must lie in [0, {q})")
     return arr.astype(_LABEL_DTYPE, copy=False)
@@ -273,9 +277,7 @@ class SparseState:
         lengths = {len(lbl) for lbl, _ in pairs}
         if len(lengths) != 1:
             raise ValueError(f"branch labels have differing lengths: {sorted(lengths)}")
-        labels = np.array([tuple(lbl) for lbl, _ in pairs], dtype=np.int64)
-        if labels.ndim == 1:  # zero-register labels
-            labels = labels.reshape(len(pairs), 0)
+        labels = np.array([tuple(lbl) for lbl, _ in pairs])
         amps = np.array([w for _, w in pairs], dtype=np.complex128)
         return cls(q, labels, amps)
 

@@ -19,12 +19,21 @@ randomness across columns.  For ``k = 3, d = 4`` (so ``m = 2``, randomness
       +-------+-------+
 
 Column 1 stacks the secret on top of the first randomness block
-``(r1, ..., r_{k-1})``; that block splits into a head ``u`` (first ``k-m``
-digits) and a tail ``v`` (last ``m-1`` digits), and the tail digits reappear
-one per later column.  Column ``j >= 2`` stacks ``m-1`` zeros, ``v_{j-1}``,
-and the ``j``-th randomness block.  Multiplying by the ``n x d`` Vandermonde
-matrix on nodes ``1..n`` produces the ``n x m`` codeword table; row ``i`` is
-participant ``i``'s share digits, stored one per qudit register.
+``(r1, ..., r_{k-1})``.  In 0-based index ranges of ``r``, that block
+``r[0 : k-1]`` has a head ``u = r[0 : k-m]`` and a tail
+``v = r[k-m : k-1]`` of ``m-1`` digits, and the tail digits reappear one per
+later column.
+Column ``j >= 2`` stacks ``m-1`` zeros, ``v_{j-1}``, and the ``j``-th
+randomness block ``r[(j-1)(k-1) : j(k-1)]``.  Multiplying by the ``n x d``
+Vandermonde matrix on nodes ``1..n`` produces the ``n x m`` codeword table;
+row ``i`` is participant ``i``'s share digits, stored one per qudit register.
+
+The whole encoding is linear, so it is one generator matrix ``G`` over F_q
+(:func:`generator_matrix`): its ``n*m`` rows are the share digits,
+share-major, and its ``m + m*(k-1)`` columns are the secret digits followed
+by the randomness digits, so the flattened codeword table is ``G [s; r]``.
+Secrets and randomness are plain digit sequences, reduced mod q; a
+non-integral digit raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -34,18 +43,20 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .gf import _MAX_MODULUS, FieldMatrix, FieldVector, PrimeField, _is_prime, vandermonde
+import numpy as np
+
+from .gf import _MAX_MODULUS, FieldMatrix, PrimeField, _is_prime, _residues, vandermonde
 
 __all__ = [
     "ParameterError",
     "EnumerationCapError",
     "SchemeParams",
-    "RandomnessSplit",
     "ShareLayout",
     "make_params",
     "scheme_vandermonde",
     "build_message_matrix",
     "encode_classical",
+    "generator_matrix",
     "enumerate_codewords",
     "DEFAULT_BRANCH_CAP",
 ]
@@ -127,62 +138,9 @@ def make_params(k: int, d: int, q: int) -> SchemeParams:
 
 
 @lru_cache(maxsize=64)
-def _cached_vandermonde(k: int, d: int, q: int) -> FieldMatrix:
-    f = PrimeField(q)
-    return vandermonde(f, tuple(range(1, 2 * k)), d)
-
-
 def scheme_vandermonde(p: SchemeParams) -> FieldMatrix:
     """The n x d Vandermonde matrix of the scheme, on nodes 1..n."""
-    return _cached_vandermonde(p.k, p.d, p.q)
-
-
-@dataclass(frozen=True)
-class RandomnessSplit:
-    """The m randomness blocks of length k-1, plus the head/tail split.
-
-    The first block splits into the head ``u`` (its first ``k-m`` digits)
-    and the tail ``v`` (its last ``m-1`` digits); the tail digits are the
-    ones that leak into the later message-matrix columns.
-    """
-
-    params: SchemeParams
-    blocks: tuple[FieldVector, ...]
-
-    def __post_init__(self) -> None:
-        p = self.params
-        if len(self.blocks) != p.m:
-            raise ValueError(f"expected {p.m} randomness blocks, got {len(self.blocks)}")
-        for b in self.blocks:
-            if len(b) != p.k - 1:
-                raise ValueError(f"each randomness block must have {p.k - 1} digits")
-            if b.field.q != p.q:
-                raise ValueError("randomness block over the wrong field")
-
-    @classmethod
-    def from_flat(cls, p: SchemeParams, flat: Sequence[int] | FieldVector) -> RandomnessSplit:
-        entries = tuple(flat)
-        if len(entries) != p.randomness_len:
-            raise ValueError(f"expected {p.randomness_len} randomness digits, got {len(entries)}")
-        f = p.field
-        w = p.k - 1
-        blocks = tuple(FieldVector(f, entries[i * w : (i + 1) * w]) for i in range(p.m))
-        return cls(p, blocks)
-
-    @property
-    def flat(self) -> FieldVector:
-        f = self.params.field
-        return FieldVector(f, tuple(e for b in self.blocks for e in b.entries))
-
-    @property
-    def u(self) -> FieldVector:
-        """Head of the first block: its first k-m digits."""
-        return self.blocks[0][: self.params.k - self.params.m]
-
-    @property
-    def v(self) -> FieldVector:
-        """Tail of the first block: its last m-1 digits."""
-        return self.blocks[0][self.params.k - self.params.m :]
+    return vandermonde(p.field, p.nodes, p.d)
 
 
 @dataclass(frozen=True)
@@ -224,37 +182,59 @@ class ShareLayout:
             raise IndexError(f"participant {participant} out of range 1..{self.params.n}")
 
 
-def build_message_matrix(s: FieldVector, split: RandomnessSplit, p: SchemeParams) -> FieldMatrix:
-    """Assemble the d x m message matrix from a secret and split randomness.
+def _digits(values: Sequence[int], length: int, what: str, q: int) -> np.ndarray:
+    """``values`` as ``length`` residues mod q; non-integral digits raise TypeError."""
+    arr = _residues(values, q)
+    if arr.shape != (length,):
+        raise ValueError(f"{what} must have {length} digits, got {arr.size}")
+    return arr
+
+
+def build_message_matrix(
+    secret: Sequence[int], randomness: Sequence[int], p: SchemeParams
+) -> FieldMatrix:
+    """Assemble the d x m message matrix from the secret and randomness digits.
 
     Column 1 is ``(s, first block)``; column ``j >= 2`` is
-    ``(0^(m-1), v_{j-1}, j-th block)``.
+    ``(0^(m-1), v_{j-1}, j-th block)``, where the tail ``v`` is
+    ``randomness[k-m : k-1]``.
     """
-    if len(s) != p.m:
-        raise ValueError(f"secret must have {p.m} digits, got {len(s)}")
-    if s.field.q != p.q:
-        raise ValueError("secret vector over the wrong field")
-    if split.params != p:
-        raise ValueError("randomness split built for different parameters")
-    v = split.v
-    cols: list[tuple[int, ...]] = [s.entries + split.blocks[0].entries]
-    for j in range(2, p.m + 1):
-        cols.append((0,) * (p.m - 1) + (v[j - 2],) + split.blocks[j - 1].entries)
-    rows = [tuple(col[i] for col in cols) for i in range(p.d)]
-    return FieldMatrix.from_rows(p.field, rows)
+    m, w = p.m, p.k - 1
+    s = _digits(secret, m, "secret", p.q)
+    r = _digits(randomness, p.randomness_len, "randomness", p.q)
+    msg = np.zeros((p.d, m), dtype=np.int64)
+    msg[:m, 0] = s
+    msg[m:] = r.reshape(m, w).T  # block j fills rows m..d-1 of column j
+    msg[m - 1, 1:] = r[p.k - m : w]  # the tail of block 1, one digit per column
+    return FieldMatrix._wrap(p.field, msg)
 
 
-def encode_classical(s: FieldVector, split: RandomnessSplit, p: SchemeParams) -> FieldMatrix:
+def encode_classical(
+    secret: Sequence[int], randomness: Sequence[int], p: SchemeParams
+) -> FieldMatrix:
     """The n x m codeword table: Vandermonde matrix times message matrix.
 
     Row ``i`` is participant ``i+1``'s tuple of share digits.
     """
-    return scheme_vandermonde(p) @ build_message_matrix(s, split, p)
+    return scheme_vandermonde(p) @ build_message_matrix(secret, randomness, p)
+
+
+@lru_cache(maxsize=64)
+def generator_matrix(p: SchemeParams) -> FieldMatrix:
+    """The (n*m) x (m + m*(k-1)) generator G taking (secret, randomness)
+    digits to the flattened codeword table, share-major.
+
+    Built column by column from :func:`encode_classical` on unit vectors, so
+    the dealer's G is by construction the linear extension of the encoder.
+    """
+    units = np.eye(p.m + p.randomness_len, dtype=np.int64)
+    cols = [encode_classical(e[: p.m], e[p.m :], p).array.ravel() for e in units]
+    return FieldMatrix._wrap(p.field, np.stack(cols, axis=1))
 
 
 def enumerate_codewords(
-    s: FieldVector, p: SchemeParams, cap: int = DEFAULT_BRANCH_CAP
-) -> Iterator[tuple[FieldVector, FieldMatrix]]:
+    secret: Sequence[int], p: SchemeParams, cap: int = DEFAULT_BRANCH_CAP
+) -> Iterator[tuple[tuple[int, ...], FieldMatrix]]:
     """Yield ``(randomness, codeword)`` for every randomness assignment.
 
     Iterates the full q**(m*(k-1)) space in lexicographic order (last digit
@@ -266,7 +246,6 @@ def enumerate_codewords(
         raise EnumerationCapError(
             f"enumeration of {total} codewords exceeds the cap of {cap}"
         )
-    f = p.field
+    s = _digits(secret, p.m, "secret", p.q)
     for r in itertools.product(range(p.q), repeat=p.randomness_len):
-        split = RandomnessSplit.from_flat(p, r)
-        yield FieldVector(f, r), encode_classical(s, split, p)
+        yield r, encode_classical(s, r, p)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qtss.cli import DEFAULT_GRID, main, parse_config, run
-from qtss.gf import FieldMatrix, FieldVector, PrimeField
+from qtss.gf import FieldMatrix, PrimeField
 from qtss.protocol import (
     basis_secret,
     convert_to_mixed,
@@ -156,12 +156,12 @@ def test_criterion_1_intro_example_golden():
             expected.add(tuple(label))
         # codeword table oracle, row by row
         for (r_vec, codeword), (r1, r2) in zip(
-            enumerate_codewords(FieldVector(p.field, (s1, s2)), p),
+            enumerate_codewords((s1, s2), p),
             itertools.product(range(5), repeat=2),
         ):
-            assert r_vec.entries == (r1, r2)
+            assert r_vec == (r1, r2)
             for i, x in enumerate((1, 2, 3)):
-                assert codeword.row(i).entries == (
+                assert codeword.row_tuples()[i] == (
                     (s1 + x * s2 + x * x * r1) % 5,
                     (x * r1 + x * x * r2) % 5,
                 )

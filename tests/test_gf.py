@@ -18,7 +18,6 @@ from hypothesis import strategies as hst
 
 from qtss.gf import (
     FieldMatrix,
-    FieldVector,
     PrimeField,
     SingularMatrixError,
     vandermonde,
@@ -45,22 +44,6 @@ class TestPrimeField:
         assert hash(PrimeField(5)) == hash(F5)
 
 
-class TestFieldVector:
-    def test_entries_reduced(self):
-        v = FieldVector(F5, (7, -1, 3))
-        assert v.entries == (2, 4, 3)
-
-    def test_slice_and_concat(self):
-        v = FieldVector(F5, (1, 2, 3, 4))
-        assert v[1] == 2
-        assert v[1:3].entries == (2, 3)
-        assert v[:2].concat(v[2:]).entries == v.entries
-
-    def test_concat_field_mismatch(self):
-        with pytest.raises(ValueError):
-            FieldVector(F5, (1,)).concat(FieldVector(F7, (1,)))
-
-
 class TestVandermonde:
     def test_golden_3x3(self):
         v = vandermonde(F5, (1, 2, 3), 3)
@@ -74,6 +57,13 @@ class TestVandermonde:
             vandermonde(F5, (1, 2, 1), 2)
         with pytest.raises(ValueError, match="nonzero"):
             vandermonde(F5, (0, 1), 2)
+
+    def test_rejects_float_nodes(self):
+        # int(2.5) would silently evaluate at x = 2.
+        with pytest.raises(TypeError, match="integers"):
+            vandermonde(F5, (1, 2.5, 3), 2)
+        with pytest.raises(TypeError, match="integers"):
+            vandermonde(F5, (1.0, 2.0), 2)
 
     def test_all_4row_submatrices_invertible_q7(self):
         v = vandermonde(F7, (1, 2, 3, 4, 5, 6), 4)
@@ -170,11 +160,12 @@ class TestMatrixAlgebra:
                 done += 1
 
     def test_mat_vec_identity_and_column_pick(self):
+        # A vector is a one-column matrix.
         eye = FieldMatrix.identity(F5, 3)
-        v = FieldVector(F5, (2, 0, 4))
-        assert (eye @ v).entries == (2, 0, 4)
+        v = FieldMatrix(F5, 3, 1, (2, 0, 4))
+        assert (eye @ v).row_tuples() == ((2,), (0,), (4,))
         vm = vandermonde(F5, (1, 2, 3), 3)
-        assert (vm @ FieldVector(F5, (1, 0, 0))).entries == (1, 1, 1)
+        assert (vm @ FieldMatrix(F5, 3, 1, (1, 0, 0))).row_tuples() == ((1,), (1,), (1,))
 
     def test_codeword_product_matches_direct_expressions(self):
         # Independent oracle: evaluate the row expressions
@@ -188,7 +179,7 @@ class TestMatrixAlgebra:
                 (s1 + x * s2 + x * x * r1) % 5,
                 (x * r1 + x * x * r2) % 5,
             )
-            assert prod.row(i).entries == expected
+            assert prod.row_tuples()[i] == expected
 
     def test_dimension_mismatch(self):
         a = FieldMatrix.identity(F5, 2)
@@ -196,7 +187,8 @@ class TestMatrixAlgebra:
         with pytest.raises(ValueError, match="multiply"):
             a @ b
         with pytest.raises(ValueError, match="multiply"):
-            a @ FieldVector(F5, (1, 2, 3))
+            a @ FieldMatrix(F5, 3, 1, (1, 2, 3))
+        assert a.__matmul__((1, 2)) is NotImplemented
 
     def test_field_mismatch(self):
         with pytest.raises(ValueError, match="different fields"):
@@ -222,7 +214,8 @@ class TestMatrixAlgebra:
 
     def test_stored_array_is_read_only_and_shared(self):
         m = FieldMatrix.from_rows(F5, [[1, 2], [3, 4]])
-        assert m.to_array() is m.array and m.array.dtype == np.int64
+        assert m.array.dtype == np.int64
+        assert np.shares_memory(m.transpose().array, m.array)  # a view, not a copy
         with pytest.raises(ValueError):
             m.array[0, 0] = 0
 

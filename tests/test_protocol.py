@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qtss import protocol
-from qtss.gf import FieldMatrix, FieldVector, SingularMatrixError
+from qtss.gf import FieldMatrix, SingularMatrixError
 from qtss.protocol import (
     CombinerLocalityError,
     _CombinerSession,
@@ -65,7 +65,7 @@ class TestDeal:
         got = {tuple(int(x) for x in row) for row in dealt.state.labels}
         expected = {
             tuple(c.array.ravel().tolist())
-            for _, c in enumerate_codewords(FieldVector(P235.field, (1, 0)), P235)
+            for _, c in enumerate_codewords((1, 0), P235)
         }
         assert got == expected
         assert np.allclose(np.abs(dealt.state.amps), 0.2)
@@ -111,14 +111,14 @@ class TestDeal:
         # Equal last two randomness columns: the codeword map is no longer
         # injective, so labels would collide.  At (4,5,11) the dealt state
         # would have 11**6 branches on 11**5 distinct labels.
-        honest = protocol._encoding_matrix
+        honest = protocol.generator_matrix
 
         def collapsed(p):
-            coeff = honest(p)
+            coeff = honest(p).array.copy()
             coeff[:, -1] = coeff[:, -2]
-            return coeff
+            return FieldMatrix(p.field, *coeff.shape, coeff)
 
-        monkeypatch.setattr(protocol, "_encoding_matrix", collapsed)
+        monkeypatch.setattr(protocol, "generator_matrix", collapsed)
         protocol._deal_tables.cache_clear()
         try:
             p = make_params(*kdq)
@@ -286,7 +286,7 @@ class TestProgramsWithoutState:
         # must be invertible and the output rows of P @ G[received] must be
         # [I_m | 0]: the secret digits come out with no randomness mixed in.
         p = make_params(6, 9, 13)
-        g = protocol._encoding_matrix(p)
+        g = protocol.generator_matrix(p).array
         exact = np.eye(p.m, p.m + p.randomness_len, dtype=np.int64)
         checked = {}
         for size, build in ((p.k, protocol._k_session), (p.d, protocol._d_session)):

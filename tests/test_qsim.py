@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from qtss import qsim
-from qtss.gf import FieldMatrix, FieldVector, PrimeField, SingularMatrixError
+from qtss.gf import FieldMatrix, PrimeField, SingularMatrixError
 from qtss.protocol import deal, default_secret_pairs, recover_from_k
 from qtss.qsim import (
     DensityMatrix,
@@ -195,6 +195,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="lie in"):
             SparseState.from_branches(5, [((-1,), 1.0)])
 
+    def test_non_integral_digits_rejected_not_truncated(self):
+        # (1.7, 2) used to become the label (1, 2) with no error.
+        with pytest.raises(TypeError, match="integers"):
+            SparseState.basis(5, (1.7, 2))
+        with pytest.raises(TypeError, match="integers"):
+            SparseState.from_branches(5, [((1.7, 2), 1.0)])
+        with pytest.raises(TypeError, match="integers"):
+            SparseState(5, np.array([[2.0, 1.0]]), [1.0])
+        # Integer arrays of any width and zero-register labels still construct.
+        assert SparseState(5, np.array([[1, 2]], dtype=np.uint16), [1.0]).labels.tolist() == [[1, 2]]
+        assert SparseState(5, np.array([[4, 0]], dtype=np.int64), [1.0]).labels.tolist() == [[4, 0]]
+        assert SparseState(5, np.array([[]]), [1.0]).labels.shape == (1, 0)
+        assert SparseState.basis(5, ()).num_registers == 0
+
     def test_large_field_digits_kept_exact(self):
         # Digits above 2**15 must survive the label dtype unchanged.
         st = SparseState.basis(40009, (40000,))
@@ -308,7 +322,7 @@ class TestAffine:
         a = FieldMatrix.from_rows(F5, [[2, 1], [1, 1]])
         b = (3, 4)
         a_inv = a.inverse()
-        back_offset = [-x % 5 for x in a_inv @ FieldVector(F5, b)]
+        back_offset = -(a_inv.array @ b) % 5
         fwd = st.apply_affine([0, 2], a, offset=b)
         assert not fwd.allclose(st)
         assert fwd.apply_affine([0, 2], a_inv, offset=back_offset).allclose(st)

@@ -7,21 +7,32 @@ independently of the secret.
 """
 
 import itertools
+import sys
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qtss.gf import FieldVector
+from qtss.cli import DEFAULT_GRID
 from qtss.staircase import (
     EnumerationCapError,
     ParameterError,
-    RandomnessSplit,
     build_message_matrix,
     encode_classical,
     enumerate_codewords,
+    generator_matrix,
     make_params,
     scheme_vandermonde,
 )
+
+# The benchmark's reference derivation of G imports nothing from qtss, which
+# makes it an independent oracle for the generator; it is only read here.
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import refcheck  # noqa: E402
 
 
 class TestMakeParams:
@@ -67,31 +78,6 @@ class TestMakeParams:
         assert 0 not in p.nodes
 
 
-class TestRandomnessSplit:
-    def test_golden_split(self):
-        # k=3, d=4, q=7: blocks of length 2; head 1 digit, tail 1 digit.
-        p = make_params(3, 4, 7)
-        split = RandomnessSplit.from_flat(p, (1, 2, 3, 4))
-        assert [b.entries for b in split.blocks] == [(1, 2), (3, 4)]
-        assert split.u.entries == (1,)
-        assert split.v.entries == (2,)
-        assert split.flat.entries == (1, 2, 3, 4)
-
-    def test_head_tail_partition_first_block(self):
-        for k, d, q in ((2, 3, 5), (3, 5, 7), (4, 6, 11), (4, 7, 11)):
-            p = make_params(k, d, q)
-            flat = tuple(range(p.randomness_len))
-            split = RandomnessSplit.from_flat(p, flat)
-            assert split.u.concat(split.v).entries == split.blocks[0].entries
-            assert len(split.u) == p.k - p.m
-            assert len(split.v) == p.m - 1
-
-    def test_wrong_length(self):
-        p = make_params(2, 3, 5)
-        with pytest.raises(ValueError, match="expected 2"):
-            RandomnessSplit.from_flat(p, (1, 2, 3))
-
-
 class TestShareLayout:
     def test_register_blocks(self):
         p = make_params(2, 3, 5)
@@ -113,75 +99,92 @@ class TestShareLayout:
 class TestMessageMatrix:
     def test_golden_k2(self):
         p = make_params(2, 3, 5)
-        f = p.field
-        m = build_message_matrix(
-            FieldVector(f, (1, 2)), RandomnessSplit.from_flat(p, (3, 4)), p
-        )
+        m = build_message_matrix((1, 2), (3, 4), p)
         assert m.row_tuples() == ((1, 0), (2, 3), (3, 4))
 
     def test_zero_inputs_zero_matrix(self):
         p = make_params(3, 4, 7)
-        f = p.field
-        m = build_message_matrix(
-            FieldVector(f, (0, 0)), RandomnessSplit.from_flat(p, (0,) * 4), p
-        )
+        m = build_message_matrix((0, 0), (0,) * 4, p)
         assert m.row_tuples() == ((0, 0), (0, 0), (0, 0), (0, 0))
 
     def test_golden_k3(self):
         p = make_params(3, 4, 7)
-        f = p.field
-        m = build_message_matrix(
-            FieldVector(f, (1, 2)), RandomnessSplit.from_flat(p, (1, 2, 3, 4)), p
-        )
+        m = build_message_matrix((1, 2), (1, 2, 3, 4), p)
         # head u=(1), tail v=(2), second block (3,4)
         assert m.row_tuples() == ((1, 0), (2, 2), (1, 3), (2, 4))
+
+    @pytest.mark.parametrize("k,d,q", [(2, 3, 5), (3, 5, 7), (4, 6, 11), (4, 7, 11)])
+    def test_head_tail_ranges(self, k, d, q):
+        # Block 1 is r[0 : k-1]: head u = r[0 : k-m], tail v = r[k-m : k-1].
+        # Column 1 holds the secret over block 1; in each column j >= 2, row m
+        # holds v_{j-1} with m-1 zero rows above it, and block j below it.
+        p = make_params(k, d, q)
+        m, w = p.m, p.k - 1
+        secret = tuple(range(1, m + 1))
+        r = tuple((7 * i + 1) % q for i in range(p.randomness_len))
+        msg = build_message_matrix(secret, r, p).array
+        assert msg[:m, 0].tolist() == list(secret)
+        assert msg[m:, 0].tolist() == list(r[:w])
+        v = r[k - m : w]
+        assert len(v) == m - 1
+        for j in range(2, m + 1):
+            col = msg[:, j - 1].tolist()
+            assert col[: m - 1] == [0] * (m - 1)
+            assert col[m - 1] == v[j - 2]
+            assert col[m:] == list(r[(j - 1) * w : j * w])
+
+    def test_digits_reduced(self):
+        p = make_params(2, 3, 5)
+        reduced = build_message_matrix((2, 4), (3, 4), p)
+        assert build_message_matrix((7, -1), (8, np.int64(-1)), p).row_tuples() == reduced.row_tuples()
 
     def test_wrong_secret_length(self):
         p = make_params(2, 3, 5)
         with pytest.raises(ValueError, match="2 digits"):
-            build_message_matrix(
-                FieldVector(p.field, (1,)), RandomnessSplit.from_flat(p, (0, 0)), p
-            )
+            build_message_matrix((1,), (0, 0), p)
+
+    def test_wrong_randomness_length(self):
+        p = make_params(2, 3, 5)
+        with pytest.raises(ValueError, match="randomness must have 2 digits, got 3"):
+            build_message_matrix((0, 0), (1, 2, 3), p)
+
+    def test_non_integral_digits_rejected(self):
+        # int(1.9) would silently encode the digit 1.
+        p = make_params(2, 3, 5)
+        with pytest.raises(TypeError, match="integers"):
+            build_message_matrix((1.9, 0), (0, 0), p)
+        with pytest.raises(TypeError, match="integers"):
+            encode_classical((1, 0), (0, 2.5), p)
+        with pytest.raises(TypeError, match="integers"):
+            next(enumerate_codewords((1, 0.5), p))
 
 
 class TestEncodeClassical:
     def test_constant_codeword(self):
         p = make_params(2, 3, 5)
-        f = p.field
-        c = encode_classical(
-            FieldVector(f, (1, 0)), RandomnessSplit.from_flat(p, (0, 0)), p
-        )
+        c = encode_classical((1, 0), (0, 0), p)
         assert c.row_tuples() == ((1, 0), (1, 0), (1, 0))
 
     def test_derived_rows(self):
         p = make_params(2, 3, 5)
-        f = p.field
-        c = encode_classical(
-            FieldVector(f, (0, 1)), RandomnessSplit.from_flat(p, (1, 2)), p
-        )
+        c = encode_classical((0, 1), (1, 2), p)
         assert c.row_tuples() == ((2, 3), (1, 0), (2, 1))
 
     def test_single_column_shift_code(self):
         # m=1: participant i holds s + i*r.
         p = make_params(2, 2, 5)
-        f = p.field
         for s in range(5):
             for r in range(5):
-                c = encode_classical(
-                    FieldVector(f, (s,)), RandomnessSplit.from_flat(p, (r,)), p
-                )
+                c = encode_classical((s,), (r,), p)
                 assert c.row_tuples() == tuple(((s + i * r) % 5,) for i in (1, 2, 3))
 
     def test_matches_direct_row_expressions(self):
         # Oracle: evaluate (s1 + x s2 + x^2 r1, x r1 + x^2 r2) literally.
         p = make_params(2, 3, 5)
-        f = p.field
         for s1, s2, r1, r2 in itertools.product(range(5), repeat=4):
-            c = encode_classical(
-                FieldVector(f, (s1, s2)), RandomnessSplit.from_flat(p, (r1, r2)), p
-            )
+            c = encode_classical((s1, s2), (r1, r2), p)
             for i, x in enumerate((1, 2, 3)):
-                assert c.row(i).entries == (
+                assert c.row_tuples()[i] == (
                     (s1 + x * s2 + x * x * r1) % 5,
                     (x * r1 + x * x * r2) % 5,
                 )
@@ -190,15 +193,15 @@ class TestEncodeClassical:
 class TestEnumerateCodewords:
     def test_counts(self):
         p = make_params(2, 3, 5)
-        assert sum(1 for _ in enumerate_codewords(FieldVector(p.field, (0, 0)), p)) == 25
+        assert sum(1 for _ in enumerate_codewords((0, 0), p)) == 25
         p2 = make_params(3, 4, 7)
         assert p2.branch_count == 7**4 == 2401
-        assert sum(1 for _ in enumerate_codewords(FieldVector(p2.field, (0, 0)), p2)) == 2401
+        assert sum(1 for _ in enumerate_codewords((0, 0), p2)) == 2401
 
     def test_injective_in_randomness(self):
         p = make_params(2, 3, 5)
         seen = set()
-        for _, c in enumerate_codewords(FieldVector(p.field, (1, 3)), p):
+        for _, c in enumerate_codewords((1, 3), p):
             seen.add(c.row_tuples())
         assert len(seen) == 25
 
@@ -206,31 +209,29 @@ class TestEnumerateCodewords:
         p = make_params(2, 2, 5)
         seen = set()
         for s in range(5):
-            for _, c in enumerate_codewords(FieldVector(p.field, (s,)), p):
+            for _, c in enumerate_codewords((s,), p):
                 seen.add(c.row_tuples())
         assert len(seen) == 25  # 5 secrets * 5 randomness values, no collisions
 
     def test_cap(self):
         p = make_params(3, 4, 7)
         with pytest.raises(EnumerationCapError):
-            list(enumerate_codewords(FieldVector(p.field, (0, 0)), p, cap=100))
+            list(enumerate_codewords((0, 0), p, cap=100))
 
 
 class TestClassicalShadows:
     def test_any_d_rows_first_column_determine_secret_and_first_block(self):
         for k, d, q in ((2, 3, 5), (3, 4, 7)):
             p = make_params(k, d, q)
-            f = p.field
             v = scheme_vandermonde(p)
-            secret = FieldVector(f, tuple((3 * i + 1) % q for i in range(p.m)))
-            flat = tuple((2 * j + 1) % q for j in range(p.randomness_len))
-            c = encode_classical(secret, RandomnessSplit.from_flat(p, flat), p)
+            secret = [(3 * i + 1) % q for i in range(p.m)]
+            flat = [(2 * j + 1) % q for j in range(p.randomness_len)]
+            c = encode_classical(secret, flat, p)
             for rows in itertools.combinations(range(p.n), p.d):
                 block = v.submatrix(rows, None)
-                column = FieldVector(f, tuple(c.at(i, 0) for i in rows))
-                solved = block.inverse() @ column
-                assert solved.entries[: p.m] == secret.entries
-                assert solved.entries[p.m :] == flat[: p.k - 1]
+                solved = (block.inverse() @ c.submatrix(rows, [0])).array.ravel().tolist()
+                assert solved[: p.m] == secret
+                assert solved[p.m :] == flat[: p.k - 1]
 
     @pytest.mark.parametrize("k,d,q", [(2, 3, 5), (3, 4, 7)])
     def test_k_minus_1_rows_uniform_and_secret_independent(self, k, d, q):
@@ -238,18 +239,41 @@ class TestClassicalShadows:
         # two secrets: the restriction to any k-1 participants must be
         # uniform over its support and identical across secrets.
         p = make_params(k, d, q)
-        f = p.field
-        secrets = [
-            FieldVector(f, (0,) * p.m),
-            FieldVector(f, tuple((q - 1 - i) % q for i in range(p.m))),
-        ]
+        secrets = [(0,) * p.m, tuple((q - 1 - i) % q for i in range(p.m))]
         for rows in itertools.combinations(range(p.n), p.k - 1):
             dists = []
             for s in secrets:
                 counts = Counter()
                 for _, c in enumerate_codewords(s, p):
-                    key = tuple(c.at(i, j) for i in rows for j in range(p.m))
+                    key = tuple(c.array[list(rows)].ravel().tolist())
                     counts[key] += 1
                 dists.append(counts)
             assert dists[0] == dists[1]
             assert len(set(dists[0].values())) == 1  # uniform over support
+
+
+class TestGeneratorMatrix:
+    @pytest.mark.parametrize("k,d,q", [*DEFAULT_GRID, (6, 9, 13), (8, 13, 17)])
+    def test_matches_reference_derivation(self, k, d, q):
+        p = make_params(k, d, q)
+        g = generator_matrix(p)
+        assert g.array.shape == (p.n * p.m, p.m + p.randomness_len)
+        assert np.array_equal(g.array, np.array(refcheck.encoding_matrix(k, d, q)))
+
+    @pytest.mark.parametrize("k,d,q", [(2, 3, 5), (3, 4, 7), (4, 7, 11), (6, 9, 13)])
+    def test_product_is_the_flattened_codeword(self, k, d, q):
+        # G [s; r] is the share-major codeword table, for drawn digits.
+        p = make_params(k, d, q)
+        g = generator_matrix(p).array
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            s = rng.integers(0, q, p.m)
+            r = rng.integers(0, q, p.randomness_len)
+            want = encode_classical(s.tolist(), r.tolist(), p).array.ravel()
+            assert np.array_equal(g @ np.concatenate([s, r]) % q, want)
+
+    def test_cached_and_read_only(self):
+        p = make_params(3, 4, 7)
+        assert generator_matrix(p) is generator_matrix(make_params(3, 4, 7))
+        with pytest.raises(ValueError):
+            generator_matrix(p).array[0, 0] = 1
