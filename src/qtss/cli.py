@@ -19,9 +19,12 @@ Config files are flat ``key = value`` text; ``#`` starts a comment::
 
 Reports are deterministic for a fixed config and seed: the JSON bytes are
 identical across runs (wall-clock timings go to stderr only, never into the
-report).  Exit codes: 0 all scenarios pass, 1 some invariant failed, 2 the
-config was invalid.  Scenarios that would exceed a cap are reported with
-status ``cap-exceeded`` and do not fail the run.
+report).  Scenarios that would exceed a cap are reported with status
+``cap-exceeded`` and do not fail the run.  ``--out`` creates missing parent
+directories.  Exit codes: 0 all scenarios pass; 1 some invariant failed; 2
+invalid input, reported as ``config error: ...`` on stderr: a config that is
+missing, unreadable, not UTF-8 or invalid, bad ``costs`` parameters or
+``demo`` secret, or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -34,13 +37,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
 from .protocol import (
+    CostRow,
     basis_secret,
     convert_to_mixed,
     cost_table,
@@ -107,6 +111,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One ``qtss run`` sweep; each field is a config key of the same name."""
+
     params: tuple[tuple[int, int, int], ...]
     modes: tuple[str, ...] = ALL_MODES
     secrets: str = "random:3"
@@ -131,15 +137,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown modes {bad}; valid: {list(ALL_MODES)}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
-        if not (self.secrets == "basis-exhaustive" or self.secrets.startswith("random:")):
-            raise ConfigError(f"secrets must be 'basis-exhaustive' or 'random:<count>', got {self.secrets!r}")
-        if self.secrets.startswith("random:"):
-            try:
-                count = int(self.secrets.split(":", 1)[1])
-            except ValueError as exc:
-                raise ConfigError(f"bad random secret count in {self.secrets!r}") from exc
-            if count < 1:
-                raise ConfigError("random secret count must be positive")
+        self.random_count  # raises ConfigError on a malformed ``secrets``
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("cap_branches", "cap_dim"):
@@ -148,20 +146,49 @@ class ScenarioConfig:
 
     @property
     def random_count(self) -> int | None:
-        if self.secrets.startswith("random:"):
-            return int(self.secrets.split(":", 1)[1])
-        return None
+        """Random secrets per scenario, or None for ``basis-exhaustive``."""
+        if self.secrets == "basis-exhaustive":
+            return None
+        if not self.secrets.startswith("random:"):
+            raise ConfigError(f"secrets must be 'basis-exhaustive' or 'random:<count>', got {self.secrets!r}")
+        try:
+            count = int(self.secrets.removeprefix("random:"))
+        except ValueError as exc:
+            raise ConfigError(f"bad random secret count in {self.secrets!r}") from exc
+        if count < 1:
+            raise ConfigError("random secret count must be positive")
+        return count
 
     def snapshot(self) -> dict:
-        return {
-            "params": [list(t) for t in self.params],
-            "modes": list(self.modes),
-            "secrets": self.secrets,
-            "seed": self.seed,
-            "format": self.format,
-            "cap_branches": self.cap_branches,
-            "cap_dim": self.cap_dim,
-        }
+        """The config as the report records it: every field but ``output``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output"}
+
+
+def _parse_params(text: str) -> tuple[tuple[int, int, int], ...]:
+    triples = []
+    for chunk in text.replace(";", " ").split():
+        parts = chunk.split(",")
+        if len(parts) != 3:
+            raise ConfigError(f"params entry {chunk!r} is not a k,d,q triple")
+        try:
+            triples.append(tuple(int(x) for x in parts))
+        except ValueError as exc:
+            raise ConfigError(f"params entry {chunk!r} is not numeric") from exc
+    return tuple(triples)
+
+
+# One converter per ScenarioConfig field, in the order values are parsed (so
+# a config with several bad values always reports the same one first).
+_CONVERTERS: dict[str, Callable[[str], object]] = {
+    "params": _parse_params,
+    "modes": lambda text: tuple(text.replace(",", " ").split()),
+    "secrets": str,
+    "seed": int,
+    "cap_branches": int,
+    "cap_dim": int,
+    "output": str,
+    "format": str,
+}
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -182,35 +209,19 @@ def parse_config(text: str) -> ScenarioConfig:
         key_line[key] = lineno
         values[key] = val.strip()
 
-    def parse_params(text: str) -> tuple[tuple[int, int, int], ...]:
-        triples = []
-        for chunk in text.replace(";", " ").split():
-            parts = chunk.split(",")
-            if len(parts) != 3:
-                raise ConfigError(f"params entry {chunk!r} is not a k,d,q triple")
-            try:
-                triples.append(tuple(int(x) for x in parts))
-            except ValueError as exc:
-                raise ConfigError(f"params entry {chunk!r} is not numeric") from exc
-        return tuple(triples)
-
-    if "params" not in values:
-        raise ConfigError("config must set 'params'")
-    kwargs: dict = {"params": parse_params(values.pop("params"))}
-    if "modes" in values:
-        kwargs["modes"] = tuple(values.pop("modes").replace(",", " ").split())
-    if "secrets" in values:
-        kwargs["secrets"] = values.pop("secrets")
-    for key in ("seed", "cap_branches", "cap_dim"):
-        if key in values:
-            try:
-                kwargs[key] = int(values.pop(key))
-            except ValueError as exc:
-                raise ConfigError(f"{key} must be an integer") from exc
-    if "output" in values:
-        kwargs["output"] = values.pop("output")
-    if "format" in values:
-        kwargs["format"] = values.pop("format")
+    for f in fields(ScenarioConfig):
+        if f.default is MISSING and f.name not in values:
+            raise ConfigError(f"config must set {f.name!r}")
+    kwargs = {}
+    for key, convert in _CONVERTERS.items():
+        if key not in values:
+            continue
+        try:
+            kwargs[key] = convert(values.pop(key))
+        except ConfigError:
+            raise
+        except ValueError as exc:  # only the int fields' converter raises it
+            raise ConfigError(f"{key} must be an integer") from exc
     if values:
         raise ConfigError(f"unknown config keys: {sorted(values)}")
     return ScenarioConfig(**kwargs)
@@ -218,8 +229,8 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def load_config(path: str | Path) -> ScenarioConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
@@ -257,26 +268,8 @@ class RunRecord:
         self.detail = detail if not self.detail else f"{self.detail}; {detail}"
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "k": self.k,
-            "n": self.n,
-            "d": self.d,
-            "q": self.q,
-            "m": self.m,
-            "mode": self.mode,
-            "status": self.status,
-            "detail": self.detail,
-            "subsets_tested": self.subsets_tested,
-            "secrets_tested": self.secrets_tested,
-            "min_fidelity": self.min_fidelity,
-            "max_trace_distance": self.max_trace_distance,
-            "qudit_cost": self.qudit_cost,
-            "channel_dim": self.channel_dim,
-            "bound_dim": self.bound_dim,
-            "optimal": self.optimal,
-            "metrics": self.metrics,
-        }
-        return obj
+        """The record as the report writes it: every field but ``wall_time``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time"}
 
 
 @dataclass
@@ -298,19 +291,19 @@ class RunReport:
         return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        cols = [
-            "k", "n", "d", "q", "m", "mode", "status", "detail",
-            "subsets_tested", "secrets_tested", "min_fidelity",
-            "max_trace_distance", "qudit_cost", "channel_dim", "bound_dim",
-            "optimal",
-        ]
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
-        for r in self.records:
-            obj = r.to_json_obj()
-            writer.writerow(["" if obj[c] is None else obj[c] for c in cols])
-        return buf.getvalue()
+        """One row per record: the JSON record's keys but ``metrics``."""
+        cols = [f.name for f in fields(RunRecord) if f.name not in ("metrics", "wall_time")]
+        return _csv_text(cols, [r.to_json_obj() for r in self.records])
+
+
+def _csv_text(cols: Sequence[str], rows: Iterable[dict]) -> str:
+    """A header of ``cols``, then each row's values in that order (None as empty)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    for row in rows:
+        writer.writerow(["" if row[c] is None else row[c] for c in cols])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -485,18 +478,7 @@ def _run_secrecy(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
 
 def _run_costs(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     rows = cost_table(p)
-    rec.metrics["rows"] = [
-        {
-            "mode": r.mode,
-            "participants": r.participants,
-            "qudits": r.qudits,
-            "ratio": r.qudits_per_secret_qudit,
-            "channel_dim": r.channel_dim,
-            "bound_dim": r.bound_dim,
-            "optimal": r.optimal,
-        }
-        for r in rows
-    ]
+    rec.metrics["rows"] = [_cost_row_dict(r) for r in rows]
     d_rows = [r for r in rows if r.mode == "recover-d"] or rows
     rec.qudit_cost = d_rows[0].qudits
     rec.channel_dim = d_rows[0].channel_dim
@@ -558,37 +540,26 @@ def run(cfg: ScenarioConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+_COST_COLUMNS = ("k", "n", "d", "q", "m", "mode", "qudits", "ratio", "bound_dim", "optimal")
+
+
+def _cost_row_dict(row: CostRow) -> dict:
+    """A cost row's fields in order, ``qudits_per_secret_qudit`` named ``ratio``."""
+    return {
+        "ratio" if f.name == "qudits_per_secret_qudit" else f.name: getattr(row, f.name)
+        for f in fields(row)
+    }
+
+
 def emit_cost_table(param_sets: Sequence[tuple[int, int, int]]) -> list[dict]:
-    """Rows of (k,n,d,q,m,mode,qudits,ratio,bound_dim,optimal) per mode."""
+    """One dict of ``_COST_COLUMNS`` per parameter set and recovery mode."""
     rows = []
     for triple in param_sets:
         p = make_params(*triple)
         for r in cost_table(p):
-            rows.append(
-                {
-                    "k": p.k,
-                    "n": p.n,
-                    "d": p.d,
-                    "q": p.q,
-                    "m": p.m,
-                    "mode": r.mode,
-                    "qudits": r.qudits,
-                    "ratio": r.qudits_per_secret_qudit,
-                    "bound_dim": r.bound_dim,
-                    "optimal": r.optimal,
-                }
-            )
+            row = {**asdict(p), **_cost_row_dict(r)}
+            rows.append({c: row[c] for c in _COST_COLUMNS})
     return rows
-
-
-def _cost_rows_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    cols = ["k", "n", "d", "q", "m", "mode", "qudits", "ratio", "bound_dim", "optimal"]
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    for row in rows:
-        writer.writerow([row[c] for c in cols])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +572,9 @@ def _demo_secret(p: SchemeParams, spec: str) -> SparseState:
         a = basis_secret(p, (1, 0))
         b = basis_secret(p, (0, 1))
         return superpose([(a, 1 / np.sqrt(2)), (b, 1j / np.sqrt(2))])
-    digits = tuple(int(c) for c in spec)
-    if len(digits) != p.m or any(not 0 <= x < p.q for x in digits):
+    if len(spec) != p.m or not all(c.isdecimal() and int(c) < p.q for c in spec):
         raise ConfigError(f"demo secret must be {p.m} digits below {p.q}, or 'superposition'")
-    return basis_secret(p, digits)
+    return basis_secret(p, tuple(int(c) for c in spec))
 
 
 def demo(secret_spec: str = "10", stream: TextIO | None = None) -> int:
@@ -674,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the scenarios in a config file")
     p_run.add_argument("config", help="path to a key = value scenario config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--out", default=None, help="override the report output path")
+    p_run.add_argument("--out", dest="output", default=None, help="override the report output path")
     p_run.add_argument("--format", choices=("json", "csv"), default=None)
     p_run.add_argument("--cap-branches", type=int, default=None)
     p_run.add_argument("--cap-dim", type=int, default=None)
@@ -691,36 +661,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(path: str | None, payload: bytes) -> None:
+    """Write ``payload`` to ``path``, creating parent directories, or to stdout."""
+    if not path:
+        sys.stdout.write(payload.decode())
+        return
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_bytes(payload)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.verb == "run":
-            cfg = load_config(args.config)
-            overrides = {}
-            if args.seed is not None:
-                overrides["seed"] = args.seed
-            if args.out is not None:
-                overrides["output"] = args.out
-            if args.format is not None:
-                overrides["format"] = args.format
-            if args.cap_branches is not None:
-                overrides["cap_branches"] = args.cap_branches
-            if args.cap_dim is not None:
-                overrides["cap_dim"] = args.cap_dim
-            if overrides:
-                cfg = ScenarioConfig(**{**cfg.__dict__, **overrides})
+            overrides = {
+                f.name: getattr(args, f.name)
+                for f in fields(ScenarioConfig)
+                if getattr(args, f.name, None) is not None
+            }
+            cfg = replace(load_config(args.config), **overrides)
             report = run(cfg)
             payload = (
                 report.to_json_bytes()
                 if cfg.format == "json"
                 else report.to_csv_text().encode()
             )
-            if cfg.output:
-                Path(cfg.output).parent.mkdir(parents=True, exist_ok=True)
-                Path(cfg.output).write_bytes(payload)
-            else:
-                sys.stdout.write(payload.decode())
+            _write_output(cfg.output, payload)
             for rec in report.records:
                 marker = {"pass": "ok  ", "fail": "FAIL", "cap-exceeded": "cap "}[rec.status]
                 print(
@@ -731,24 +701,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0 if report.overall_pass else 1
         if args.verb == "demo":
             return demo(args.secret)
-        if args.verb == "costs":
-            try:
-                rows = emit_cost_table([(args.k, args.d, args.q)])
-            except ParameterError as exc:
-                raise ConfigError(str(exc)) from exc
-            if args.format == "json":
-                payload = json.dumps(rows, sort_keys=True, indent=2) + "\n"
-            else:
-                payload = _cost_rows_csv(rows)
-            if args.out:
-                Path(args.out).write_text(payload)
-            else:
-                sys.stdout.write(payload)
-            return 0
-    except ConfigError as exc:
+        rows = emit_cost_table([(args.k, args.d, args.q)])  # the costs verb
+        if args.format == "json":
+            payload = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+        else:
+            payload = _csv_text(_COST_COLUMNS, rows)
+        _write_output(args.out, payload.encode())
+        return 0
+    except (ConfigError, ParameterError) as exc:  # both mean the input was invalid
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

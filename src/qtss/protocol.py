@@ -414,15 +414,15 @@ def _k_session(p: SchemeParams, chosen: Sequence[int]) -> tuple[_CombinerSession
     vand = scheme_vandermonde(p)
     block_k = vand.submatrix([i - 1 for i in chosen], None)
     others = sorted(set(range(1, p.n + 1)) - set(chosen))
-    last_k_cols = block_k.submatrix(None, range(p.m - 1, p.d))
-    for j in range(1, p.m):
-        session.affine(
-            list(cols[j]),
-            last_k_cols.inverse(),
-            f"invert the trailing-columns block on column {j + 1}; it now holds "
-            f"tail digit {j} then randomness block {j + 1}",
-        )
     if p.m > 1:
+        last_k_inverse = block_k.submatrix(None, range(p.m - 1, p.d)).inverse()
+        for j in range(1, p.m):
+            session.affine(
+                list(cols[j]),
+                last_k_inverse,
+                f"invert the trailing-columns block on column {j + 1}; it now holds "
+                f"tail digit {j} then randomness block {j + 1}",
+            )
         tail_regs = [cols[j][0] for j in range(1, p.m)]
         session.controlled_add(
             tail_regs,
@@ -649,32 +649,12 @@ def cost_table(p: SchemeParams) -> list[CostRow]:
     coincide.  ``optimal`` flags exact equality of the achieved channel
     dimension with the bound for that participant count.
     """
-    rows = []
-    k_dim = p.q ** (p.m * p.k)
-    k_bound = lower_bound(p.q**p.m, p.k, p.k)
-    rows.append(
-        CostRow(
-            mode="recover-k",
-            participants=p.k,
-            qudits=p.m * p.k,
-            qudits_per_secret_qudit=p.k / 1.0,
-            channel_dim=k_dim,
-            bound_dim=k_bound,
-            optimal=k_dim == k_bound,
-        )
-    )
+    shapes = [("recover-k", p.k, p.m * p.k)]
     if p.d != p.k:
-        d_dim = p.q**p.d
-        d_bound = lower_bound(p.q**p.m, p.k, p.d)
-        rows.append(
-            CostRow(
-                mode="recover-d",
-                participants=p.d,
-                qudits=p.d,
-                qudits_per_secret_qudit=p.d / p.m,
-                channel_dim=d_dim,
-                bound_dim=d_bound,
-                optimal=d_dim == d_bound,
-            )
-        )
+        shapes.append(("recover-d", p.d, p.d))
+    rows = []
+    for mode, participants, qudits in shapes:
+        dim = p.q**qudits
+        bound = lower_bound(p.q**p.m, p.k, participants)
+        rows.append(CostRow(mode, participants, qudits, qudits / p.m, dim, bound, dim == bound))
     return rows

@@ -1,12 +1,15 @@
 """Config parsing, the run/demo/costs verbs, report formats, determinism."""
 
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from qtss import protocol
+from qtss import cli, protocol
 from qtss.cli import (
     ALL_MODES,
     ConfigError,
@@ -196,6 +199,44 @@ class TestReportFormats:
         assert len(lines) == 2
 
 
+class TestReportSchema:
+    # The report is built from RunRecord's and ScenarioConfig's fields; these
+    # pins catch a field added, dropped or renamed without the schema moving.
+
+    def report_obj(self):
+        return json.loads(run(parse_config("params = 2,3,5\nmodes = costs")).to_json_bytes())
+
+    def test_json_keys(self):
+        obj = self.report_obj()
+        assert set(obj) == {"schema_version", "config", "records", "overall_pass"}
+        (record,) = obj["records"]
+        assert set(record) == {
+            "k", "n", "d", "q", "m", "mode", "status", "detail", "subsets_tested",
+            "secrets_tested", "min_fidelity", "max_trace_distance", "qudit_cost",
+            "channel_dim", "bound_dim", "optimal", "metrics",
+        }
+
+    def test_config_keys(self):
+        assert set(self.report_obj()["config"]) == {
+            "params", "modes", "secrets", "seed", "format", "cap_branches", "cap_dim",
+        }
+
+    def test_csv_header(self):
+        report = run(parse_config("params = 2,3,5\nmodes = costs"))
+        assert report.to_csv_text().splitlines()[0] == (
+            "k,n,d,q,m,mode,status,detail,subsets_tested,secrets_tested,"
+            "min_fidelity,max_trace_distance,qudit_cost,channel_dim,bound_dim,optimal"
+        )
+
+    def test_documented_config_keys_are_the_fields(self):
+        names = [f.name for f in fields(ScenarioConfig)]
+        in_docstring = re.findall(r"^    (\w+) = ", cli.__doc__, flags=re.M)
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (ini_block,) = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+        in_readme = re.findall(r"^(\w+) = ", ini_block, flags=re.M)
+        assert sorted(in_docstring) == sorted(in_readme) == sorted(names)
+
+
 class TestCostTableRows:
     def test_intro_rows(self):
         rows = emit_cost_table([(2, 3, 5)])
@@ -340,6 +381,35 @@ class TestMainEntry:
 
     def test_demo_bad_secret(self, capsys):
         assert main(["demo", "--secret", "9"]) == 2
+
+    @pytest.mark.parametrize("secret", ["x1", "1 0"], ids=["letter", "space"])
+    def test_demo_non_digit_secret_exits_two(self, capsys, secret):
+        assert main(["demo", "--secret", secret]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: demo secret must be 2 digits below 5" in captured.err
+
+    def test_config_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"params = 2,2,5\xff\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "config error: cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "costs"])
+    def test_out_naming_a_directory_exits_two(self, tmp_path, capsys, verb):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("params = 2,2,5\nmodes = costs\n")
+        args = {"run": ["run", str(cfg)], "costs": ["costs", "2", "2", "5"]}[verb]
+        assert main([*args, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: cannot write {tmp_path}" in captured.err
+
+    def test_costs_out_creates_parent_directories(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "x.csv"
+        assert main(["costs", "2", "3", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().splitlines()[0] == "k,n,d,q,m,mode,qudits,ratio,bound_dim,optimal"
 
 
 class TestDemoFunction:

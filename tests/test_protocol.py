@@ -301,6 +301,23 @@ class TestProgramsWithoutState:
             checked[size] = len(subsets)
         assert checked == {p.k: 462, p.d: 55}
 
+    @pytest.mark.parametrize("triple", [(3, 5, 7), (4, 7, 11)], ids=["3-5-7", "4-7-11"])
+    def test_k_session_inverts_two_blocks(self, monkeypatch, triple):
+        # One inverse of the trailing-columns block serves every column j >= 2,
+        # and one of the leading-columns block serves column 1: two in all,
+        # whatever m is.
+        p = make_params(*triple)
+        calls = []
+        honest = FieldMatrix.inverse
+
+        def counted(self):
+            calls.append((self.rows, self.cols))
+            return honest(self)
+
+        monkeypatch.setattr(FieldMatrix, "inverse", counted)
+        protocol._k_session(p, list(range(1, p.k + 1)))
+        assert p.m > 2 and calls == [(p.k, p.k), (p.k, p.k)]
+
 
 def replay(dealt, transcript) -> SparseState:
     """Run a transcript op by op with the simulator's own relabelings."""
