@@ -35,6 +35,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -348,11 +349,16 @@ def _pick_secrets(cfg: ScenarioConfig, p: SchemeParams, mode: str) -> list[Spars
 # ---------------------------------------------------------------------------
 
 
-def _session_shape(p: SchemeParams, mode: str) -> tuple[Callable, int, int]:
-    """(combiner, participants contacted, qudits communicated) of a recovery mode."""
+def _session_shape(p: SchemeParams, mode: str) -> tuple[Callable, int]:
+    """(combiner, participants contacted) of a recovery mode."""
     if mode == "recover-d":
-        return recover_from_d, p.d, p.d
-    return recover_from_k, p.k, p.m * p.k
+        return recover_from_d, p.d
+    return recover_from_k, p.k
+
+
+def _cost_row(p: SchemeParams, participants: int) -> CostRow:
+    """The :func:`cost_table` row of a session with that many participants."""
+    return next(r for r in cost_table(p) if r.participants == participants)
 
 
 def _recovery_sweep(
@@ -369,7 +375,8 @@ def _recovery_sweep(
     for secret in secrets:
         dealt = convert_to_mixed(deal(secret, p, cfg.cap_branches), len(retained))
         for mode in modes:
-            recover, size, expected_cost = _session_shape(p, mode)
+            recover, size = _session_shape(p, mode)
+            expected_cost = _cost_row(p, size).qudits
             for subset in itertools.combinations(retained, size):
                 result = recover(dealt, subset)
                 cost = result.transcript.qudit_cost
@@ -452,16 +459,17 @@ def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
 
 def _run_recovery(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     secrets = _pick_secrets(cfg, p, rec.mode)
-    _, size, cost = _session_shape(p, rec.mode)
+    _, size = _session_shape(p, rec.mode)
+    row = _cost_row(p, size)
     rec.subsets_tested = math.comb(p.n, size)
     participants = range(1, p.n + 1)
     rec.min_fidelity = _recovery_sweep(cfg, p, rec, secrets, (rec.mode,), participants)
     rec.secrets_tested = len(secrets)
-    rec.qudit_cost = cost
-    rec.channel_dim = p.q**cost
+    rec.qudit_cost = row.qudits
+    rec.channel_dim = row.channel_dim
     if rec.mode == "recover-d":
-        rec.bound_dim = lower_bound(p.q**p.m, p.k, p.d)
-        rec.optimal = rec.channel_dim == rec.bound_dim
+        rec.bound_dim = row.bound_dim
+        rec.optimal = row.optimal
 
 
 def _run_secrecy(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
@@ -661,14 +669,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _writable(path: str) -> Path:
+    """``path``, once its parent directories exist and it can be written.
+
+    Raises :class:`ConfigError` otherwise; an existing file is not touched.
+    """
+    target = Path(path)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    if target.is_dir():
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise ConfigError(f"cannot write {path}: permission denied")
+    return target
+
+
 def _write_output(path: str | None, payload: bytes) -> None:
     """Write ``payload`` to ``path``, creating parent directories, or to stdout."""
     if not path:
         sys.stdout.write(payload.decode())
         return
+    target = _writable(path)
     try:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_bytes(payload)
+        target.write_bytes(payload)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -684,6 +709,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if getattr(args, f.name, None) is not None
             }
             cfg = replace(load_config(args.config), **overrides)
+            if cfg.output:
+                _writable(cfg.output)  # fail before the sweep, not after it
             report = run(cfg)
             payload = (
                 report.to_json_bytes()

@@ -26,6 +26,12 @@ gives both the branch order and the group boundaries; keys too wide to pack
 are sorted by their label columns.  Canonical order and duplicate merging
 take the same two paths (:func:`_branch_order`).
 
+Reduced states.  ``partial_trace`` groups branches by the digits of the
+discarded registers.  When no group holds two branches, the reduced state is
+diagonal and the :class:`DensityMatrix` stores only its real diagonal, as
+for every unauthorized subset of a dealt state (the discarded shares fix the
+branch); ``trace_distance`` compares two such states from their diagonals.
+
 Tolerances.  Normalization, Hermiticity and trace checks use ``NORM_TOL``
 (1e-12); state/fidelity comparisons use ``MATCH_TOL`` (1e-10); amplitudes
 below ``PRUNE_TOL`` (1e-14) are dropped.  Amplitudes in this problem domain
@@ -410,7 +416,9 @@ class SparseState:
         in-place sort of the discarded keys packed with the branch index (a
         ``np.lexsort`` of the discarded columns if the two exceed 64 bits), a
         gather of the singletons' weights and kept indices in sorted order
-        and, if any group has two branches or more, that product.
+        and, if any group has two branches or more, that product.  If none
+        has, the reduced state is diagonal and is returned as that
+        ``bincount`` alone, with no dense matrix allocated.
         """
         keep = self._check_registers(keep, "kept")
         dim = self.q ** len(keep)
@@ -418,7 +426,6 @@ class SparseState:
             raise DimensionCapError(
                 f"reduced dimension {self.q}**{len(keep)} = {dim} exceeds the cap {dim_cap}"
             )
-        rho = np.zeros((dim, dim), dtype=np.complex128)
         rest = [r for r in range(self.num_registers) if r not in keep]
         kept_idx, rest_keys, weights = self._trace_keys(keep, rest)
         order, same = _branch_order(rest_keys)
@@ -430,24 +437,25 @@ class SparseState:
         in_multi[:-1] |= same
         single = order[~in_multi] if same.any() else order
         multi = order[in_multi] if len(single) else order
-        rho[np.diag_indices(dim)] = np.bincount(
-            kept_idx[single], weights=weights[single], minlength=dim
+        diagonal = np.bincount(kept_idx[single], weights=weights[single], minlength=dim)
+        if not len(multi):
+            return DensityMatrix._from_diagonal(self.q, len(keep), diagonal)
+        rho = np.zeros((dim, dim), dtype=np.complex128)
+        rho[np.diag_indices(dim)] = diagonal
+        # One row per multi-branch group; its outer product is the group's
+        # contribution.  The sparse sum P is symmetrized into rho entry by
+        # entry, (P + P^H) / 2, so no second dense matrix exists.
+        starts = np.flatnonzero(np.concatenate(([True], ~same))[in_multi])
+        spread = scipy.sparse.csr_matrix(
+            (self.amps[multi], kept_idx[multi], np.append(starts, len(multi))),
+            shape=(len(starts), dim),
+            dtype=np.complex128,
         )
-        if len(multi):
-            # One row per multi-branch group; its outer product is the
-            # group's contribution.  The sparse sum P is symmetrized into rho
-            # entry by entry, (P + P^H) / 2, so no second dense matrix exists.
-            starts = np.flatnonzero(np.concatenate(([True], ~same))[in_multi])
-            spread = scipy.sparse.csr_matrix(
-                (self.amps[multi], kept_idx[multi], np.append(starts, len(multi))),
-                shape=(len(starts), dim),
-                dtype=np.complex128,
-            )
-            prod = (spread.T @ spread.conj(copy=False)).tocoo()
-            prod.sum_duplicates()
-            half = prod.data * 0.5
-            rho[prod.row, prod.col] += half
-            rho[prod.col, prod.row] += half.conj()
+        prod = (spread.T @ spread.conj(copy=False)).tocoo()
+        prod.sum_duplicates()
+        half = prod.data * 0.5
+        rho[prod.row, prod.col] += half
+        rho[prod.col, prod.row] += half.conj()
         return DensityMatrix(self.q, len(keep), rho)
 
     def _trace_keys(
@@ -547,16 +555,29 @@ def _hermitian_within_tol(matrix: np.ndarray) -> bool:
     return True
 
 
-class DensityMatrix:
-    """A reduced state on a register subset, as a dense Hermitian matrix.
+def _check_trace(tr: complex, dim: int) -> None:
+    """Unit trace within ``NORM_TOL`` per dimension; NaN fails."""
+    if not abs(tr - 1.0) <= NORM_TOL * dim:
+        raise ValueError(f"density matrix trace {tr} is not 1")
 
-    Hermiticity and unit trace are validated on construction (within
-    ``NORM_TOL``); positive semidefiniteness is an invariant of every
+
+class DensityMatrix:
+    """A reduced state on a register subset, as a dense Hermitian matrix or,
+    when it is diagonal, as its real diagonal alone.
+
+    :meth:`SparseState.partial_trace` stores the diagonal form when no group
+    of branches sharing the discarded digits has two members, as for every
+    unauthorized subset of a dealt state.  ``diagonal`` then holds the
+    weights, and ``matrix`` builds the dense array from them on first use;
+    ``diagonal`` is None for a dense state.  Hermiticity (of a dense state)
+    and unit trace are validated on construction (within ``NORM_TOL``); a
+    diagonal of summed ``|amp|**2`` is real and non-negative by
+    construction.  Positive semidefiniteness is an invariant of every
     reduction of a normalized state, not checked, to avoid an eigensolve per
     construction.
     """
 
-    __slots__ = ("q", "num_registers", "matrix")
+    __slots__ = ("q", "num_registers", "diagonal", "_matrix")
 
     def __init__(self, q: int, num_registers: int, matrix, *, validate: bool = True) -> None:
         matrix = np.asarray(matrix, dtype=np.complex128)
@@ -566,13 +587,35 @@ class DensityMatrix:
         if validate:
             if not _hermitian_within_tol(matrix):
                 raise ValueError("density matrix is not Hermitian")
-            tr = complex(np.trace(matrix))
-            if abs(tr - 1.0) > NORM_TOL * dim:
-                raise ValueError(f"density matrix trace {tr} is not 1")
+            _check_trace(complex(np.trace(matrix)), dim)
         self.q = q
         self.num_registers = num_registers
-        self.matrix = matrix
-        self.matrix.setflags(write=False)
+        self.diagonal = None
+        self._matrix = matrix
+        matrix.setflags(write=False)
+
+    @classmethod
+    def _from_diagonal(cls, q: int, num_registers: int, diagonal: np.ndarray) -> DensityMatrix:
+        """Internal: the diagonal state with the given real, non-negative
+        weights, of which only the trace is checked."""
+        _check_trace(float(np.sum(diagonal)), len(diagonal))
+        self = object.__new__(cls)
+        self.q = q
+        self.num_registers = num_registers
+        self.diagonal = diagonal
+        self._matrix = None
+        diagonal.setflags(write=False)
+        return self
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense complex matrix (read-only), built once for a diagonal state."""
+        if self._matrix is None:
+            dense = np.zeros((self.dim, self.dim), dtype=np.complex128)
+            dense[np.diag_indices(self.dim)] = self.diagonal
+            dense.setflags(write=False)
+            self._matrix = dense
+        return self._matrix
 
     @property
     def dim(self) -> int:
@@ -615,17 +658,21 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     blocks' spectra.  The blocks go to ``eigvalsh`` stacked by size; for a
     1x1 block it returns the real part of the entry, exactly and at no real
     cost.  The union is sorted before summing, as ``eigvalsh`` on the whole
-    matrix returns it.  The reduced states of an unauthorized subset are
-    diagonal, so their comparison costs no dense eigensolve.  A difference
-    whose pattern is connected (a dense one, say) is one block and gets one
+    matrix returns it.  Two states stored as diagonals (those of an
+    unauthorized subset, say) differ by a diagonal, all of whose blocks are
+    1x1, so their entries' differences are those eigenvalues: they are
+    sorted and summed as such, with no dense matrix.  A difference whose
+    pattern is connected (a dense one, say) is one block and gets one
     ``eigvalsh`` of the whole matrix, with no gathered copy.
     """
+    if rho.q != sigma.q or rho.num_registers != sigma.num_registers:
+        raise ValueError("density matrices live on different registers")
+    if rho.diagonal is not None and sigma.diagonal is not None:
+        return float(0.5 * np.sum(np.abs(np.sort(rho.diagonal - sigma.diagonal))))
     # Imported here: scipy.sparse.csgraph takes about 0.13 s to import, which
     # every run would otherwise pay at start-up whether it compares states or not.
     from scipy.sparse.csgraph import connected_components
 
-    if rho.q != sigma.q or rho.num_registers != sigma.num_registers:
-        raise ValueError("density matrices live on different registers")
     a, b = rho.matrix, sigma.matrix
     rows, cols = np.nonzero(a != b)
     lower = rows >= cols

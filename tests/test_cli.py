@@ -20,6 +20,7 @@ from qtss.cli import (
     parse_config,
     run,
 )
+from qtss.staircase import make_params
 
 SMALL_CONFIG = """
 # smallest scheme, everything on
@@ -145,6 +146,22 @@ class TestRun:
         rec_k = [r for r in report.records if r.mode == "recover-k"][0]
         assert "d = k" in rec_k.detail
         assert rec_k.qudit_cost == 2
+
+    @pytest.mark.parametrize(
+        "triple, mode",
+        [((2, 3, 5), "recover-k"), ((2, 3, 5), "recover-d"), ((2, 2, 5), "recover-d"), ((3, 5, 7), "recover-k")],
+    )
+    def test_recovery_cost_fields_from_cost_table(self, triple, mode):
+        # recover-d alone at d = k has no row of its own; the k row is its row.
+        params = ",".join(map(str, triple))
+        rec = run(parse_config(f"params = {params}\nmodes = {mode}\nsecrets = random:1")).records[0]
+        participants = triple[1] if mode == "recover-d" else triple[0]
+        row = next(r for r in protocol.cost_table(make_params(*triple)) if r.participants == participants)
+        assert (rec.qudit_cost, rec.channel_dim) == (row.qudits, row.channel_dim)
+        if mode == "recover-d":
+            assert (rec.bound_dim, rec.optimal) == (row.bound_dim, row.optimal) and rec.optimal
+        else:
+            assert rec.bound_dim is None and rec.optimal is None
 
     def test_cap_exceeded_reported_not_failed(self):
         cfg = parse_config("params = 3,4,7\nmodes = recover-k\nsecrets = random:1\ncap_branches = 100")
@@ -404,6 +421,30 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config error: cannot write {tmp_path}" in captured.err
+
+    def test_run_out_checked_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def never(cfg):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli, "run", never)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("params = 2,2,5\nmodes = costs\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"config error: cannot write {tmp_path}" in capsys.readouterr().err
+
+    def test_run_keeps_existing_report_until_the_run_succeeds(self, tmp_path, monkeypatch):
+        out = tmp_path / "report.json"
+        out.write_bytes(b"earlier report")
+
+        def broken(cfg):
+            assert out.read_bytes() == b"earlier report"
+            raise ConfigError("sweep failed")
+
+        monkeypatch.setattr(cli, "run", broken)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("params = 2,2,5\nmodes = costs\n")
+        assert main(["run", str(cfg), "--out", str(out)]) == 2
+        assert out.read_bytes() == b"earlier report"
 
     def test_costs_out_creates_parent_directories(self, tmp_path, capsys):
         out = tmp_path / "new" / "dir" / "x.csv"

@@ -422,6 +422,22 @@ class TestProgram:
         assert fidelity(untouched.partial_trace(result.secret_registers), secret) >= 1.0 - TOL
 
 
+def leak_first_digit(monkeypatch):
+    """Patch the dealer so that share 1's first register carries secret digit
+    s_0 in the clear and no other register depends on s_0."""
+    honest = protocol._deal_tables
+    first = P235.layout().registers_of(1)[0]
+
+    def leaky(p):
+        coeff_s, rand_part = (t.copy() for t in honest(p))
+        coeff_s[:, 0] = 0
+        coeff_s[first, 0] = 1
+        rand_part[:, first] = 0
+        return coeff_s, rand_part
+
+    monkeypatch.setattr(protocol, "_deal_tables", leaky)
+
+
 class TestSecrecy:
     def test_single_share_zero_distance(self):
         report = secrecy_check(
@@ -481,21 +497,26 @@ class TestSecrecy:
         assert sorted(dealt) == sorted(map(id, (a, b, c)))
         assert report.secrets_tested == 3 and report.passed
 
+    @staticmethod
+    def forbid_dense(monkeypatch):
+        """Make building or reading any dense density matrix fail the test."""
+
+        def dense(*args, **kwargs):
+            raise AssertionError("a dense density matrix was built")
+
+        monkeypatch.setattr(DensityMatrix, "__init__", dense)
+        monkeypatch.setattr(DensityMatrix, "matrix", property(dense))
+
+    def test_pair_subset_builds_no_dense_matrix(self, monkeypatch):
+        # (3,4,7) shares {1, 2}: dimension 2401, compared on diagonals alone.
+        self.forbid_dense(monkeypatch)
+        report = secrecy_check(P347, [1, 2], default_secret_pairs(P347, 7))
+        assert report.passed and report.secrets_tested == 4
+
     def test_leaky_dealer_fails(self, monkeypatch):
-        # Negative control: share 1's first register carries secret digit s_0
-        # in the clear and no other register depends on s_0.  Every check
-        # above must then fail on share 1.
-        honest = protocol._deal_tables
-        first = P235.layout().registers_of(1)[0]
-
-        def leaky(p):
-            coeff_s, rand_part = (t.copy() for t in honest(p))
-            coeff_s[:, 0] = 0
-            coeff_s[first, 0] = 1
-            rand_part[:, first] = 0
-            return coeff_s, rand_part
-
-        monkeypatch.setattr(protocol, "_deal_tables", leaky)
+        # Negative control: with s_0 in the clear on share 1, every check
+        # above must fail on share 1.
+        leak_first_digit(monkeypatch)
         pairs = default_secret_pairs(P235)
         report = secrecy_check(P235, [1], pairs)
         assert report.max_trace_distance > 1e-10
@@ -511,6 +532,22 @@ class TestSecrecy:
         td = secrecy_check(P235, [1], pairs[1:]).max_trace_distance
         assert td > 1e-10
         assert td == pytest.approx(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))), abs=1e-12)
+
+    def test_leaky_dealer_fails_on_diagonals(self, monkeypatch):
+        # The same leak, checked with the basis pair alone: both reduced
+        # states are diagonal, so the verdict comes from the diagonal
+        # comparison, with no dense matrix built.
+        leak_first_digit(monkeypatch)
+        pairs = default_secret_pairs(P235)[:1]
+        regs = list(P235.layout().registers_of(1))
+        rho, sigma = (deal(s, P235).state.partial_trace(regs) for s in pairs[0])
+        assert rho.diagonal is not None and sigma.diagonal is not None
+        expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)))
+        self.forbid_dense(monkeypatch)
+        report = secrecy_check(P235, [1], pairs)
+        assert report.max_trace_distance > 1e-10
+        assert report.passed is False
+        assert report.max_trace_distance == pytest.approx(expected, abs=1e-12)
 
 
 class TestComplementRule:

@@ -507,6 +507,26 @@ class TestPartialTrace:
         regs = [r for i in shares for r in p.layout().registers_of(i)]
         assert np.array_equal(st.partial_trace(regs).matrix, reference_partial_trace(st, regs))
 
+    @pytest.mark.parametrize(
+        "params, shares",
+        [((2, 3, 5), [1]), ((2, 3, 5), [3]), ((3, 4, 7), [2]), ((3, 4, 7), [1, 2]), ((3, 4, 7), [3, 5])],
+    )
+    def test_dealt_unauthorized_subset_stored_as_diagonal(self, params, shares):
+        # The discarded shares fix every branch of a dealt state, so the
+        # reduced state keeps only its diagonal until the dense matrix is read.
+        p = make_params(*params)
+        regs = [r for i in shares for r in p.layout().registers_of(i)]
+        for pair in default_secret_pairs(p):
+            for secret in pair:
+                st = deal(secret, p).state
+                rho = st.partial_trace(regs)
+                assert rho.diagonal is not None and rho._matrix is None
+                assert rho.diagonal.dtype == np.float64 and not rho.diagonal.flags.writeable
+                dense = rho.matrix
+                assert np.array_equal(dense, reference_partial_trace(st, regs))
+                assert dense.dtype == np.complex128 and not dense.flags.writeable
+                assert rho.matrix is dense
+
     def test_recovered_secret_block_bit_identical_to_reference(self):
         # After recovery every discarded-digit group holds one branch per
         # secret component, so the whole state goes through the sparse product.
@@ -631,6 +651,54 @@ class TestDistances:
         sigma = DensityMatrix(q, registers, b, validate=False)
         expected = float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
         assert trace_distance(rho, sigma) == expected
+
+    @pytest.mark.parametrize(
+        "params, shares",
+        [((2, 3, 5), []), ((2, 3, 5), [2]), ((3, 4, 7), [1, 2]), ((4, 5, 11), [3])],
+        ids=["dim-1", "2-3-5-share", "3-4-7-pair", "4-5-11-share"],
+    )
+    def test_dealt_diagonal_pair_bit_identical_to_dense_path(self, params, shares):
+        p = make_params(*params)
+        regs = [r for i in shares for r in p.layout().registers_of(i)]
+        for pair in default_secret_pairs(p):
+            rho, sigma = (deal(s, p).state.partial_trace(regs) for s in pair)
+            assert rho.diagonal is not None and sigma.diagonal is not None
+            dense = [DensityMatrix(p.q, len(regs), x.matrix) for x in (rho, sigma)]
+            assert trace_distance(rho, sigma) == trace_distance(*dense)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        q=hst.sampled_from([2, 3, 5, 7]),
+        registers=hst.integers(1, 3),
+    )
+    def test_diagonal_pair_bit_identical_to_dense_path(self, seed, q, registers):
+        # Two random diagonal states: every discarded-digit group is a
+        # singleton, and kept digits repeat across groups.
+        rng = np.random.default_rng(seed)
+        keep = list(range(registers))
+        rho, sigma = (
+            grouped_state(q, registers + 2, keep, [1] * int(rng.integers(1, q**2 + 1)), rng)
+            .partial_trace(keep)
+            for _ in range(2)
+        )
+        assert rho.diagonal is not None and sigma.diagonal is not None
+        dense = [DensityMatrix(q, registers, x.matrix) for x in (rho, sigma)]
+        assert trace_distance(rho, sigma) == trace_distance(*dense)
+
+    def test_diagonal_and_dense_pair_takes_dense_path(self):
+        rng = np.random.default_rng(43)
+        keep = [0, 1]
+        singles = grouped_state(5, 4, keep, [1] * 12, rng)
+        dense = grouped_state(5, 4, keep, [3, 1, 2], rng).partial_trace(keep)
+        assert dense.diagonal is None
+        copy = DensityMatrix(5, 2, singles.partial_trace(keep).matrix)
+        for swap in (False, True):
+            diag = singles.partial_trace(keep)
+            assert diag.diagonal is not None and diag._matrix is None
+            pair, expected = ((dense, diag), (dense, copy)) if swap else ((diag, dense), (copy, dense))
+            assert trace_distance(*pair) == trace_distance(*expected)
+            assert diag._matrix is not None  # the dense path read the matrix
 
     def test_dense_difference_is_one_eigensolve(self):
         rng = np.random.default_rng(41)
