@@ -49,7 +49,6 @@ from .protocol import (
     recover_from_d,
     recover_from_k,
     secrecy_check,
-    verify_complement_rule,
 )
 
 __version__ = "0.1.0"
@@ -95,7 +94,6 @@ __all__ = [
     "recover_from_d",
     "recover_from_k",
     "secrecy_check",
-    "verify_complement_rule",
     "convert_to_mixed",
     "lower_bound",
     "cost_table",

@@ -79,7 +79,6 @@ __all__ = [
     "recover_from_d",
     "recover_from_k",
     "secrecy_check",
-    "verify_complement_rule",
     "convert_to_mixed",
     "lower_bound",
     "cost_table",
@@ -531,54 +530,19 @@ def secrecy_check(
     return SecrecyReport(frozenset(members), max_td, len(last_use))
 
 
-def default_secret_pairs(
-    p: SchemeParams, seed: int = 0, extra_random: int = 1
-) -> list[tuple[SparseState, SparseState]]:
-    """A small deterministic set of secret pairs for secrecy checks.
-
-    Always includes the all-zeros basis secret against the descending-digit
-    basis secret, plus seeded random superposition pairs.
+def default_secret_pairs(p: SchemeParams, seed: int = 0) -> list[tuple[SparseState, SparseState]]:
+    """A small deterministic set of secret pairs for secrecy checks: the
+    all-zeros basis secret against the descending-digit basis secret, and
+    one seeded pair of random superpositions.
     """
     from .qsim import random_state
 
     zeros = basis_secret(p, (0,) * p.m)
     descending = basis_secret(p, tuple((p.q - 1 - i) % p.q for i in range(p.m)))
-    pairs = [(zeros, descending)]
     rng = np.random.Generator(np.random.Philox(seed))
     support = None if p.q**p.m <= 64 else 2
-    for _ in range(extra_random):
-        pairs.append(
-            (
-                random_state(p.q, p.m, rng, support=support),
-                random_state(p.q, p.m, rng, support=support),
-            )
-        )
-    return pairs
-
-
-def verify_complement_rule(
-    p: SchemeParams,
-    authorized: Iterable[int],
-    secret_pairs: Sequence[tuple[SparseState, SparseState]] | None = None,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> bool:
-    """Check that the complement of an authorized set learns nothing.
-
-    For n = 2k-1 the complement of any >= k-subset has <= k-1 members, so
-    this reduces to a secrecy check there; the empty complement passes
-    trivially.
-    """
-    chosen = set(authorized)
-    if len(chosen) < p.k:
-        raise ValueError(f"authorized sets have at least k={p.k} members")
-    if any(not 1 <= i <= p.n for i in chosen):
-        raise ValueError(f"participants must lie in 1..{p.n}")
-    complement = sorted(set(range(1, p.n + 1)) - chosen)
-    if not complement:
-        return True
-    if secret_pairs is None:
-        secret_pairs = default_secret_pairs(p)
-    return secrecy_check(p, complement, secret_pairs, dim_cap).passed
+    randoms = tuple(random_state(p.q, p.m, rng, support=support) for _ in range(2))
+    return [(zeros, descending), randoms]
 
 
 # ---------------------------------------------------------------------------

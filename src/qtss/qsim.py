@@ -70,9 +70,7 @@ NORM_TOL = 1e-12
 MATCH_TOL = 1e-10
 
 # Largest density matrix we will materialize (rows); 4096 x 4096 complex is
-# ~268 MB.  Eigensolver time depends on the block structure of the matrix,
-# not its size: ``trace_distance`` solves each connected block of the
-# difference on its own, and 1x1 blocks (all of a diagonal one) cost nothing.
+# ~268 MB.
 DEFAULT_DIM_CAP = 4096
 
 # Rows per block of the label passes (deal, relabel, partial trace): bounds
@@ -579,15 +577,14 @@ class DensityMatrix:
 
     __slots__ = ("q", "num_registers", "diagonal", "_matrix")
 
-    def __init__(self, q: int, num_registers: int, matrix, *, validate: bool = True) -> None:
+    def __init__(self, q: int, num_registers: int, matrix) -> None:
         matrix = np.asarray(matrix, dtype=np.complex128)
         dim = q**num_registers
         if matrix.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix for {num_registers} registers of dimension {q}")
-        if validate:
-            if not _hermitian_within_tol(matrix):
-                raise ValueError("density matrix is not Hermitian")
-            _check_trace(complex(np.trace(matrix)), dim)
+        if not _hermitian_within_tol(matrix):
+            raise ValueError("density matrix is not Hermitian")
+        _check_trace(complex(np.trace(matrix)), dim)
         self.q = q
         self.num_registers = num_registers
         self.diagonal = None
@@ -652,47 +649,17 @@ def fidelity(rho: DensityMatrix, psi: SparseState) -> float:
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of the absolute eigenvalues of ``rho - sigma``, exactly.
 
-    A permutation of the basis makes the difference block diagonal, one
-    block per connected component of its nonzero pattern (lower triangle,
-    the part ``eigvalsh`` reads), and its spectrum is the union of the
-    blocks' spectra.  The blocks go to ``eigvalsh`` stacked by size; for a
-    1x1 block it returns the real part of the entry, exactly and at no real
-    cost.  The union is sorted before summing, as ``eigvalsh`` on the whole
-    matrix returns it.  Two states stored as diagonals (those of an
-    unauthorized subset, say) differ by a diagonal, all of whose blocks are
-    1x1, so their entries' differences are those eigenvalues: they are
-    sorted and summed as such, with no dense matrix.  A difference whose
-    pattern is connected (a dense one, say) is one block and gets one
-    ``eigvalsh`` of the whole matrix, with no gathered copy.
+    Two states stored as diagonals (those of an unauthorized subset, say)
+    differ by a diagonal matrix, whose eigenvalues are its entries: they are
+    sorted, as ``eigvalsh`` returns them, and summed with no dense matrix.
+    Any other pair gets one ``eigvalsh`` of the dense difference.
     """
     if rho.q != sigma.q or rho.num_registers != sigma.num_registers:
         raise ValueError("density matrices live on different registers")
     if rho.diagonal is not None and sigma.diagonal is not None:
-        return float(0.5 * np.sum(np.abs(np.sort(rho.diagonal - sigma.diagonal))))
-    # Imported here: scipy.sparse.csgraph takes about 0.13 s to import, which
-    # every run would otherwise pay at start-up whether it compares states or not.
-    from scipy.sparse.csgraph import connected_components
-
-    a, b = rho.matrix, sigma.matrix
-    rows, cols = np.nonzero(a != b)
-    lower = rows >= cols
-    pattern = scipy.sparse.coo_matrix(
-        (np.ones(np.count_nonzero(lower), dtype=bool), (rows[lower], cols[lower])),
-        shape=a.shape,
-    )
-    count, comp = connected_components(pattern, directed=False)
-    if count == 1:
-        vals = np.linalg.eigvalsh(a - b)
+        vals = np.sort(rho.diagonal - sigma.diagonal)
     else:
-        sizes = np.bincount(comp)
-        members = np.argsort(comp, kind="stable")  # each component's indices, contiguous
-        first = np.cumsum(sizes) - sizes
-        parts = []
-        for size in np.unique(sizes):
-            idx = members[first[sizes == size][:, None] + np.arange(size)]
-            block = idx[:, :, None], idx[:, None, :]
-            parts.append(np.linalg.eigvalsh(a[block] - b[block]).ravel())
-        vals = np.sort(np.concatenate(parts))
+        vals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
     return float(0.5 * np.sum(np.abs(vals)))
 
 

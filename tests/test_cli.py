@@ -174,6 +174,17 @@ class TestRun:
         report = run(cfg)
         assert report.records[0].status == "cap-exceeded"
 
+    def test_mixed_reports_subsets_over_dim_cap(self):
+        # Every (3,4,7) pair of shares has dimension 2401: secrecy skips its
+        # 10 pairs of all 7 shares, mixed the 6 pairs of its 4 retained ones.
+        cfg = parse_config(
+            "params = 3,4,7\nmodes = secrecy, mixed\nsecrets = random:1\nseed = 5\ncap_dim = 100"
+        )
+        secrecy, mixed = run(cfg).records
+        assert secrecy.metrics["subsets_over_dim_cap"] == 10
+        assert mixed.metrics["subsets_over_dim_cap"] == 6
+        assert mixed.status == "pass" and mixed.metrics["retained_shares"] == 4
+
     def test_odd_secret_count_deals_every_secret(self, monkeypatch):
         # Three secrets: one consecutive pair, then the last secret against
         # the first, so all three reach the dealer on every subset.
