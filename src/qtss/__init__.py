@@ -13,7 +13,6 @@ from .staircase import (
     EnumerationCapError,
     ParameterError,
     SchemeParams,
-    ShareLayout,
     build_message_matrix,
     encode_classical,
     enumerate_codewords,
@@ -62,7 +61,6 @@ __all__ = [
     "vandermonde",
     # staircase
     "SchemeParams",
-    "ShareLayout",
     "ParameterError",
     "EnumerationCapError",
     "make_params",

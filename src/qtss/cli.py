@@ -404,7 +404,8 @@ def _secrecy_sweep(
     secret is paired with the first, so every secret is compared.
 
     Returns the maximum trace distance, the number of subsets checked and the
-    number skipped for exceeding the dimension cap.
+    number skipped for exceeding the dimension cap, which is also recorded
+    as the ``subsets_over_dim_cap`` metric when nonzero.
     """
     pairs = list(zip(secrets[::2], secrets[1::2]))
     if len(secrets) % 2:
@@ -412,14 +413,17 @@ def _secrecy_sweep(
     max_td, tested, skipped = 0.0, 0, 0
     for size in range(1, p.k):
         for subset in itertools.combinations(retained, size):
-            if p.q ** (p.m * size) > cfg.cap_dim:
+            try:
+                report = secrecy_check(p, subset, pairs, cfg.cap_dim, cfg.cap_branches)
+            except DimensionCapError:  # raised before any deal
                 skipped += 1
                 continue
-            report = secrecy_check(p, subset, pairs, cfg.cap_dim, cfg.cap_branches)
             tested += 1
             max_td = max(max_td, report.max_trace_distance)
             if not report.passed:
                 rec.fail(f"subset {subset}: trace distance {report.max_trace_distance} above 1e-10")
+    if skipped:
+        rec.metrics["subsets_over_dim_cap"] = skipped
     return max_td, tested, skipped
 
 
@@ -477,8 +481,6 @@ def _run_secrecy(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     max_td, rec.subsets_tested, skipped = _secrecy_sweep(cfg, p, rec, secrets, range(1, p.n + 1))
     rec.secrets_tested = len(secrets)
     rec.max_trace_distance = max_td
-    if skipped:
-        rec.metrics["subsets_over_dim_cap"] = skipped
     if rec.subsets_tested == 0 and skipped:
         rec.status = "cap-exceeded"
         rec.detail = f"all {skipped} subsets exceed the dimension cap {cfg.cap_dim}"
@@ -507,8 +509,6 @@ def _run_mixed(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     rec.subsets_tested = len(secrets) * (math.comb(n_prime, p.k) + math.comb(n_prime, p.d))
     rec.max_trace_distance, _, skipped = _secrecy_sweep(cfg, p, rec, secrets, retained)
     rec.secrets_tested = len(secrets)
-    if skipped:
-        rec.metrics["subsets_over_dim_cap"] = skipped
 
 
 _MODE_RUNNERS = {
@@ -737,7 +737,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             payload = _csv_text(_COST_COLUMNS, rows)
         _write_output(args.out, payload.encode())
         return 0
-    except (ConfigError, ParameterError) as exc:  # both mean the input was invalid
+    except (ConfigError, ParameterError, DimensionCapError) as exc:  # all mean the input was invalid
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,6 +24,7 @@ __all__ = [
     "SingularMatrixError",
     "PrimeField",
     "FieldMatrix",
+    "shear",
     "vandermonde",
 ]
 
@@ -251,6 +252,15 @@ def _row_reduce(rows: np.ndarray, ncols: int, q: int) -> int:
         rows[rank] = pivot_row
         rank += 1
     return rank
+
+
+def shear(coeff: FieldMatrix) -> FieldMatrix:
+    """``[[I, 0], [coeff, I]]``: on sources then targets, it adds ``coeff @
+    sources`` into the targets; its inverse is the shear of ``-coeff``."""
+    t, s = coeff.rows, coeff.cols
+    block = np.eye(s + t, dtype=np.int64)
+    block[s:, :s] = coeff.array
+    return FieldMatrix._wrap(coeff.field, block)
 
 
 def vandermonde(field: PrimeField, nodes: Sequence[int], width: int) -> FieldMatrix:

@@ -17,9 +17,10 @@ procedures undo the encoding:
   re-randomizes the leftover registers so each mirrors the corresponding
   registers of the uncontacted shares.
 
-Every combiner operation is recorded, with its matrix, in a transcript and is
-mechanically confined to the registers the combiner actually received; an
-operation touching anything else raises :class:`CombinerLocalityError`.  The
+Every combiner operation is recorded in a transcript as one invertible
+square matrix over F_q on the registers it names, and is mechanically
+confined to the registers the combiner actually received; an operation
+touching anything else raises :class:`CombinerLocalityError`.  The
 transcript is the session's program: when the session finishes, its ops are
 composed into one invertible matrix over F_q on the received registers and
 applied to the shared state in a single relabeling.  A session is built from
@@ -44,7 +45,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gf import FieldMatrix, PrimeField
+from .gf import FieldMatrix, PrimeField, shear
 from .qsim import (
     DEFAULT_DIM_CAP,
     MATCH_TOL,
@@ -52,6 +53,7 @@ from .qsim import (
     DimensionCapError,
     SparseState,
     _as_labels,
+    _digit_rows,
     _mod_add,
     _mod_matmul,
     trace_distance,
@@ -60,7 +62,6 @@ from .staircase import (
     DEFAULT_BRANCH_CAP,
     EnumerationCapError,
     SchemeParams,
-    ShareLayout,
     generator_matrix,
     scheme_vandermonde,
 )
@@ -86,6 +87,8 @@ __all__ = [
 ]
 
 SECRECY_TOL = MATCH_TOL
+# CPython's default limit on the digits of an int converted to text.
+_MAX_COST_DIGITS = 4300
 
 
 class CombinerLocalityError(RuntimeError):
@@ -108,13 +111,7 @@ class DealtState:
 
     params: SchemeParams
     state: SparseState
-    layout: ShareLayout
     active: frozenset[int]
-
-    def require_active(self, participants: Iterable[int]) -> None:
-        missing = sorted(set(participants) - self.active)
-        if missing:
-            raise ValueError(f"participants {missing} are not part of this scheme view")
 
 
 def basis_secret(p: SchemeParams, digits: Sequence[int]) -> SparseState:
@@ -122,17 +119,6 @@ def basis_secret(p: SchemeParams, digits: Sequence[int]) -> SparseState:
     if len(digits) != p.m:
         raise ValueError(f"secret must have {p.m} digits")
     return SparseState.basis(p.q, digits)
-
-
-def _all_randomness(p: SchemeParams) -> np.ndarray:
-    """All q**(m*(k-1)) randomness rows, last digit fastest."""
-    count = p.branch_count
-    rows = np.zeros((count, p.randomness_len), dtype=np.int64)
-    rem = np.arange(count, dtype=np.int64)
-    for pos in range(p.randomness_len - 1, -1, -1):
-        rows[:, pos] = rem % p.q
-        rem //= p.q
-    return rows
 
 
 @lru_cache(maxsize=2)
@@ -147,7 +133,8 @@ def _deal_tables(p: SchemeParams) -> tuple[np.ndarray, np.ndarray]:
     gen = generator_matrix(p)
     if gen.rank() != gen.cols:
         raise AssertionError(f"generator matrix of {p} is not injective over F_{p.q}")
-    rand_part = _as_labels(_mod_matmul(_all_randomness(p), gen.array[:, p.m :].T, p.q), p.q)
+    randomness = _digit_rows(np.arange(p.branch_count), p.q, p.randomness_len)
+    rand_part = _as_labels(_mod_matmul(randomness, gen.array[:, p.m :].T, p.q), p.q)
     rand_part.setflags(write=False)
     return gen.array[:, : p.m], rand_part
 
@@ -186,7 +173,7 @@ def deal(
         _mod_add(rand_part, (coeff_s @ digits.astype(np.int64)) % p.q, p.q, out=labels[block])
         amps[block] = amp * weight
     state = SparseState._wrap(p.q, labels, amps, is_sorted=False)
-    return DealtState(p, state, p.layout(), frozenset(range(1, p.n + 1)))
+    return DealtState(p, state, frozenset(range(1, p.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +184,22 @@ def deal(
 @dataclass(frozen=True)
 class OpRecord:
     """One combiner operation: what it did, which registers it touched, and
-    its coefficient matrix over F_q.
+    its map, one square matrix over F_q; a program that
+    :meth:`_CombinerSession.finish` accepts has every op's matrix invertible.
 
-    An ``affine`` op maps the target digits x to ``matrix @ x``; a
-    ``controlled-add`` op adds ``matrix @ (source digits)`` into the targets.
+    ``matrix`` maps the digits x of ``sources + targets`` to ``matrix @ x``.
+    The sources only control: their rows of ``matrix`` are the identity, so
+    a controlled add of ``C @ sources`` into the targets is ``[[I, 0], [C, I]]``.
     """
 
-    kind: str  # "affine" | "controlled-add"
     targets: tuple[int, ...]
     sources: tuple[int, ...]
     note: str
     matrix: FieldMatrix
+
+    @property
+    def kind(self) -> str:
+        return "controlled-add" if self.sources else "affine"
 
 
 @dataclass(frozen=True)
@@ -230,8 +222,11 @@ class RecoveryTranscript:
 @dataclass(frozen=True)
 class RecoveryResult:
     state: SparseState
-    secret_registers: tuple[int, ...]
     transcript: RecoveryTranscript
+
+    @property
+    def secret_registers(self) -> tuple[int, ...]:
+        return self.transcript.output_registers
 
 
 class _CombinerSession:
@@ -249,42 +244,42 @@ class _CombinerSession:
         self.allowed = frozenset(self.registers)
         self.ops: list[OpRecord] = []
 
-    def _guard(self, registers: Sequence[int]) -> None:
+    def _record(
+        self, targets: Sequence[int], sources: Sequence[int], note: str, matrix: FieldMatrix
+    ) -> None:
+        registers = list(sources) + list(targets)
         if len(set(registers)) != len(registers):
-            raise ValueError(f"operation names a register twice: {list(registers)}")
+            raise ValueError(f"operation names a register twice: {registers}")
         outside = sorted(set(registers) - self.allowed)
         if outside:
             raise CombinerLocalityError(
                 f"operation touches registers {outside} the combiner never received"
             )
+        if matrix.array.shape != (len(registers),) * 2:
+            raise ValueError(f"a {matrix.array.shape} matrix cannot map {len(registers)} registers")
+        self.ops.append(OpRecord(tuple(targets), tuple(sources), note, matrix))
 
     def affine(self, targets: Sequence[int], matrix: FieldMatrix, note: str) -> None:
-        self._guard(targets)
-        self.ops.append(OpRecord("affine", tuple(targets), (), note, matrix))
+        self._record(targets, (), note, matrix)
 
     def controlled_add(
         self, sources: Sequence[int], targets: Sequence[int], coeff: FieldMatrix, note: str
     ) -> None:
-        self._guard(list(sources) + list(targets))
-        self.ops.append(OpRecord("controlled-add", tuple(targets), tuple(sources), note, coeff))
+        self._record(targets, sources, note, shear(coeff))
 
     def program(self) -> FieldMatrix:
         """The recorded ops composed into one matrix on ``self.registers``.
 
         Row i of the running product gives received register i's digit as a
         combination of the digits the combiner received, so each op acts on
-        the rows of its target registers exactly as it would on label digits.
+        the rows of its registers exactly as it would on label digits.
         """
         q = self.field.q
         pos = {r: i for i, r in enumerate(self.registers)}
         prog = np.eye(len(self.registers), dtype=np.int64)
         for op in self.ops:
-            tgt = [pos[r] for r in op.targets]
-            if op.kind == "affine":
-                prog[tgt] = op.matrix.array @ prog[tgt] % q
-            else:
-                src = prog[[pos[r] for r in op.sources]]
-                prog[tgt] = (prog[tgt] + op.matrix.array @ src) % q
+            rows = [pos[r] for r in op.sources + op.targets]
+            prog[rows] = op.matrix.array @ prog[rows] % q
         return FieldMatrix._wrap(self.field, prog)
 
     def finish(self, state: SparseState, output_registers: Sequence[int]) -> RecoveryResult:
@@ -299,7 +294,7 @@ class _CombinerSession:
             channel_dim=state.q**cost,
             output_registers=tuple(output_registers),
         )
-        return RecoveryResult(state, tuple(output_registers), transcript)
+        return RecoveryResult(state, transcript)
 
 
 def recover_from_d(dealt: DealtState, participants: Iterable[int]) -> RecoveryResult:
@@ -330,7 +325,9 @@ def _run_session(dealt: DealtState, participants: Iterable[int], size: int, what
     chosen = sorted(set(participants))
     if len(chosen) != size:
         raise ValueError(f"need exactly {what}={size} distinct participants, got {len(chosen)}")
-    dealt.require_active(chosen)
+    missing = sorted(set(chosen) - dealt.active)
+    if missing:
+        raise ValueError(f"participants {missing} are not part of this scheme view")
     session, output = build(dealt.params, chosen)
     return session.finish(dealt.state, output)
 
@@ -338,9 +335,8 @@ def _run_session(dealt: DealtState, participants: Iterable[int], size: int, what
 def _d_session(p: SchemeParams, chosen: Sequence[int]) -> tuple[_CombinerSession, Sequence[int]]:
     """The d-share combiner's session on the sorted participants ``chosen``
     (see :func:`recover_from_d`), and the registers left holding the secret."""
-    layout = p.layout()
-    regs = [layout.first_register_of(i) for i in chosen]
-    session = _CombinerSession(p.q, {i: (layout.first_register_of(i),) for i in chosen})
+    regs = [p.registers_of(i)[0] for i in chosen]
+    session = _CombinerSession(p.q, {i: (r,) for i, r in zip(chosen, regs)})
 
     vand = scheme_vandermonde(p)
     block_d = vand.submatrix([i - 1 for i in chosen], None)
@@ -362,9 +358,7 @@ def _d_session(p: SchemeParams, chosen: Sequence[int]) -> tuple[_CombinerSession
             "matching column block",
         )
         src = regs[: p.m] + regs[p.k :]
-        coeff = block_e.submatrix(None, range(p.m)).hstack(
-            block_e.submatrix(None, range(p.k, p.d))
-        )
+        coeff = block_e.submatrix(None, [*range(p.m), *range(p.k, p.d)])
         session.controlled_add(
             src,
             head,
@@ -404,11 +398,9 @@ def recover_from_k(dealt: DealtState, participants: Iterable[int]) -> RecoveryRe
 def _k_session(p: SchemeParams, chosen: Sequence[int]) -> tuple[_CombinerSession, Sequence[int]]:
     """The k-share combiner's session on the sorted participants ``chosen``
     (see :func:`recover_from_k`), and the registers left holding the secret."""
-    layout = p.layout()
-    cols = [tuple(layout.register_of(i, j) for i in chosen) for j in range(p.m)]
-    session = _CombinerSession(
-        p.q, {i: tuple(layout.register_of(i, j) for j in range(p.m)) for i in chosen}
-    )
+    accessed = {i: p.registers_of(i) for i in chosen}
+    cols = list(zip(*accessed.values()))
+    session = _CombinerSession(p.q, accessed)
 
     vand = scheme_vandermonde(p)
     block_k = vand.submatrix([i - 1 for i in chosen], None)
@@ -506,8 +498,7 @@ def secrecy_check(
         raise ValueError(f"subset of {len(members)} is authorized; secrecy applies to <= k-1 = {p.k - 1}")
     if any(not 1 <= i <= p.n for i in members):
         raise ValueError(f"subset {members} not within participants 1..{p.n}")
-    layout = p.layout()
-    regs = [r for i in members for r in layout.registers_of(i)]
+    regs = [r for i in members for r in p.registers_of(i)]
     dim = p.q ** len(regs)
     if dim > dim_cap:
         raise DimensionCapError(
@@ -560,18 +551,19 @@ def convert_to_mixed(dealt: DealtState, n_prime: int) -> DealtState:
     p = dealt.params
     if not p.k <= n_prime <= p.n:
         raise ValueError(f"retained share count must satisfy k <= n' <= 2k-1, got {n_prime}")
-    return DealtState(p, dealt.state, dealt.layout, frozenset(range(1, n_prime + 1)))
+    return DealtState(p, dealt.state, frozenset(range(1, n_prime + 1)))
 
 
 def _int_nth_root(value: int, n: int) -> int:
+    """Largest r with r**n <= value: integer Newton steps down from 1 << ceil(bits/n)."""
     if value < 1:
         raise ValueError("value must be positive")
-    root = round(value ** (1.0 / n))
-    while root > 1 and root**n > value:
-        root -= 1
-    while (root + 1) ** n <= value:
-        root += 1
-    return root
+    root = 1 << -(-value.bit_length() // n)
+    while True:
+        step = ((n - 1) * root + value // root ** (n - 1)) // n
+        if step >= root:
+            return root
+        root = step
 
 
 def lower_bound(secret_dim: int, k: int, d: int) -> int | float:
@@ -611,8 +603,13 @@ def cost_table(p: SchemeParams) -> list[CostRow]:
     Emits the k-share row (m*k qudits, ratio k) and the d-share row (d
     qudits, ratio d/(d-k+1)); a single row when d = k since the procedures
     coincide.  ``optimal`` flags exact equality of the achieved channel
-    dimension with the bound for that participant count.
+    dimension with the bound for that participant count.  Raises
+    :class:`DimensionCapError`, before computing any power, if the largest
+    figure q**(m*k) would have more than ``_MAX_COST_DIGITS`` digits.
     """
+    digits = int(p.m * p.k * np.log10(p.q)) + 1
+    if digits > _MAX_COST_DIGITS:
+        raise DimensionCapError(f"cost figure {p.q}**{p.m * p.k} has {digits} digits, over {_MAX_COST_DIGITS}")
     shapes = [("recover-k", p.k, p.m * p.k)]
     if p.d != p.k:
         shapes.append(("recover-d", p.d, p.d))

@@ -47,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse
 
-from .gf import FieldMatrix, PrimeField, SingularMatrixError, _exact_ints, _residues
+from .gf import FieldMatrix, PrimeField, SingularMatrixError, _exact_ints, _residues, shear
 
 __all__ = [
     "EmptyStateError",
@@ -128,6 +128,16 @@ def _packs(q: int, width: int, n: int) -> bool:
     """
     key_bits = (q**width - 1).bit_length()
     return key_bits <= 53 and key_bits + _index_bits(n) <= 64
+
+
+def _digit_rows(values: np.ndarray, q: int, width: int) -> np.ndarray:
+    """One int64 row per value: its ``width`` base-q digits, most significant first."""
+    rows = np.zeros((len(values), width), dtype=np.int64)
+    rem = values.astype(np.int64)
+    for pos in range(width - 1, -1, -1):
+        rows[:, pos] = rem % q
+        rem //= q
+    return rows
 
 
 def _pack(keys: np.ndarray, start: int, bits: int, out: np.ndarray) -> None:
@@ -371,12 +381,8 @@ class SparseState:
     def apply_controlled_add(
         self, sources: Sequence[int], targets: Sequence[int], coeff
     ) -> SparseState:
-        """Add ``coeff @ source-digits`` into the target digits (mod q).
-
-        Sources and targets must be disjoint; the map is then the affine map
-        ``[[I, 0], [coeff, I]]`` on sources + targets, a bijection on labels
-        for any coefficient matrix, with inverse ``-coeff``.
-        """
+        """Add ``coeff @ source-digits`` into the target digits (mod q): the
+        invertible map ``shear(coeff)`` on disjoint ``sources + targets``."""
         sources = self._check_registers(sources, "source")
         targets = self._check_registers(targets, "target")
         if set(sources) & set(targets):
@@ -387,9 +393,7 @@ class SparseState:
             raise ValueError(
                 f"coefficient shape {c.array.shape} does not map {s} sources to {t} targets"
             )
-        block = np.eye(s + t, dtype=np.int64)
-        block[s:, :s] = c.array
-        return self.apply_affine(sources + targets, FieldMatrix._wrap(c.field, block))
+        return self.apply_affine(sources + targets, shear(c))
 
     def _check_registers(self, regs: Sequence[int], what: str) -> list[int]:
         regs = [int(r) for r in regs]
@@ -723,9 +727,4 @@ def random_state(
     else:
         picks = rng.choice(dim, size=support, replace=False)
     amps = rng.normal(size=support) + 1j * rng.normal(size=support)
-    digits = np.zeros((support, num_registers), dtype=np.int64)
-    rem = picks.astype(np.int64)
-    for pos in range(num_registers - 1, -1, -1):
-        digits[:, pos] = rem % q
-        rem //= q
-    return SparseState(q, digits, amps)
+    return SparseState(q, _digit_rows(picks, q, num_registers), amps)

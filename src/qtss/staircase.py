@@ -1,4 +1,4 @@
-"""Scheme parameters and the staircase codeword layout.
+"""Scheme parameters, share registers and the staircase codeword table.
 
 A scheme is fixed by ``(k, d, q)``: any ``k`` of the ``n = 2k-1``
 participants can recover the secret, any ``d`` (with ``k <= d <= n``) can
@@ -26,7 +26,9 @@ later column.
 Column ``j >= 2`` stacks ``m-1`` zeros, ``v_{j-1}``, and the ``j``-th
 randomness block ``r[(j-1)(k-1) : j(k-1)]``.  Multiplying by the ``n x d``
 Vandermonde matrix on nodes ``1..n`` produces the ``n x m`` codeword table;
-row ``i`` is participant ``i``'s share digits, stored one per qudit register.
+row ``i`` is participant ``i``'s share digits, stored one per qudit register
+in the registers ``(i-1)*m .. i*m - 1`` that
+:meth:`SchemeParams.registers_of` names.
 
 The whole encoding is linear, so it is one generator matrix ``G`` over F_q
 (:func:`generator_matrix`): its ``n*m`` rows are the share digits,
@@ -51,7 +53,6 @@ __all__ = [
     "ParameterError",
     "EnumerationCapError",
     "SchemeParams",
-    "ShareLayout",
     "make_params",
     "scheme_vandermonde",
     "build_message_matrix",
@@ -128,8 +129,12 @@ class SchemeParams:
         """
         return tuple(range(1, self.n + 1))
 
-    def layout(self) -> ShareLayout:
-        return ShareLayout(self)
+    def registers_of(self, participant: int) -> tuple[int, ...]:
+        """Global registers of participant ``i`` (1-based): ``(i-1)*m ..
+        i*m - 1``, register ``j`` holding codeword digit ``(i, j+1)``."""
+        if not 1 <= participant <= self.n:
+            raise IndexError(f"participant {participant} out of range 1..{self.n}")
+        return tuple(range((participant - 1) * self.m, participant * self.m))
 
 
 def make_params(k: int, d: int, q: int) -> SchemeParams:
@@ -141,45 +146,6 @@ def make_params(k: int, d: int, q: int) -> SchemeParams:
 def scheme_vandermonde(p: SchemeParams) -> FieldMatrix:
     """The n x d Vandermonde matrix of the scheme, on nodes 1..n."""
     return vandermonde(p.field, p.nodes, p.d)
-
-
-@dataclass(frozen=True)
-class ShareLayout:
-    """Maps participants (1-based) to global qudit register indices.
-
-    Participant ``i`` owns registers ``(i-1)*m .. i*m - 1``; register ``j``
-    (0-based) of participant ``i`` holds codeword digit ``(i, j+1)``.
-    """
-
-    params: SchemeParams
-
-    @property
-    def total_registers(self) -> int:
-        return self.params.n * self.params.m
-
-    def registers_of(self, participant: int) -> tuple[int, ...]:
-        self._check(participant)
-        m = self.params.m
-        return tuple(range((participant - 1) * m, participant * m))
-
-    def register_of(self, participant: int, col: int) -> int:
-        """Global register holding participant's 0-based codeword column ``col``."""
-        self._check(participant)
-        if not 0 <= col < self.params.m:
-            raise IndexError(f"column {col} out of range for m={self.params.m}")
-        return (participant - 1) * self.params.m + col
-
-    def first_register_of(self, participant: int) -> int:
-        return self.register_of(participant, 0)
-
-    def owner_of(self, register: int) -> int:
-        if not 0 <= register < self.total_registers:
-            raise IndexError(f"register {register} out of range")
-        return register // self.params.m + 1
-
-    def _check(self, participant: int) -> None:
-        if not 1 <= participant <= self.params.n:
-            raise IndexError(f"participant {participant} out of range 1..{self.params.n}")
 
 
 def _digits(values: Sequence[int], length: int, what: str, q: int) -> np.ndarray:

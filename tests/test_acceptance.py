@@ -76,10 +76,7 @@ def check_recovery(dealt, secret, subset, mode: str) -> float:
     if mode == "d":
         result = recover_from_d(dealt, subset)
         expected_cost = p.d
-        layout = dealt.layout
-        assert result.transcript.accessed == {
-            i: (layout.first_register_of(i),) for i in subset
-        }
+        assert result.transcript.accessed == {i: p.registers_of(i)[:1] for i in subset}
     else:
         result = recover_from_k(dealt, subset)
         expected_cost = p.m * p.k
@@ -220,7 +217,7 @@ def test_criterion_4_secrecy_of_small_subsets():
     for digits in itertools.product(range(5), repeat=2):
         dealt = deal(basis_secret(p, digits), p)
         for share in (1, 2, 3):
-            rho = dealt.state.partial_trace(dealt.layout.registers_of(share))
+            rho = dealt.state.partial_trace(p.registers_of(share))
             mixed_ok = mixed_ok and bool(np.allclose(rho.matrix, eye25, atol=1e-12))
     elapsed = time.perf_counter() - start
     ok = worst <= TD_TOL and mixed_ok

@@ -1,7 +1,10 @@
 """Config parsing, the run/demo/costs verbs, report formats, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import qtss
 from qtss import cli, protocol
 from qtss.cli import (
     ALL_MODES,
@@ -168,6 +172,12 @@ class TestRun:
         report = run(cfg)
         assert report.records[0].status == "cap-exceeded"
         assert report.overall_pass  # caps are environment limits, not failures
+
+    def test_cost_figure_too_long_is_cap_exceeded(self):
+        report = run(parse_config("params = 80,159,65521\nmodes = costs"))
+        (rec,) = report.records
+        assert rec.status == "cap-exceeded" and report.overall_pass
+        assert rec.detail == "cost figure 65521**6400 has 30825 digits, over 4300"
 
     def test_secrecy_dim_cap(self):
         cfg = parse_config("params = 2,3,5\nmodes = secrecy\nsecrets = random:2\ncap_dim = 4")
@@ -336,6 +346,28 @@ class TestMainEntry:
     def test_costs_verb_invalid(self, capsys):
         assert main(["costs", "3", "4", "5"]) == 2
 
+    @pytest.mark.parametrize(
+        "triple, code",
+        [("6 11 65521", 0), ("29 57 65521", 0), ("30 59 65521", 2), ("80 159 65521", 2)],
+    )
+    def test_costs_of_large_schemes_finish(self, triple, code):
+        # A float root estimate of q**m once hung these for minutes or
+        # overflowed; a figure past 4300 digits (30,59,65521: 4335) cannot
+        # print, so it is a config error.  A subprocess bounds the wait.
+        env = {**os.environ, "PYTHONPATH": str(Path(qtss.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qtss", "costs", *triple.split(), "--format", "json"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code == 0:
+            rows = json.loads(proc.stdout)
+            assert [r["mode"] for r in rows] == ["recover-k", "recover-d"]
+            assert all(r["optimal"] for r in rows)
+        else:
+            assert proc.stdout == "" and proc.stderr.startswith("config error: cost figure")
+
     def test_repeated_key_is_config_error(self, tmp_path, capsys):
         # Keys compare case-insensitively: SEED on line 4 repeats seed on line 2.
         cfg = tmp_path / "twice.cfg"
@@ -401,6 +433,14 @@ class TestMainEntry:
         assert main(["demo", "--secret", "superposition"]) == 0
         out = capsys.readouterr().out
         assert out.count("fidelity = 1.0000000000") == 2
+
+    @pytest.mark.parametrize("secret", ["10", "superposition"])
+    def test_demo_output_is_golden(self, capsys, secret):
+        # The whole walkthrough, byte for byte: dealt branches, every op's
+        # kind, registers and note, and the recovery figures.
+        assert main(["demo", "--secret", secret]) == 0
+        golden = Path(__file__).parent / "golden" / f"demo_{secret}.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_demo_zero_secret_shows_zero_codeword(self, capsys):
         assert main(["demo", "--secret", "00"]) == 0

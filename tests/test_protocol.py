@@ -196,11 +196,9 @@ class TestRecoverFromD:
     def test_accesses_only_first_qudits(self):
         dealt = deal(basis_secret(P347, (1, 2)), P347)
         result = recover_from_d(dealt, [1, 2, 4, 5])
-        layout = dealt.layout
-        assert result.transcript.accessed == {
-            i: (layout.first_register_of(i),) for i in (1, 2, 4, 5)
-        }
-        allowed = {layout.first_register_of(i) for i in (1, 2, 4, 5)}
+        first = {i: P347.registers_of(i)[0] for i in (1, 2, 4, 5)}
+        assert result.transcript.accessed == {i: (r,) for i, r in first.items()}
+        allowed = set(first.values())
         for op in result.transcript.operations:
             assert set(op.targets) | set(op.sources) <= allowed
 
@@ -284,6 +282,8 @@ class TestProgramsWithoutState:
         # generator and P a session's program on its received registers, P
         # must be invertible and the output rows of P @ G[received] must be
         # [I_m | 0]: the secret digits come out with no randomness mixed in.
+        # Every op is one invertible square matrix on sources + targets whose
+        # source rows are the identity: sources only control.
         p = make_params(6, 9, 13)
         g = protocol.generator_matrix(p).array
         exact = np.eye(p.m, p.m + p.randomness_len, dtype=np.int64)
@@ -292,6 +292,11 @@ class TestProgramsWithoutState:
             subsets = list(itertools.combinations(range(1, p.n + 1), size))
             for subset in subsets:
                 session, output = build(p, subset)
+                for op in session.ops:
+                    side, s = len(op.sources) + len(op.targets), len(op.sources)
+                    assert op.matrix.array.shape == (side, side), op.note
+                    assert op.matrix.rank() == side, op.note
+                    assert np.array_equal(op.matrix.array[:s], np.eye(s, side, dtype=np.int64))
                 prog = session.program()
                 assert prog.rank() == prog.rows == len(session.registers)
                 out = prog.array @ g[session.registers] % p.q
@@ -322,10 +327,7 @@ def replay(dealt, transcript) -> SparseState:
     """Run a transcript op by op with the simulator's own relabelings."""
     state = dealt.state
     for op in transcript.operations:
-        if op.kind == "affine":
-            state = state.apply_affine(op.targets, op.matrix)
-        else:
-            state = state.apply_controlled_add(op.sources, op.targets, op.matrix)
+        state = state.apply_affine(op.sources + op.targets, op.matrix)
     return state
 
 
@@ -333,10 +335,7 @@ def rerun(dealt, result, ops) -> SparseState:
     """Issue the given ops through a fresh session with the same registers."""
     session = _CombinerSession(dealt.params.q, dict(result.transcript.accessed))
     for op in ops:
-        if op.kind == "affine":
-            session.affine(op.targets, op.matrix, op.note)
-        else:
-            session.controlled_add(op.sources, op.targets, op.matrix, op.note)
+        session.affine(op.sources + op.targets, op.matrix, op.note)
     return session.finish(dealt.state, result.secret_registers).state
 
 
@@ -425,7 +424,7 @@ def leak_first_digit(monkeypatch):
     """Patch the dealer so that share 1's first register carries secret digit
     s_0 in the clear and no other register depends on s_0."""
     honest = protocol._deal_tables
-    first = P235.layout().registers_of(1)[0]
+    first = P235.registers_of(1)[0]
 
     def leaky(p):
         coeff_s, rand_part = (t.copy() for t in honest(p))
@@ -464,7 +463,7 @@ class TestSecrecy:
         for digits in ((0, 0), (1, 0), (4, 3)):
             dealt = deal(basis_secret(P235, digits), P235)
             for share in (1, 2, 3):
-                rho = dealt.state.partial_trace(dealt.layout.registers_of(share))
+                rho = dealt.state.partial_trace(dealt.params.registers_of(share))
                 assert np.allclose(
                     rho.matrix, np.eye(25, dtype=complex) / 25, atol=1e-12
                 )
@@ -523,7 +522,7 @@ class TestSecrecy:
         # The superposition pair differs by coherences between secret digits
         # that share the other register's digit, so the distance goes through
         # one eigensolve of the dense difference.
-        regs = list(P235.layout().registers_of(1))
+        regs = list(P235.registers_of(1))
         rho, sigma = (deal(s, P235).state.partial_trace(regs) for s in pairs[1])
         diff = rho.matrix - sigma.matrix
         assert np.count_nonzero(diff - np.diag(np.diag(diff))) > 0
@@ -537,7 +536,7 @@ class TestSecrecy:
         # comparison, with no dense matrix built.
         leak_first_digit(monkeypatch)
         pairs = default_secret_pairs(P235)[:1]
-        regs = list(P235.layout().registers_of(1))
+        regs = list(P235.registers_of(1))
         rho, sigma = (deal(s, P235).state.partial_trace(regs) for s in pairs[0])
         assert rho.diagonal is not None and sigma.diagonal is not None
         expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)))
@@ -634,6 +633,24 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             lower_bound(25, 3, 2)
 
+    def test_roots_past_float_range_are_exact(self):
+        # 65521**900 overflows a float, and a float estimate of 65521**6 is
+        # off by about 10**12, so the root must be found in integers alone.
+        big = 65521**900
+        assert protocol._int_nth_root(big, 900) == 65521
+        assert protocol._int_nth_root(big - 1, 900) == 65520
+        assert protocol._int_nth_root(big, 1) == big
+        assert protocol._int_nth_root(65521**6 + 1, 1) == 65521**6 + 1
+        assert lower_bound(65521**6, 6, 11) == 65521**11
+
+    def test_int_nth_root_brackets_the_root(self):
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            n = int(rng.integers(1, 40))
+            value = int(rng.integers(1, 2**62)) ** int(rng.integers(1, 30)) + int(rng.integers(0, 3))
+            root = protocol._int_nth_root(value, n)
+            assert root**n <= value < (root + 1) ** n, (value, n)
+
 
 class TestCostTable:
     def test_intro_scheme_rows(self):
@@ -651,6 +668,12 @@ class TestCostTable:
         assert len(rows) == 1
         assert rows[0].qudits == 2
         assert rows[0].qudits_per_secret_qudit == 2.0
+
+    def test_figures_too_long_to_print_are_rejected_first(self, monkeypatch):
+        # (80,159,65521) would need a 30825-digit q**(m*k); no power is taken.
+        monkeypatch.setattr(protocol, "lower_bound", None)
+        with pytest.raises(DimensionCapError, match="30825 digits, over 4300"):
+            cost_table(make_params(80, 159, 65521))
 
     def test_ratio_formula(self):
         rows = cost_table(make_params(4, 6, 11))

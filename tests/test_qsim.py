@@ -486,7 +486,7 @@ class TestPartialTrace:
         # Dealt states put every branch in a group of its own.
         p = make_params(*params)
         st = deal(default_secret_pairs(p)[1][0], p).state
-        regs = [r for i in shares for r in p.layout().registers_of(i)]
+        regs = [r for i in shares for r in p.registers_of(i)]
         assert np.array_equal(st.partial_trace(regs).matrix, reference_partial_trace(st, regs))
 
     @pytest.mark.parametrize(
@@ -497,7 +497,7 @@ class TestPartialTrace:
         # The discarded shares fix every branch of a dealt state, so the
         # reduced state keeps only its diagonal until the dense matrix is read.
         p = make_params(*params)
-        regs = [r for i in shares for r in p.layout().registers_of(i)]
+        regs = [r for i in shares for r in p.registers_of(i)]
         for pair in default_secret_pairs(p):
             for secret in pair:
                 st = deal(secret, p).state
@@ -613,7 +613,7 @@ class TestDistances:
         # The dense side of a dim-2401 pair is a whole eigensolve of seconds,
         # so the (3,4,7) pair subset compares its random pair alone.
         p = make_params(*params)
-        regs = [r for i in shares for r in p.layout().registers_of(i)]
+        regs = [r for i in shares for r in p.registers_of(i)]
         for pair in default_secret_pairs(p)[-pairs:]:
             rho, sigma = (deal(s, p).state.partial_trace(regs) for s in pair)
             assert rho.diagonal is not None and sigma.diagonal is not None

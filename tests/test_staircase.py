@@ -81,19 +81,15 @@ class TestMakeParams:
 class TestShareLayout:
     def test_register_blocks(self):
         p = make_params(2, 3, 5)
-        lay = p.layout()
-        assert lay.total_registers == 6
-        assert lay.registers_of(1) == (0, 1)
-        assert lay.registers_of(3) == (4, 5)
-        assert lay.first_register_of(2) == 2
-        assert lay.owner_of(5) == 3
+        assert p.registers_of(1) == (0, 1)
+        assert p.registers_of(2) == (2, 3)
+        assert p.registers_of(3) == (4, 5)
 
     def test_out_of_range(self):
-        lay = make_params(2, 3, 5).layout()
-        with pytest.raises(IndexError):
-            lay.registers_of(4)
-        with pytest.raises(IndexError):
-            lay.owner_of(6)
+        p = make_params(2, 3, 5)
+        for participant in (0, 4):
+            with pytest.raises(IndexError, match="out of range 1..3"):
+                p.registers_of(participant)
 
 
 class TestMessageMatrix:
