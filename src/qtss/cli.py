@@ -50,7 +50,6 @@ from .protocol import (
     convert_to_mixed,
     cost_table,
     deal,
-    lower_bound,
     recover_from_d,
     recover_from_k,
     secrecy_check,
@@ -488,7 +487,7 @@ def _run_secrecy(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
 
 def _run_costs(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     rows = cost_table(p)
-    rec.metrics["rows"] = [_cost_row_dict(r) for r in rows]
+    rec.metrics["rows"] = [asdict(r) for r in rows]
     d_rows = [r for r in rows if r.mode == "recover-d"] or rows
     rec.qudit_cost = d_rows[0].qudits
     rec.channel_dim = d_rows[0].channel_dim
@@ -553,21 +552,13 @@ def run(cfg: ScenarioConfig) -> RunReport:
 _COST_COLUMNS = ("k", "n", "d", "q", "m", "mode", "qudits", "ratio", "bound_dim", "optimal")
 
 
-def _cost_row_dict(row: CostRow) -> dict:
-    """A cost row's fields in order, ``qudits_per_secret_qudit`` named ``ratio``."""
-    return {
-        "ratio" if f.name == "qudits_per_secret_qudit" else f.name: getattr(row, f.name)
-        for f in fields(row)
-    }
-
-
 def emit_cost_table(param_sets: Sequence[tuple[int, int, int]]) -> list[dict]:
     """One dict of ``_COST_COLUMNS`` per parameter set and recovery mode."""
     rows = []
     for triple in param_sets:
         p = make_params(*triple)
         for r in cost_table(p):
-            row = {**asdict(p), **_cost_row_dict(r)}
+            row = {**asdict(p), **asdict(r)}
             rows.append({c: row[c] for c in _COST_COLUMNS})
     return rows
 
@@ -622,10 +613,10 @@ def demo(secret_spec: str = "10", stream: TextIO | None = None) -> int:
         ok = factor_check(result.state, result.secret_registers, secret)
         w(f"  secret registers: {result.secret_registers}; fidelity = {fid:.10f}")
         w(f"  fully disentangled from the rest: {ok}")
-        bound = lower_bound(p.q**p.m, p.k, t.qudit_cost) if t.qudit_cost >= p.k else None
+        row = _cost_row(p, len(t.accessed))
         w(
             f"  communication: {t.qudit_cost} qudits (channel dimension {t.channel_dim})"
-            + (f"; lower bound {bound} -> optimal" if bound == t.channel_dim else "")
+            + (f"; lower bound {row.bound_dim} -> optimal" if row.optimal else "")
         )
         w()
 

@@ -1,9 +1,10 @@
 """Dealer, combiners, secrecy verifier and communication-cost accounting.
 
-The dealer turns an ``m``-qudit secret into the global shared state: each
-basis component of the secret maps to the uniform superposition, over all
-randomness assignments, of the product of share digit labels.  Two combiner
-procedures undo the encoding:
+The dealer is the staircase generator matrix G over F_q: it turns an
+``m``-qudit secret into the global shared state, each basis component |s>
+mapping to the uniform superposition, over all randomness assignments r, of
+the share digit labels ``G [s; r]``.  Two combiner procedures undo the
+encoding:
 
 * :func:`recover_from_d` contacts ``d`` participants and receives one qudit
   each (the first register of every contacted share).  It inverts the
@@ -27,20 +28,21 @@ applied to the shared state in a single relabeling.  A session is built from
 the parameters and the contacted participants alone, so its program can be
 checked over F_q for schemes whose states are far too large to simulate.
 
-Labels stay distinct by rank facts over F_q, not by scanning: the dealer's
-generator matrix has full column rank m*k (checked once per parameter set),
-and every session's composed matrix is invertible (checked by the
-relabeling on each call).  Both hold at every state size; there is no size
-threshold below which labels are re-sorted or scanned.  Secrecy of
-small participant subsets is checked operationally: reduced density
-matrices of a subset must be identical (zero trace distance) across
-secrets.
+This module builds matrices and never touches labels: the dealer hands the
+generator matrix to :meth:`SparseState.encode`, and a session hands its
+composed matrix to :meth:`SparseState.apply_affine`.  ``qsim`` owns both
+label maps and their rank certificates over F_q (full column rank m*k for
+the generator, checked once per matrix; invertibility for each session's
+program, checked on each call), so labels stay distinct at every state size
+with no scan.  Secrecy of small participant subsets is checked
+operationally: reduced density matrices of a subset must be identical (zero
+trace distance) across secrets.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,10 +54,6 @@ from .qsim import (
     DensityMatrix,
     DimensionCapError,
     SparseState,
-    _as_labels,
-    _digit_rows,
-    _mod_add,
-    _mod_matmul,
     trace_distance,
 )
 from .staircase import (
@@ -121,59 +119,29 @@ def basis_secret(p: SchemeParams, digits: Sequence[int]) -> SparseState:
     return SparseState.basis(p.q, digits)
 
 
-@lru_cache(maxsize=2)
-def _deal_tables(p: SchemeParams) -> tuple[np.ndarray, np.ndarray]:
-    """Secret-independent dealer tables: the secret-column coefficients and
-    the randomness contribution to every codeword label, as label rows.
-
-    Raises AssertionError unless the generator matrix has full column rank
-    m*k over F_q: that rank is what makes distinct (secret, randomness)
-    pairs give distinct labels, so the dealer never checks labels itself.
-    """
-    gen = generator_matrix(p)
-    if gen.rank() != gen.cols:
-        raise AssertionError(f"generator matrix of {p} is not injective over F_{p.q}")
-    randomness = _digit_rows(np.arange(p.branch_count), p.q, p.randomness_len)
-    rand_part = _as_labels(_mod_matmul(randomness, gen.array[:, p.m :].T, p.q), p.q)
-    rand_part.setflags(write=False)
-    return gen.array[:, : p.m], rand_part
-
-
 def deal(
     secret: SparseState, p: SchemeParams, cap_branches: int = DEFAULT_BRANCH_CAP
 ) -> DealtState:
     """Encode an m-qudit secret into the n*m-register shared state.
 
-    Each basis component |s> of the secret becomes the uniform superposition
-    of its q**(m*(k-1)) codeword labels; the extension to superpositions is
-    linear.  The generator matrix has full column rank (checked once per
-    parameter set), so distinct (secret, randomness) pairs yield distinct
-    labels at every size and the total branch count is (secret support) *
-    q**(m*(k-1)).  The labels are returned unsorted.
+    The state is ``secret.encode(generator_matrix(p))``: each basis component
+    |s> of the secret becomes the uniform superposition of its
+    q**(m*(k-1)) codeword labels ``G [s; r]``, and superpositions follow by
+    linearity.  :meth:`SparseState.encode` certifies that G has full column
+    rank, so the total branch count is (secret support) * q**(m*(k-1)); the
+    labels are returned unsorted.  Raises :class:`EnumerationCapError` before
+    any work if that count exceeds ``cap_branches``.
     """
     if secret.q != p.q:
         raise ValueError(f"secret is over F_{secret.q}, scheme over F_{p.q}")
     if secret.num_registers != p.m:
         raise ValueError(f"secret must occupy {p.m} registers, has {secret.num_registers}")
-    per_basis = p.branch_count
-    total = secret.num_branches * per_basis
-    if per_basis > cap_branches or total > cap_branches:
+    total = secret.num_branches * p.branch_count
+    if total > cap_branches:
         raise EnumerationCapError(
             f"dealing would create {total} branches, above the cap of {cap_branches}"
         )
-    coeff_s, rand_part = _deal_tables(p)
-    sec = secret.canonical()
-    # Block i holds basis component i's codewords: the randomness rows
-    # shifted by that component's secret contribution.
-    labels = np.empty((total, rand_part.shape[1]), dtype=rand_part.dtype)
-    amps = np.empty(total, dtype=np.complex128)
-    weight = 1.0 / np.sqrt(per_basis)
-    for lo, digits, amp in zip(range(0, total, per_basis), sec.labels, sec.amps):
-        block = slice(lo, lo + per_basis)
-        _mod_add(rand_part, (coeff_s @ digits.astype(np.int64)) % p.q, p.q, out=labels[block])
-        amps[block] = amp * weight
-    state = SparseState._wrap(p.q, labels, amps, is_sorted=False)
-    return DealtState(p, state, frozenset(range(1, p.n + 1)))
+    return DealtState(p, secret.encode(generator_matrix(p)), frozenset(range(1, p.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +539,8 @@ def lower_bound(secret_dim: int, k: int, d: int) -> int | float:
 
     Evaluates M**(d/(d-k+1)); exact integer when M is a perfect
     (d-k+1)-th power (the staircase schemes have M = q**(d-k+1), giving
-    q**d), a float otherwise.
+    q**d), a float otherwise.  Raises ``ValueError`` when that float would
+    exceed the largest float, ``sys.float_info.max`` (about 1.8e308).
     """
     if not isinstance(secret_dim, int) or secret_dim < 2:
         raise ValueError(f"secret dimension must be an int >= 2, got {secret_dim!r}")
@@ -581,17 +550,24 @@ def lower_bound(secret_dim: int, k: int, d: int) -> int | float:
     root = _int_nth_root(secret_dim, m)
     if root**m == secret_dim:
         return root**d
-    return float(secret_dim) ** (d / m)
+    try:
+        return float(secret_dim) ** (d / m)
+    except OverflowError:
+        raise ValueError(
+            f"lower bound M**({d}/{m}) for a non-perfect-power M exceeds the "
+            f"largest float, {sys.float_info.max!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
 class CostRow:
-    """One recovery mode's communication accounting."""
+    """One recovery mode's communication accounting; ``ratio`` is the
+    qudits sent per secret qudit."""
 
     mode: str
     participants: int
     qudits: int
-    qudits_per_secret_qudit: float
+    ratio: float
     channel_dim: int
     bound_dim: int | float
     optimal: bool

@@ -11,20 +11,21 @@ matrix of basis labels (one row per branch, one column per register) and an
 ``(N,)`` complex vector of amplitudes.  This is a sparse map keyed by label
 rows; labels are packed into base-q integers internally for sorting and
 grouping.  Rows are always unique, at every state size and with no scan
-for collisions: the array constructor merges duplicate rows, the dealer's
-generator matrix has full column rank over F_q (checked once per parameter
-set), and every relabeling matrix is invertible over F_q (checked on each
-call), so each is injective on labels.  Rows are kept lexicographically
-sorted lazily, since the relabeling operations do not care about order.
+for collisions: the array constructor merges duplicate rows, and this module
+owns both label maps, each with its rank certificate over F_q.
+:meth:`SparseState.encode` (the dealer) needs a generator of full column
+rank, checked once per matrix; :meth:`SparseState.apply_affine` needs an
+invertible square map, checked on each call.  The label maps leave rows
+unsorted; the constructor and :meth:`SparseState.canonical` sort them.
 
-Label passes.  The passes over large label arrays -- the dealer's modular
+Label passes.  The passes over large label arrays -- the encoder's modular
 add, the relabeling of ``apply_affine`` and the key pass of ``partial_trace``
 -- work through blocks of ``_CHUNK_ROWS`` rows in one stream, so none builds a
 wide (int32, int64, float or complex) copy of the whole label array.  The key
 pass packs each branch's key and index into one uint64, so one in-place sort
 gives both the branch order and the group boundaries; keys too wide to pack
 are sorted by their label columns.  Canonical order and duplicate merging
-take the same two paths (:func:`_branch_order`).
+use the same key builder with no kept registers (:func:`_branch_keys`).
 
 Reduced states.  ``partial_trace`` groups branches by the digits of the
 discarded registers.  When no group holds two branches, the reduced state is
@@ -42,6 +43,7 @@ sits far below all three.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -184,15 +186,27 @@ def _mod_add(labels: np.ndarray, digits: np.ndarray, q: int, out: np.ndarray) ->
         np.minimum(x, x - modulus, out=out[lo : lo + _CHUNK_ROWS], casting="unsafe")
 
 
-def _sort_keys(labels: np.ndarray, q: int) -> np.ndarray:
-    """What :func:`_branch_order` sorts label rows by: their packed keys where
-    :func:`_packs` allows, the rows themselves otherwise."""
-    n, t = labels.shape
-    if not _packs(q, t, n):
-        return labels
-    packed = np.empty(n, dtype=np.uint64)
-    _pack(labels.astype(np.float64) @ _powers(q, t), 0, _index_bits(n), packed)
-    return packed
+@lru_cache(maxsize=2)
+def _codeword_table(generator: FieldMatrix, t: int) -> np.ndarray:
+    """The randomness part ``G[:, t:] @ r`` of every codeword of G, as
+    read-only label rows, one per r in F_q^e in lexicographic order.
+
+    Raises :class:`SingularMatrixError` unless G has full column rank over
+    F_q: that rank makes distinct (x, r) give distinct codewords, and it is
+    checked once per cached (G, t), with the table.
+    """
+    q = generator.field.q
+    rank = generator.rank()
+    if rank != generator.cols:
+        raise SingularMatrixError(
+            f"generator matrix has rank {rank} over F_{q}, below its "
+            f"{generator.cols} columns; codewords would collide"
+        )
+    e = generator.cols - t
+    randomness = _digit_rows(np.arange(q**e), q, e)
+    table = _as_labels(_mod_matmul(randomness, generator.array[:, t:].T, q), q)
+    table.setflags(write=False)
+    return table
 
 
 def _branch_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +254,7 @@ class SparseState:
     states.
     """
 
-    __slots__ = ("q", "num_registers", "labels", "amps", "_is_sorted")
+    __slots__ = ("q", "num_registers", "labels", "amps")
 
     def __init__(self, q: int, labels, amps) -> None:
         PrimeField(q)  # validates primality / size
@@ -254,20 +268,18 @@ class SparseState:
         self.num_registers = labels.shape[1]
         self.labels = labels
         self.amps = amps
-        self._is_sorted = True
         _freeze(self)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _wrap(cls, q: int, labels: np.ndarray, amps: np.ndarray, is_sorted: bool) -> SparseState:
+    def _wrap(cls, q: int, labels: np.ndarray, amps: np.ndarray) -> SparseState:
         """Internal: wrap arrays known to hold unique labels and unit norm."""
         self = object.__new__(cls)
         self.q = q
         self.num_registers = labels.shape[1]
         self.labels = labels
         self.amps = amps
-        self._is_sorted = is_sorted
         _freeze(self)
         return self
 
@@ -307,10 +319,7 @@ class SparseState:
 
     def canonical(self) -> SparseState:
         """The same state with branches sorted lexicographically by label."""
-        if self._is_sorted:
-            return self
-        order, _ = _branch_order(_sort_keys(self.labels, self.q))
-        return SparseState._wrap(self.q, self.labels[order], self.amps[order], True)
+        return SparseState._wrap(self.q, *_combine(self.labels, self.amps, self.q))
 
     def branch_dict(self) -> dict[tuple[int, ...], complex]:
         return {tuple(int(d) for d in row): complex(a) for row, a in zip(self.labels, self.amps)}
@@ -348,6 +357,33 @@ class SparseState:
 
     # -- evolution --------------------------------------------------------
 
+    def encode(self, generator) -> SparseState:
+        """``sum_x psi(x) q**(-e/2) sum_{r in F_q^e} |G [x; r]>`` on G's rows,
+        for this state on t registers and G over F_q with t + e columns.
+
+        G must have full column rank, else :class:`SingularMatrixError`; that
+        rank certifies the new labels distinct, q**e per component.  Each
+        component's block is the cached randomness table
+        (:func:`_codeword_table`) shifted by that component's codeword, in
+        component order; the labels are not re-sorted.
+        """
+        g = _coerce_matrix(generator, self.q)
+        t = self.num_registers
+        if g.cols < t:
+            raise ValueError(f"generator has {g.cols} columns, fewer than the {t} registers")
+        table = _codeword_table(g, t)
+        per_basis = len(table)
+        total = self.num_branches * per_basis
+        labels = np.empty((total, g.rows), dtype=_LABEL_DTYPE)
+        amps = np.empty(total, dtype=np.complex128)
+        weight = 1.0 / np.sqrt(per_basis)
+        coeff = g.array[:, :t]
+        for lo, digits, amp in zip(range(0, total, per_basis), self.labels, self.amps):
+            block = slice(lo, lo + per_basis)
+            _mod_add(table, (coeff @ digits.astype(np.int64)) % self.q, self.q, out=labels[block])
+            amps[block] = amp * weight
+        return SparseState._wrap(self.q, labels, amps)
+
     def apply_affine(self, targets: Sequence[int], matrix, offset=None) -> SparseState:
         """Relabel the target registers by ``x -> A x + b (mod q)``.
 
@@ -376,7 +412,7 @@ class SparseState:
             rows = new_labels[lo : lo + _CHUNK_ROWS]
             block = _mod_matmul(rows[:, targets], a.array.T, self.q)
             rows[:, targets] = (block + b) % self.q if shift else block
-        return SparseState._wrap(self.q, new_labels, self.amps, False)
+        return SparseState._wrap(self.q, new_labels, self.amps)
 
     def apply_controlled_add(
         self, sources: Sequence[int], targets: Sequence[int], coeff
@@ -429,7 +465,7 @@ class SparseState:
                 f"reduced dimension {self.q}**{len(keep)} = {dim} exceeds the cap {dim_cap}"
             )
         rest = [r for r in range(self.num_registers) if r not in keep]
-        kept_idx, rest_keys, weights = self._trace_keys(keep, rest)
+        kept_idx, rest_keys, weights = _branch_keys(self.labels, self.amps, self.q, keep, rest)
         order, same = _branch_order(rest_keys)
         # A branch shares its group iff it has the key of a sorted neighbour.
         # The split skips its copy of ``order`` when one side is empty, as it
@@ -460,40 +496,41 @@ class SparseState:
         rho[prod.col, prod.row] += half.conj()
         return DensityMatrix(self.q, len(keep), rho)
 
-    def _trace_keys(
-        self, keep: list[int], rest: list[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Kept-block index, discarded-register sort key and ``|amp|**2`` of every branch.
 
-        All three come from one chunked pass over the labels and amplitudes,
-        in branch order; the keys are float dot products (exact below 2**53),
-        and the discarded one is packed with the branch index (:func:`_pack`).
-        Where key and index do not fit 64 bits together (:func:`_packs`), the
-        discarded label columns take the packed key's place, as in
-        :func:`_sort_keys`.
-        """
-        q, n = self.q, self.num_branches
-        packs = _packs(q, len(rest), n)
-        powers = np.zeros((self.num_registers, 2 if packs else 1))
-        powers[keep, 0] = _powers(q, len(keep))
+def _branch_keys(
+    labels: np.ndarray, amps: np.ndarray, q: int, keep: list[int], rest: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kept-block index, discarded-register sort key and ``|amp|**2`` of every branch.
+
+    All three come from one chunked pass over the labels and amplitudes,
+    in branch order; the keys are float dot products (exact below 2**53),
+    and the discarded one is packed with the branch index (:func:`_pack`).
+    Where key and index do not fit 64 bits together (:func:`_packs`), the
+    discarded label columns take the packed key's place.  With no kept
+    registers and all discarded, the key orders whole labels.
+    """
+    n, width = labels.shape
+    packs = _packs(q, len(rest), n)
+    powers = np.zeros((width, 2 if packs else 1))
+    powers[keep, 0] = _powers(q, len(keep))
+    if packs:
+        powers[rest, 1] = _powers(q, len(rest))
+    bits = _index_bits(n)
+    # The kept index is below the dimension of the dense matrix the caller
+    # may allocate, so 32 bits hold it; that is also the index width of the
+    # sparse product.
+    kept_idx = np.empty(n, dtype=np.int32)
+    rest_keys = np.empty(n, dtype=np.uint64) if packs else labels[:, rest]
+    weights = np.empty(n)
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = lo + _CHUNK_ROWS
+        keys = labels[lo:hi].astype(np.float64) @ powers
+        kept_idx[lo:hi] = keys[:, 0]
         if packs:
-            powers[rest, 1] = _powers(q, len(rest))
-        bits = _index_bits(n)
-        # The kept index is below the dimension of the dense matrix the caller
-        # has allocated, so 32 bits hold it; that is also the index width of
-        # the sparse product.
-        kept_idx = np.empty(n, dtype=np.int32)
-        rest_keys = np.empty(n, dtype=np.uint64) if packs else self.labels[:, rest]
-        weights = np.empty(n)
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = lo + _CHUNK_ROWS
-            keys = self.labels[lo:hi].astype(np.float64) @ powers
-            kept_idx[lo:hi] = keys[:, 0]
-            if packs:
-                _pack(keys[:, 1], lo, bits, rest_keys[lo:hi])
-            amps = self.amps[lo:hi]
-            weights[lo:hi] = amps.real**2 + amps.imag**2
-        return kept_idx, rest_keys, weights
+            _pack(keys[:, 1], lo, bits, rest_keys[lo:hi])
+        block = amps[lo:hi]
+        weights[lo:hi] = block.real**2 + block.imag**2
+    return kept_idx, rest_keys, weights
 
 
 def _freeze(state: SparseState) -> None:
@@ -503,9 +540,8 @@ def _freeze(state: SparseState) -> None:
 
 def _combine(labels: np.ndarray, amps: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Sort rows and sum amplitudes of duplicate labels."""
-    if len(labels) == 0:
-        return labels, amps
-    order, dup = _branch_order(_sort_keys(labels, q))
+    _, keys, _ = _branch_keys(labels, amps, q, [], list(range(labels.shape[1])))
+    order, dup = _branch_order(keys)
     labels, amps = labels[order], amps[order]
     if not dup.any():
         return labels, amps
@@ -667,13 +703,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(vals)))
 
 
-def factor_check(
-    state: SparseState,
-    block: Sequence[int],
-    reference: SparseState,
-    tol: float = MATCH_TOL,
-    dim_cap: int = DEFAULT_DIM_CAP,
-) -> bool:
+def factor_check(state: SparseState, block: Sequence[int], reference: SparseState) -> bool:
     """True iff ``state`` factors as ``reference`` on ``block`` times the rest.
 
     Checks that the reduced state on the block has fidelity 1 with the
@@ -686,15 +716,15 @@ def factor_check(
     block = [int(b) for b in block]
     if reference.num_registers != len(block) or reference.q != state.q:
         raise ValueError("reference does not match the block")
-    rho = state.partial_trace(block, dim_cap)
-    if fidelity(rho, reference) < 1.0 - tol:
+    rho = state.partial_trace(block)
+    if fidelity(rho, reference) < 1.0 - MATCH_TOL:
         return False
-    if abs(rho.purity() - 1.0) > tol:
+    if abs(rho.purity() - 1.0) > MATCH_TOL:
         return False
     rest = [r for r in range(state.num_registers) if r not in block]
-    if state.q ** len(rest) <= min(dim_cap, 512):
-        rho_rest = state.partial_trace(rest, dim_cap)
-        if abs(rho_rest.purity() - 1.0) > tol:
+    if state.q ** len(rest) <= min(DEFAULT_DIM_CAP, 512):
+        rho_rest = state.partial_trace(rest)
+        if abs(rho_rest.purity() - 1.0) > MATCH_TOL:
             return False
     return True
 

@@ -47,7 +47,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gf import _MAX_MODULUS, FieldMatrix, PrimeField, _is_prime, _residues, vandermonde
+from .gf import FieldMatrix, PrimeField, _residues, vandermonde
 
 __all__ = [
     "ParameterError",
@@ -98,10 +98,10 @@ class SchemeParams:
         n = 2 * k - 1
         if not k <= d <= n:
             raise ParameterError(f"d must satisfy k <= d <= 2k-1, got k={k}, d={d}")
-        if q >= _MAX_MODULUS:
-            raise ParameterError(f"modulus q={q} exceeds the desk-scale bound {_MAX_MODULUS}")
-        if not _is_prime(q):
-            raise ParameterError(f"modulus q={q} is not prime")
+        try:
+            PrimeField(q)
+        except ValueError as exc:
+            raise ParameterError(str(exc)) from None
         if q <= n:
             raise ParameterError(f"modulus q={q} must exceed the participant count n={n}")
         object.__setattr__(self, "n", n)

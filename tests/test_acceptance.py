@@ -245,7 +245,7 @@ def test_criterion_5_cost_optimality():
         d_row = rows[-1]
         assert d_row.qudits == p.d
         assert Fraction(d_row.qudits, p.m) == Fraction(p.d, p.d - p.k + 1)
-        assert d_row.qudits_per_secret_qudit == pytest.approx(p.d / p.m)
+        assert d_row.ratio == pytest.approx(p.d / p.m)
         assert d_row.optimal
         k_row = rows[0]
         assert k_row.qudits == p.m * p.k

@@ -6,9 +6,11 @@ onto the original secret (fidelity 1, purity 1), with factor_check
 confirming full disentanglement.
 """
 
+import ast
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,13 +120,9 @@ class TestDeal:
             return FieldMatrix(p.field, *coeff.shape, coeff)
 
         monkeypatch.setattr(protocol, "generator_matrix", collapsed)
-        protocol._deal_tables.cache_clear()
-        try:
-            p = make_params(*kdq)
-            with pytest.raises(AssertionError, match="not injective"):
-                deal(basis_secret(p, (0,) * p.m), p)
-        finally:
-            protocol._deal_tables.cache_clear()
+        p = make_params(*kdq)
+        with pytest.raises(SingularMatrixError, match="codewords would collide"):
+            deal(basis_secret(p, (0,) * p.m), p)
 
     def test_large_field_labels_not_wrapped(self):
         # 4 x 32771 branches, digits above 2**15.
@@ -420,20 +418,33 @@ class TestProgram:
         assert fidelity(untouched.partial_trace(result.secret_registers), secret) >= 1.0 - TOL
 
 
+def test_protocol_imports_no_private_qsim_name():
+    # Labels belong to qsim: the protocol hands it matrices through public names.
+    tree = ast.parse(Path(protocol.__file__).read_text())
+    names = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "qsim"
+        for alias in node.names
+    ]
+    assert "SparseState" in names
+    assert [n for n in names if n.startswith("_")] == []
+
+
 def leak_first_digit(monkeypatch):
     """Patch the dealer so that share 1's first register carries secret digit
     s_0 in the clear and no other register depends on s_0."""
-    honest = protocol._deal_tables
+    honest = protocol.generator_matrix
     first = P235.registers_of(1)[0]
 
     def leaky(p):
-        coeff_s, rand_part = (t.copy() for t in honest(p))
-        coeff_s[:, 0] = 0
-        coeff_s[first, 0] = 1
-        rand_part[:, first] = 0
-        return coeff_s, rand_part
+        gen = honest(p).array.copy()
+        gen[:, 0] = 0
+        gen[first, 0] = 1
+        gen[first, p.m :] = 0
+        return FieldMatrix(p.field, *gen.shape, gen)
 
-    monkeypatch.setattr(protocol, "_deal_tables", leaky)
+    monkeypatch.setattr(protocol, "generator_matrix", leaky)
 
 
 class TestSecrecy:
@@ -643,6 +654,13 @@ class TestLowerBound:
         assert protocol._int_nth_root(65521**6 + 1, 1) == 65521**6 + 1
         assert lower_bound(65521**6, 6, 11) == 65521**11
 
+    def test_float_bound_past_float_range_is_a_value_error(self):
+        # 10**400 + 1 does not convert to a float; (10**300 + 1)**1.5 overflows.
+        for secret_dim in (10**400 + 1, 10**300 + 1):
+            with pytest.raises(ValueError, match="exceeds the largest float"):
+                lower_bound(secret_dim, 2, 3)
+        assert isinstance(lower_bound(10, 2, 3), float)
+
     def test_int_nth_root_brackets_the_root(self):
         rng = np.random.default_rng(12)
         for _ in range(2000):
@@ -655,7 +673,7 @@ class TestLowerBound:
 class TestCostTable:
     def test_intro_scheme_rows(self):
         rows = cost_table(P235)
-        assert [(r.mode, r.qudits, r.qudits_per_secret_qudit) for r in rows] == [
+        assert [(r.mode, r.qudits, r.ratio) for r in rows] == [
             ("recover-k", 4, 2.0),
             ("recover-d", 3, 1.5),
         ]
@@ -667,7 +685,7 @@ class TestCostTable:
         rows = cost_table(P225)
         assert len(rows) == 1
         assert rows[0].qudits == 2
-        assert rows[0].qudits_per_secret_qudit == 2.0
+        assert rows[0].ratio == 2.0
 
     def test_figures_too_long_to_print_are_rejected_first(self, monkeypatch):
         # (80,159,65521) would need a 30825-digit q**(m*k); no power is taken.
@@ -678,9 +696,9 @@ class TestCostTable:
     def test_ratio_formula(self):
         rows = cost_table(make_params(4, 6, 11))
         d_row = [r for r in rows if r.mode == "recover-d"][0]
-        assert d_row.qudits_per_secret_qudit == pytest.approx(2.0)  # 6 / 3
+        assert d_row.ratio == pytest.approx(2.0)  # 6 / 3
         k_row = [r for r in rows if r.mode == "recover-k"][0]
-        assert k_row.qudits_per_secret_qudit == pytest.approx(4.0)
+        assert k_row.ratio == pytest.approx(4.0)
         assert k_row.qudits == 12
 
 

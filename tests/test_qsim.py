@@ -384,6 +384,63 @@ class TestControlledAdd:
             st.apply_controlled_add([0], [0, 1], FieldMatrix.zeros(F5, 2, 1))
 
 
+def full_rank_generator(q: int, rows: int, cols: int, seed: int) -> FieldMatrix:
+    """A seeded uniform draw of a rows x cols matrix over F_q, redrawn until
+    it has full column rank."""
+    rng = np.random.default_rng(seed)
+    while True:
+        g = FieldMatrix(PrimeField(q), rows, cols, rng.integers(0, q, size=(rows, cols)))
+        if g.rank() == cols:
+            return g
+
+
+class TestEncode:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        q=hst.sampled_from([5, 11]),
+        t=hst.integers(1, 2),
+        e=hst.integers(0, 2),
+        extra_rows=hst.integers(0, 2),
+        components=hst.integers(1, 3),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_matches_codeword_enumeration(self, q, t, e, extra_rows, components, seed):
+        g = full_rank_generator(q, t + e + extra_rows, t + e, seed)
+        rng = np.random.default_rng(seed + 1)
+        picks = rng.choice(q**t, size=min(components, q**t), replace=False)
+        digits = [tuple(int(p) // q**i % q for i in reversed(range(t))) for p in picks]
+        amps = rng.normal(size=len(digits)) + 1j * rng.normal(size=len(digits))
+        secret = SparseState.from_branches(q, zip(digits, amps))
+        out = secret.encode(g)
+        # Oracle: G [x; r] in Python ints, for every component x and every r.
+        rows = g.row_tuples()
+        expected = {}
+        for x, amp in secret.branch_dict().items():
+            for r in itertools.product(range(q), repeat=e):
+                col = x + r
+                label = tuple(sum(a * b for a, b in zip(row, col)) % q for row in rows)
+                expected[label] = amp / np.sqrt(q**e)
+        assert out.num_registers == g.rows
+        assert out.num_branches == len(expected) == secret.num_branches * q**e
+        got = out.branch_dict()
+        assert got.keys() == expected.keys()
+        assert all(abs(got[k] - expected[k]) <= 1e-15 for k in expected)
+
+    def test_rank_deficient_generator_rejected(self):
+        # Two equal randomness columns: r and r + (1, -1) give one codeword.
+        g = full_rank_generator(5, 5, 3, seed=3).array.copy()
+        g[:, 2] = g[:, 1]
+        with pytest.raises(SingularMatrixError, match="rank 2 over F_5, below its 3 columns"):
+            SparseState.basis(5, (1,)).encode(FieldMatrix(F5, 5, 3, g))
+
+    def test_shape_and_field_checked(self):
+        st = SparseState.basis(5, (1, 2))
+        with pytest.raises(ValueError, match="fewer than the 2 registers"):
+            st.encode(FieldMatrix.identity(F5, 1))
+        with pytest.raises(ValueError, match="over F_7"):
+            st.encode(FieldMatrix.identity(PrimeField(7), 2))
+
+
 class TestPartialTrace:
     def test_keep_all_is_projector(self):
         st = random_state(3, 2, np.random.default_rng(2), support=4)
