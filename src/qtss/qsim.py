@@ -32,6 +32,10 @@ discarded registers.  When no group holds two branches, the reduced state is
 diagonal and the :class:`DensityMatrix` stores only its real diagonal, as
 for every unauthorized subset of a dealt state (the discarded shares fix the
 branch); ``trace_distance`` compares two such states from their diagonals.
+Groups of several branches, as in a recovered state, are summed as dense
+blocks over the kept indices they occupy, so no sparse-matrix library and no
+copy of the whole state's amplitudes is needed; the module imports numpy
+alone.
 
 Tolerances.  Normalization, Hermiticity and trace checks use ``NORM_TOL``
 (1e-12); state/fidelity comparisons use ``MATCH_TOL`` (1e-10); amplitudes
@@ -47,7 +51,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse
 
 from .gf import FieldMatrix, PrimeField, SingularMatrixError, _exact_ints, _residues, shear
 
@@ -81,6 +84,9 @@ DEFAULT_DIM_CAP = 4096
 # what eight 8192-row ones do.
 _CHUNK_ROWS = 1 << 13
 _HERMITIAN_ROWS = 64
+# Amplitudes per dense block of the multi-branch groups in ``partial_trace``
+# (one megabyte of complex128).
+_BLOCK_ENTRIES = 1 << 16
 
 # Unsigned 16 bits hold every digit of every field PrimeField accepts
 # (q < 2**16); no other module names this dtype.
@@ -187,15 +193,18 @@ def _mod_add(labels: np.ndarray, digits: np.ndarray, q: int, out: np.ndarray) ->
 
 
 @lru_cache(maxsize=2)
-def _codeword_table(generator: FieldMatrix, t: int) -> np.ndarray:
+def _codeword_table(q: int, shape: tuple[int, int], entries: bytes, t: int) -> np.ndarray:
     """The randomness part ``G[:, t:] @ r`` of every codeword of G, as
     read-only label rows, one per r in F_q^e in lexicographic order.
 
+    G over F_q is given by its shape and its int64 entries in row-major
+    bytes, so equal matrices share one cache entry however they were built.
     Raises :class:`SingularMatrixError` unless G has full column rank over
     F_q: that rank makes distinct (x, r) give distinct codewords, and it is
     checked once per cached (G, t), with the table.
     """
-    q = generator.field.q
+    array = np.frombuffer(entries, dtype=np.int64).reshape(shape)
+    generator = FieldMatrix._wrap(PrimeField(q), array)
     rank = generator.rank()
     if rank != generator.cols:
         raise SingularMatrixError(
@@ -371,7 +380,8 @@ class SparseState:
         t = self.num_registers
         if g.cols < t:
             raise ValueError(f"generator has {g.cols} columns, fewer than the {t} registers")
-        table = _codeword_table(g, t)
+        entries = g.array.astype(np.int64, copy=False).tobytes()
+        table = _codeword_table(self.q, g.array.shape, entries, t)
         per_basis = len(table)
         total = self.num_branches * per_basis
         labels = np.empty((total, g.rows), dtype=_LABEL_DTYPE)
@@ -404,12 +414,13 @@ class SparseState:
         b = np.zeros(t, dtype=np.int64) if offset is None else _residues(offset, self.q)
         if b.shape != (t,):
             raise ValueError("offset length does not match target registers")
-        # One pass of row blocks over a copy of the labels: each block's target
-        # columns are gathered, mapped and written back while still in cache.
-        new_labels = self.labels.copy()
+        # One pass of row blocks over the labels: each block is copied, and its
+        # target columns mapped and written over the copy while still in cache.
+        new_labels = np.empty_like(self.labels)
         shift = b.any()
         for lo in range(0, len(new_labels), _CHUNK_ROWS):
             rows = new_labels[lo : lo + _CHUNK_ROWS]
+            rows[...] = self.labels[lo : lo + _CHUNK_ROWS]
             block = _mod_matmul(rows[:, targets], a.array.T, self.q)
             rows[:, targets] = (block + b) % self.q if shift else block
         return SparseState._wrap(self.q, new_labels, self.amps)
@@ -448,14 +459,18 @@ class SparseState:
         Groups branches by the digits of the discarded registers; the reduced
         matrix is the sum of one outer product per group.  A group of one
         branch only adds ``|amp|**2`` to a diagonal entry, so singleton groups
-        are summed with one ``bincount`` and only groups of two or more
-        branches go through a sparse product.  Cost is one pass over the
-        labels and amplitudes for both keys and the weights ``|amp|**2``, one
-        in-place sort of the discarded keys packed with the branch index (a
-        ``np.lexsort`` of the discarded columns if the two exceed 64 bits), a
-        gather of the singletons' weights and kept indices in sorted order
-        and, if any group has two branches or more, that product.  If none
-        has, the reduced state is diagonal and is returned as that
+        are summed with one ``bincount``.  Groups of two or more branches are
+        summed densely over the u kept indices they occupy
+        (:func:`_group_outer_sum`), in blocks of groups, at a cost of about
+        ``groups * u**2`` complex multiply-adds.  For the states this program
+        traces (a recovered secret block, the complement of a factored block)
+        every group occupies the same u indices, so u is the group size.
+        Cost is also one pass over the labels and amplitudes for both keys and
+        the weights ``|amp|**2``, one in-place sort of the discarded keys
+        packed with the branch index (a ``np.lexsort`` of the discarded
+        columns if the two exceed 64 bits), and a gather of each branch's
+        weight or amplitude and kept index in sorted order.  If no group has
+        two branches, the reduced state is diagonal and is returned as that
         ``bincount`` alone, with no dense matrix allocated.
         """
         keep = self._check_registers(keep, "kept")
@@ -480,20 +495,11 @@ class SparseState:
             return DensityMatrix._from_diagonal(self.q, len(keep), diagonal)
         rho = np.zeros((dim, dim), dtype=np.complex128)
         rho[np.diag_indices(dim)] = diagonal
-        # One row per multi-branch group; its outer product is the group's
-        # contribution.  The sparse sum P is symmetrized into rho entry by
-        # entry, (P + P^H) / 2, so no second dense matrix exists.
+        # The groups' sum P lives on the kept indices they occupy; it is
+        # symmetrized into rho as (P + P^H) / 2, exactly Hermitian.
         starts = np.flatnonzero(np.concatenate(([True], ~same))[in_multi])
-        spread = scipy.sparse.csr_matrix(
-            (self.amps[multi], kept_idx[multi], np.append(starts, len(multi))),
-            shape=(len(starts), dim),
-            dtype=np.complex128,
-        )
-        prod = (spread.T @ spread.conj(copy=False)).tocoo()
-        prod.sum_duplicates()
-        half = prod.data * 0.5
-        rho[prod.row, prod.col] += half
-        rho[prod.col, prod.row] += half.conj()
+        occupied, prod = _group_outer_sum(self.amps, kept_idx, multi, starts, dim)
+        rho[np.ix_(occupied, occupied)] += (prod + prod.conj().T) * 0.5
         return DensityMatrix(self.q, len(keep), rho)
 
 
@@ -517,8 +523,7 @@ def _branch_keys(
         powers[rest, 1] = _powers(q, len(rest))
     bits = _index_bits(n)
     # The kept index is below the dimension of the dense matrix the caller
-    # may allocate, so 32 bits hold it; that is also the index width of the
-    # sparse product.
+    # may allocate, so 32 bits hold it.
     kept_idx = np.empty(n, dtype=np.int32)
     rest_keys = np.empty(n, dtype=np.uint64) if packs else labels[:, rest]
     weights = np.empty(n)
@@ -531,6 +536,36 @@ def _branch_keys(
         block = amps[lo:hi]
         weights[lo:hi] = block.real**2 + block.imag**2
     return kept_idx, rest_keys, weights
+
+
+def _group_outer_sum(
+    amps: np.ndarray, kept_idx: np.ndarray, multi: np.ndarray, starts: np.ndarray, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The kept indices that the multi-branch groups occupy, and the groups'
+    summed outer products ``sum_g v_g v_g^H`` on those u indices.
+
+    ``multi`` lists the groups' branches in sorted order, each group
+    contiguous from its entry of ``starts``.  The groups fill dense
+    ``(groups x u)`` blocks of at most ``_BLOCK_ENTRIES`` amplitudes, and
+    each block adds ``block.T @ block.conj()`` to the u x u sum.  Labels are
+    unique, so no two branches of a group share a kept index.
+    """
+    kept = kept_idx[multi]
+    occupied = np.flatnonzero(np.bincount(kept, minlength=dim))
+    column = np.empty(dim, dtype=np.intp)
+    column[occupied] = np.arange(len(occupied))
+    u = len(occupied)
+    bounds = np.append(starts, len(multi))
+    step = max(1, _BLOCK_ENTRIES // u)
+    total = np.zeros((u, u), dtype=np.complex128)
+    for g in range(0, len(starts), step):
+        edges = bounds[g : g + step + 1]
+        lo, hi = edges[0], edges[-1]
+        rows = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+        block = np.zeros((len(edges) - 1, u), dtype=np.complex128)
+        block[rows, column[kept[lo:hi]]] = amps[multi[lo:hi]]
+        total += block.T @ block.conj()
+    return occupied, total
 
 
 def _freeze(state: SparseState) -> None:

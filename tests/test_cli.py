@@ -513,3 +513,14 @@ class TestDemoFunction:
         text = buf.getvalue()
         assert "Dealer output: 25 branches" in text
         assert "controlled-add" in text
+
+
+def test_import_loads_numpy_but_no_scipy():
+    # numpy is the one run-time dependency; scipy belongs to the test extra.
+    env = {**os.environ, "PYTHONPATH": str(Path(qtss.__file__).parents[1])}
+    code = "import json, sys, qtss; print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "numpy" in loaded
+    assert not [name for name in loaded if name.startswith("scipy")]

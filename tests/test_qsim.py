@@ -11,7 +11,6 @@ import itertools
 import densities
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -29,7 +28,7 @@ from qtss.qsim import (
     superpose,
     trace_distance,
 )
-from qtss.staircase import make_params
+from qtss.staircase import generator_matrix, make_params
 
 F5 = PrimeField(5)
 Q_WIDE = 2039  # prime with 11-bit digits: five discarded registers need 55 bits
@@ -60,10 +59,9 @@ def dense_partial_trace(state: SparseState, keep) -> np.ndarray:
 
 
 def reference_partial_trace(state: SparseState, keep) -> np.ndarray:
-    """The reduced matrix by the earlier formula, which ``partial_trace`` must
-    reproduce bit for bit: int64 keys, singleton groups summed onto the
-    diagonal by one ``bincount`` in discarded-key order, larger groups through
-    one sparse product symmetrized entry by entry."""
+    """The reduced matrix of a state whose discarded-digit groups are all
+    singletons, by the formula ``partial_trace`` must reproduce bit for bit:
+    int64 keys and one ``bincount`` of ``|amp|**2`` in discarded-key order."""
     q, keep = state.q, [int(r) for r in keep]
     rest = [r for r in range(state.num_registers) if r not in keep]
 
@@ -76,28 +74,12 @@ def reference_partial_trace(state: SparseState, keep) -> np.ndarray:
     kept_idx, rest_keys = key(keep), key(rest)
     dim = q ** len(keep)
     order = np.argsort(rest_keys)
-    sorted_keys = rest_keys[order]
-    same = sorted_keys[1:] == sorted_keys[:-1]
-    in_multi = np.zeros(len(order), dtype=bool)
-    in_multi[1:] = same
-    in_multi[:-1] |= same
-    single, multi = order[~in_multi], order[in_multi]
-    amps = state.amps[single]
+    assert len(np.unique(rest_keys)) == len(rest_keys), "a discarded-digit group has two branches"
+    amps = state.amps[order]
     rho = np.zeros((dim, dim), dtype=np.complex128)
     rho[np.diag_indices(dim)] = np.bincount(
-        kept_idx[single], weights=amps.real**2 + amps.imag**2, minlength=dim
+        kept_idx[order], weights=amps.real**2 + amps.imag**2, minlength=dim
     )
-    if len(multi):
-        starts = np.flatnonzero(np.concatenate(([True], ~same))[in_multi])
-        spread = scipy.sparse.csr_matrix(
-            (state.amps[multi], kept_idx[multi], np.append(starts, len(multi))),
-            shape=(len(starts), dim),
-        )
-        prod = (spread.T @ spread.conj()).tocoo()
-        prod.sum_duplicates()
-        half = prod.data * 0.5
-        rho[prod.row, prod.col] += half
-        rho[prod.col, prod.row] += half.conj()
     return rho
 
 
@@ -433,6 +415,22 @@ class TestEncode:
         with pytest.raises(SingularMatrixError, match="rank 2 over F_5, below its 3 columns"):
             SparseState.basis(5, (1,)).encode(FieldMatrix(F5, 5, 3, g))
 
+    def test_table_cached_by_entries(self):
+        # The same generator as an array, or as another FieldMatrix object,
+        # hits the dealer's cache entry instead of rebuilding and evicting it.
+        p = make_params(2, 3, 5)
+        secret = default_secret_pairs(p)[0][0]
+        qsim._codeword_table.cache_clear()
+        dealt = deal(secret, p).state
+        assert qsim._codeword_table.cache_info().misses == 1
+        g = generator_matrix(p)
+        for generator in (g.array, g.array.tolist(), FieldMatrix(g.field, g.rows, g.cols, g.array)):
+            out = secret.encode(generator)
+            assert np.array_equal(out.labels, dealt.labels)
+        deal(secret, p)
+        info = qsim._codeword_table.cache_info()
+        assert (info.hits, info.misses) == (4, 1)
+
     def test_shape_and_field_checked(self):
         st = SparseState.basis(5, (1, 2))
         with pytest.raises(ValueError, match="fewer than the 2 registers"):
@@ -566,15 +564,37 @@ class TestPartialTrace:
                 assert dense.dtype == np.complex128 and not dense.flags.writeable
                 assert rho.matrix is dense
 
-    def test_recovered_secret_block_bit_identical_to_reference(self):
+    def test_recovered_secret_block_matches_dense_oracle(self):
         # After recovery every discarded-digit group holds one branch per
-        # secret component, so the whole state goes through the sparse product.
+        # secret component, so the whole state goes through the dense blocks.
         p = make_params(3, 4, 7)
         res = recover_from_k(deal(default_secret_pairs(p)[1][1], p), [1, 3, 5])
         regs = list(res.secret_registers)
         rho = res.state.partial_trace(regs).matrix
         assert np.count_nonzero(rho - np.diag(np.diag(rho))) > 0
-        assert np.array_equal(rho, reference_partial_trace(res.state, regs))
+        assert np.abs(rho - dense_partial_trace(res.state, regs)).max() <= 1e-14
+
+    def test_recovered_4_5_11_block_is_the_secret_projector(self):
+        # 1.77 M discarded-digit groups of two branches each: the block sum
+        # must not drift from |s><s| as the group count grows.
+        p = make_params(4, 5, 11)
+        secret = SparseState.from_branches(11, [((1, 2), 0.6), ((7, 3), 0.8j)])
+        res = recover_from_k(deal(secret, p), [1, 2, 3, 4])
+        regs = list(res.secret_registers)
+        rho = res.state.partial_trace(regs).matrix
+        vec = np.zeros(11**2, dtype=np.complex128)
+        vec[[1 * 11 + 2, 7 * 11 + 3]] = secret.amps
+        assert np.abs(rho - np.outer(vec, vec.conj())).max() <= 1e-14
+
+    def test_broad_support_small_groups(self):
+        # About 2000 branches in pairs over 625 kept indices: many groups,
+        # each occupying its own indices, so u is far above the group size.
+        rng = np.random.default_rng(47)
+        keep = [0, 2, 4, 5]
+        st = grouped_state(5, 9, keep, [2] * 1000, rng)
+        rho = st.partial_trace(keep)
+        assert rho.diagonal is None
+        assert np.abs(rho.matrix - dense_partial_trace(st, keep)).max() <= 1e-14
 
     @pytest.mark.parametrize("groups", ["singletons", "multi"])
     @pytest.mark.parametrize("branches, packs", [(4096, True), (4097, False)], ids=["64-bit", "65-bit"])
@@ -592,7 +612,10 @@ class TestPartialTrace:
         assert st.num_branches == branches
         rho = st.partial_trace(keep).matrix
         assert (np.count_nonzero(rho - np.diag(np.diag(rho))) > 0) == (groups == "multi")
-        assert np.array_equal(rho, reference_partial_trace(st, keep))
+        if groups == "multi":
+            assert np.abs(rho - dense_partial_trace(st, keep)).max() <= 1e-14
+        else:
+            assert np.array_equal(rho, reference_partial_trace(st, keep))
 
     def test_dimension_cap(self):
         st = SparseState.basis(7, (0,) * 5)
