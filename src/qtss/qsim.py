@@ -18,30 +18,55 @@ rank, checked once per matrix; :meth:`SparseState.apply_affine` needs an
 invertible square map, checked on each call.  The label maps leave rows
 unsorted; the constructor and :meth:`SparseState.canonical` sort them.
 
-Label passes.  The passes over large label arrays -- the encoder's modular
-add, the relabeling of ``apply_affine`` and the key pass of ``partial_trace``
--- work through blocks of ``_CHUNK_ROWS`` rows in one stream, so none builds a
-wide (int32, int64, float or complex) copy of the whole label array.  The key
-pass packs each branch's key and index into one uint64, so one in-place sort
-gives both the branch order and the group boundaries; keys too wide to pack
-are sorted by their label columns.  Canonical order and duplicate merging
-use the same key builder with no kept registers (:func:`_branch_keys`).
+Label passes.  The passes over large label arrays -- the encoder's codeword
+table and modular add, the relabeling of ``apply_affine`` and the key pass of
+``partial_trace`` -- work through blocks of ``_CHUNK_ROWS`` rows in one
+stream, so none builds a wide (int32, int64, float or complex) copy of the
+whole label array, and none divides integers.  Residues mod q come from
+float BLAS products reduced as ``x - floor(x / q) * q``, which is exact for
+the products' range (:func:`_mod_matmul`).  Each pass costs one read of the
+labels (and amplitudes) and one write of its output:
+
+- the codeword table of a generator: one block per row of its high
+  randomness digits, each the low digits' table plus that row, mod q,
+  written straight into the cached uint16 table;
+- ``encode``: one modular add of the table per secret component;
+- ``apply_affine``: one float product and reduction per block;
+- ``partial_trace``: kept indices, packed discarded keys and the diagonal
+  (:func:`_branch_keys`), then one in-place sort of the packed keys and one
+  streamed comparison of sorted neighbours (:func:`_branch_order`).
+
+The key pass packs each branch's key and index into one uint64, so one
+in-place sort gives both the branch order and the group boundaries; keys too
+wide to pack are sorted by their label columns.  Canonical order and
+duplicate merging use the same key builder with no kept registers and no
+diagonal.
 
 Reduced states.  ``partial_trace`` groups branches by the digits of the
 discarded registers.  When no group holds two branches, the reduced state is
 diagonal and the :class:`DensityMatrix` stores only its real diagonal, as
 for every unauthorized subset of a dealt state (the discarded shares fix the
-branch); ``trace_distance`` compares two such states from their diagonals.
-Groups of several branches, as in a recovered state, are summed as dense
-blocks over the kept indices they occupy, so no sparse-matrix library and no
-copy of the whole state's amplitudes is needed; the module imports numpy
-alone.
+branch); it reads no amplitude or index in sorted order, and
+``trace_distance``, ``trace``, ``purity`` and ``fidelity`` work from the
+diagonal.  Groups of several branches, as in a recovered state, are summed
+as dense blocks over the kept indices they occupy, so no sparse-matrix
+library and no copy of the whole state's amplitudes is needed; the module
+imports numpy alone.
+
+Summation order.  A diagonal entry sums its branches' weights ``|amp|**2``
+in branch order, block by block, split into a coarse part that sums exactly
+and a small remainder (:func:`_branch_keys`), so it lies within about one
+ulp of the correctly rounded sum however many branches it has.  (Summed one
+after another, 7.9 M equal weights drift 2e-10 from 1, and their purity
+twice that, past ``MATCH_TOL``.)  The multi-branch sums are dense products
+in group order.
 
 Tolerances.  Normalization, Hermiticity and trace checks use ``NORM_TOL``
 (1e-12); state/fidelity comparisons use ``MATCH_TOL`` (1e-10); amplitudes
 below ``PRUNE_TOL`` (1e-14) are dropped.  Amplitudes in this problem domain
-are of the form (small integer) / sqrt(branch count), so accumulated error
-sits far below all three.
+are of the form (small integer) / sqrt(branch count), and every sum over
+branches is blocked or split as above, so accumulated error sits far below
+all three.
 """
 
 from __future__ import annotations
@@ -87,6 +112,10 @@ _HERMITIAN_ROWS = 64
 # Amplitudes per dense block of the multi-branch groups in ``partial_trace``
 # (one megabyte of complex128).
 _BLOCK_ENTRIES = 1 << 16
+# The coarse part of each weight ``|amp|**2`` in the streamed diagonal of
+# ``partial_trace`` is an integer multiple of 1 / _WEIGHT_GRID (see
+# _branch_keys).
+_WEIGHT_GRID = 2.0**40
 
 # Unsigned 16 bits hold every digit of every field PrimeField accepts
 # (q < 2**16); no other module names this dtype.
@@ -161,19 +190,27 @@ def _pack(keys: np.ndarray, start: int, bits: int, out: np.ndarray) -> None:
 
 
 def _mod_matmul(rows: np.ndarray, coeff_t: np.ndarray, q: int) -> np.ndarray:
-    """Exact ``(rows @ coeff_t) % q`` for small residues, via float BLAS.
+    """Exact ``(rows @ coeff_t) % q`` for small residues, via float BLAS, as floats.
 
-    Both factors hold residues below q, so every dot product is at most
-    ``t * (q-1)**2``; that always fits a float64 mantissa (q < 2**16,
-    desk-scale register counts) and usually a float32 one, and float matmul
-    goes through BLAS instead of numpy's slow integer fallback.
+    Both factors hold residues below q, so every dot product x is an integer
+    of at most ``t * (q-1)**2``.  Below 2**24 that is exact in float32, and
+    otherwise in float64 (below 2**53 for q < 2**16 at desk-scale register
+    counts).  The reduction ``x - floor(x / q) * q`` is exact too: write
+    ``x = a*q + r`` with ``0 <= r < q``.  The rounded quotient errs by at most
+    ``x / q`` units of 2**-24 (2**-53), which is less than the ``1/q`` between
+    ``x / q`` and ``a + 1``, so its floor is ``a``; and ``a*q <= x`` is exact.
+    Float matmul goes through BLAS instead of numpy's slow integer fallback,
+    and float division vectorizes where integer ``%`` does not.
     """
     bound = rows.shape[1] * (q - 1) ** 2
-    if bound < (1 << 24):
-        prod = (rows.astype(np.float32) @ coeff_t.astype(np.float32)).astype(np.int32)
-    else:
-        prod = (rows.astype(np.float64) @ coeff_t.astype(np.float64)).astype(np.int64)
-    return prod % q
+    ftype = np.float32 if bound < (1 << 24) else np.float64
+    prod = rows.astype(ftype) @ coeff_t.astype(ftype)
+    modulus = ftype(q)
+    quotient = prod / modulus
+    np.floor(quotient, out=quotient)
+    quotient *= modulus
+    prod -= quotient
+    return prod
 
 
 def _mod_add(labels: np.ndarray, digits: np.ndarray, q: int, out: np.ndarray) -> None:
@@ -212,8 +249,21 @@ def _codeword_table(q: int, shape: tuple[int, int], entries: bytes, t: int) -> n
             f"{generator.cols} columns; codewords would collide"
         )
     e = generator.cols - t
-    randomness = _digit_rows(np.arange(q**e), q, e)
-    table = _as_labels(_mod_matmul(randomness, generator.array[:, t:].T, q), q)
+    coeff_t = generator.array[:, t:].T
+    # Each r splits into its high digits and its ``low`` last digits, so its
+    # codeword is the high digits' row plus one row of the low digits' table
+    # (mod q).  The table is written one block per high row, with
+    # ``q**low`` rows per block: at most _CHUNK_ROWS unless q exceeds it.
+    low = min(e, 1)
+    while low < e and q ** (low + 1) <= _CHUNK_ROWS:
+        low += 1
+    split = e - low
+    inner = _mod_matmul(_digit_rows(np.arange(q**low), q, low), coeff_t[split:], q)
+    inner = inner.astype(_LABEL_DTYPE)
+    outer = _mod_matmul(_digit_rows(np.arange(q**split), q, split), coeff_t[:split], q)
+    table = np.empty((q**e, generator.rows), dtype=_LABEL_DTYPE)
+    for lo, row in zip(range(0, len(table), len(inner)), outer):
+        _mod_add(inner, row, q, out=table[lo : lo + len(inner)])
     table.setflags(write=False)
     return table
 
@@ -235,9 +285,16 @@ def _branch_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return order, np.all(rows[1:] == rows[:-1], axis=1)
     keys.sort()
     bits = np.uint64(_index_bits(len(keys)))
-    high = keys >> bits
-    same = high[1:] == high[:-1]
-    keys &= (np.uint64(1) << bits) - np.uint64(1)
+    mask = (np.uint64(1) << bits) - np.uint64(1)
+    same = np.empty(max(len(keys) - 1, 0), dtype=bool)
+    # Block by block: compare each key with the next one (still unmasked,
+    # as the next block masks it), then mask the block down to its index.
+    for lo in range(0, len(same), _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, len(same))
+        high = keys[lo : hi + 1] >> bits
+        np.equal(high[1:], high[:-1], out=same[lo:hi])
+        keys[lo:hi] &= mask
+    keys[len(same) :] &= mask
     return keys.view(np.int64), same
 
 
@@ -457,21 +514,33 @@ class SparseState:
         """Reduced density matrix of the kept registers (in the given order).
 
         Groups branches by the digits of the discarded registers; the reduced
-        matrix is the sum of one outer product per group.  A group of one
-        branch only adds ``|amp|**2`` to a diagonal entry, so singleton groups
-        are summed with one ``bincount``.  Groups of two or more branches are
-        summed densely over the u kept indices they occupy
-        (:func:`_group_outer_sum`), in blocks of groups, at a cost of about
-        ``groups * u**2`` complex multiply-adds.  For the states this program
-        traces (a recovered secret block, the complement of a factored block)
-        every group occupies the same u indices, so u is the group size.
-        Cost is also one pass over the labels and amplitudes for both keys and
-        the weights ``|amp|**2``, one in-place sort of the discarded keys
-        packed with the branch index (a ``np.lexsort`` of the discarded
-        columns if the two exceed 64 bits), and a gather of each branch's
-        weight or amplitude and kept index in sorted order.  If no group has
-        two branches, the reduced state is diagonal and is returned as that
-        ``bincount`` alone, with no dense matrix allocated.
+        matrix is the sum of one outer product per group.  The passes:
+
+        - One streamed pass over the labels and amplitudes, ``_CHUNK_ROWS``
+          rows at a time (:func:`_branch_keys`).  It writes each branch's
+          kept index, in the narrowest unsigned type that holds the
+          dimension, and its discarded key packed with its branch index, and
+          adds each block's ``|amp|**2`` into the diagonal.
+        - One in-place sort of the packed keys (a ``np.lexsort`` of the
+          discarded columns if key and index exceed 64 bits).  A streamed
+          comparison of sorted neighbours then marks the groups.
+
+        If no group holds two branches, as for every unauthorized subset of a
+        dealt state, the reduced state is that diagonal: it is returned with
+        no gather in sorted order and no dense matrix.  Otherwise the branches
+        of the groups of two or more are gathered in sorted order and summed
+        densely over the u kept indices they occupy
+        (:func:`_group_outer_sum`), at about ``groups * u**2`` complex
+        multiply-adds.  For the states this program traces (a recovered
+        secret block, the complement of a factored block) every group
+        occupies the same u indices, so u is the group size.  If every branch
+        lies in such a group, as in a recovered state, that sum is the
+        reduced matrix, diagonal included; otherwise the matrix takes the
+        sum's off-diagonal part and the streamed diagonal.
+
+        Each streamed diagonal entry is summed in branch order, in the two
+        parts described at :func:`_branch_keys`, and lies within about one
+        ulp of the exact sum of its weights however many branches it has.
         """
         keep = self._check_registers(keep, "kept")
         dim = self.q ** len(keep)
@@ -480,62 +549,81 @@ class SparseState:
                 f"reduced dimension {self.q}**{len(keep)} = {dim} exceeds the cap {dim_cap}"
             )
         rest = [r for r in range(self.num_registers) if r not in keep]
-        kept_idx, rest_keys, weights = _branch_keys(self.labels, self.amps, self.q, keep, rest)
+        kept_idx, rest_keys, diagonal = _branch_keys(self.labels, self.q, keep, rest, self.amps)
         order, same = _branch_order(rest_keys)
+        if not same.any():
+            return DensityMatrix._from_diagonal(self.q, len(keep), diagonal)
         # A branch shares its group iff it has the key of a sorted neighbour.
-        # The split skips its copy of ``order`` when one side is empty, as it
-        # is for a dealt state (all singletons) or a recovered one (no singleton).
+        # The split skips its copy of ``order`` when no branch is a singleton,
+        # as in a recovered state.
         in_multi = np.zeros(len(order), dtype=bool)
         in_multi[1:] = same
         in_multi[:-1] |= same
-        single = order[~in_multi] if same.any() else order
-        multi = order[in_multi] if len(single) else order
-        diagonal = np.bincount(kept_idx[single], weights=weights[single], minlength=dim)
-        if not len(multi):
-            return DensityMatrix._from_diagonal(self.q, len(keep), diagonal)
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        rho[np.diag_indices(dim)] = diagonal
+        mixed = not in_multi.all()
+        multi = order[in_multi] if mixed else order
         # The groups' sum P lives on the kept indices they occupy; it is
-        # symmetrized into rho as (P + P^H) / 2, exactly Hermitian.
+        # symmetrized into rho as (P + P^H) / 2, exactly Hermitian.  Its
+        # diagonal sums the groups' own weights, which the streamed diagonal
+        # already holds beside the singletons', so a mixed state keeps that.
         starts = np.flatnonzero(np.concatenate(([True], ~same))[in_multi])
         occupied, prod = _group_outer_sum(self.amps, kept_idx, multi, starts, dim)
-        rho[np.ix_(occupied, occupied)] += (prod + prod.conj().T) * 0.5
+        rho = np.zeros((dim, dim), dtype=np.complex128)
+        rho[np.ix_(occupied, occupied)] = (prod + prod.conj().T) * 0.5
+        if mixed:
+            rho[np.diag_indices(dim)] = diagonal
         return DensityMatrix(self.q, len(keep), rho)
 
 
 def _branch_keys(
-    labels: np.ndarray, amps: np.ndarray, q: int, keep: list[int], rest: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kept-block index, discarded-register sort key and ``|amp|**2`` of every branch.
+    labels: np.ndarray, q: int, keep: list[int], rest: list[int], amps: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Kept-block index and discarded-register sort key of every branch, and
+    the diagonal of the reduced state on the kept registers if ``amps`` is given.
 
-    All three come from one chunked pass over the labels and amplitudes,
-    in branch order; the keys are float dot products (exact below 2**53),
-    and the discarded one is packed with the branch index (:func:`_pack`).
+    All three come from one chunked pass over the labels and amplitudes, in
+    branch order; the keys are float dot products (exact below 2**53), and
+    the discarded one is packed with the branch index (:func:`_pack`).
     Where key and index do not fit 64 bits together (:func:`_packs`), the
     discarded label columns take the packed key's place.  With no kept
     registers and all discarded, the key orders whole labels.
+
+    The diagonal entry of a kept index is the sum of ``|amp|**2`` over its
+    branches, kept in two parts that each block's ``bincount`` adds to in
+    branch order.  Each weight splits exactly into a coarse part, the
+    nearest integer multiple of 2**-40 (counted as that integer), and the
+    remainder, at most 2**-41.  The weights of a normalized state sum to
+    about 1, so every partial sum of the coarse integers stays far below
+    2**53 and is exact in any order.  The remainders' block-by-block sums err
+    by orders of magnitude less than one ulp of 1.  So the diagonal, the
+    coarse sum scaled back plus the remainders' sum, lies within about one
+    ulp of the correctly rounded sum of the weights, whatever their number.
     """
     n, width = labels.shape
+    dim = q ** len(keep)
     packs = _packs(q, len(rest), n)
     powers = np.zeros((width, 2 if packs else 1))
     powers[keep, 0] = _powers(q, len(keep))
     if packs:
         powers[rest, 1] = _powers(q, len(rest))
     bits = _index_bits(n)
-    # The kept index is below the dimension of the dense matrix the caller
-    # may allocate, so 32 bits hold it.
-    kept_idx = np.empty(n, dtype=np.int32)
+    kept_idx = np.empty(n, dtype=np.min_scalar_type(dim - 1))
     rest_keys = np.empty(n, dtype=np.uint64) if packs else labels[:, rest]
-    weights = np.empty(n)
+    sums = None if amps is None else np.zeros((2, dim))
     for lo in range(0, n, _CHUNK_ROWS):
         hi = lo + _CHUNK_ROWS
         keys = labels[lo:hi].astype(np.float64) @ powers
         kept_idx[lo:hi] = keys[:, 0]
         if packs:
             _pack(keys[:, 1], lo, bits, rest_keys[lo:hi])
-        block = amps[lo:hi]
-        weights[lo:hi] = block.real**2 + block.imag**2
-    return kept_idx, rest_keys, weights
+        if sums is not None:
+            block = amps[lo:hi]
+            weights = block.real**2 + block.imag**2
+            coarse = np.rint(weights * _WEIGHT_GRID)
+            weights -= coarse / _WEIGHT_GRID
+            sums[0] += np.bincount(kept_idx[lo:hi], weights=coarse, minlength=dim)
+            sums[1] += np.bincount(kept_idx[lo:hi], weights=weights, minlength=dim)
+    diagonal = None if sums is None else sums[0] / _WEIGHT_GRID + sums[1]
+    return kept_idx, rest_keys, diagonal
 
 
 def _group_outer_sum(
@@ -575,7 +663,7 @@ def _freeze(state: SparseState) -> None:
 
 def _combine(labels: np.ndarray, amps: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Sort rows and sum amplitudes of duplicate labels."""
-    _, keys, _ = _branch_keys(labels, amps, q, [], list(range(labels.shape[1])))
+    _, keys, _ = _branch_keys(labels, q, [], list(range(labels.shape[1])))
     order, dup = _branch_order(keys)
     labels, amps = labels[order], amps[order]
     if not dup.any():
@@ -641,13 +729,14 @@ class DensityMatrix:
     :meth:`SparseState.partial_trace` stores the diagonal form when no group
     of branches sharing the discarded digits has two members, as for every
     unauthorized subset of a dealt state.  ``diagonal`` then holds the
-    weights, and ``matrix`` builds the dense array from them on first use;
-    ``diagonal`` is None for a dense state.  Hermiticity (of a dense state)
-    and unit trace are validated on construction (within ``NORM_TOL``); a
-    diagonal of summed ``|amp|**2`` is real and non-negative by
-    construction.  Positive semidefiniteness is an invariant of every
-    reduction of a normalized state, not checked, to avoid an eigensolve per
-    construction.
+    weights: :meth:`trace`, :meth:`purity` and :func:`fidelity` read it, and
+    ``matrix`` builds the dense array from it only on first use (268 MB at
+    dim 4096).  ``diagonal`` is None for a dense state.  Hermiticity (of a
+    dense state) and unit trace are validated on construction (within
+    ``NORM_TOL``); a diagonal of summed ``|amp|**2`` is real and
+    non-negative by construction.  Positive semidefiniteness is an invariant
+    of every reduction of a normalized state, not checked, to avoid an
+    eigensolve per construction.
     """
 
     __slots__ = ("q", "num_registers", "diagonal", "_matrix")
@@ -694,10 +783,14 @@ class DensityMatrix:
         return self.q**self.num_registers
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        if self.diagonal is not None:
+            return float(np.sum(self.diagonal))
+        return float(np.trace(self._matrix).real)
 
     def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
+        if self.diagonal is not None:
+            return float(np.sum(self.diagonal**2))
+        return float(np.sum(np.abs(self._matrix) ** 2))
 
     def allclose(self, other: DensityMatrix, tol: float = MATCH_TOL) -> bool:
         return (
@@ -711,11 +804,14 @@ class DensityMatrix:
 
 
 def fidelity(rho: DensityMatrix, psi: SparseState) -> float:
-    """``<psi| rho |psi>`` for a pure reference on the same registers."""
+    """``<psi| rho |psi>`` for a pure reference on the same registers; for a
+    diagonal ``rho``, the diagonal weighted by ``|psi|**2``."""
     if psi.q != rho.q or psi.num_registers != rho.num_registers:
         raise ValueError("state and density matrix live on different registers")
-    vec = np.zeros(rho.dim, dtype=np.complex128)
     idx = (psi.labels @ _powers(psi.q, psi.num_registers)).astype(np.int64)
+    if rho.diagonal is not None:
+        return float(np.dot(rho.diagonal[idx], psi.amps.real**2 + psi.amps.imag**2))
+    vec = np.zeros(rho.dim, dtype=np.complex128)
     vec[idx] = psi.amps
     val = np.vdot(vec, rho.matrix @ vec)
     return float(val.real)

@@ -7,6 +7,7 @@ operations are checked for exact norm preservation and round-trip identity.
 """
 
 import itertools
+import math
 
 import densities
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as hst
 
 from qtss import qsim
 from qtss.gf import FieldMatrix, PrimeField, SingularMatrixError
-from qtss.protocol import deal, default_secret_pairs, recover_from_k
+from qtss.protocol import basis_secret, deal, default_secret_pairs, recover_from_k
 from qtss.qsim import (
     DensityMatrix,
     DimensionCapError,
@@ -60,8 +61,8 @@ def dense_partial_trace(state: SparseState, keep) -> np.ndarray:
 
 def reference_partial_trace(state: SparseState, keep) -> np.ndarray:
     """The reduced matrix of a state whose discarded-digit groups are all
-    singletons, by the formula ``partial_trace`` must reproduce bit for bit:
-    int64 keys and one ``bincount`` of ``|amp|**2`` in discarded-key order."""
+    singletons: diagonal, each entry the correctly rounded sum (``math.fsum``)
+    of ``|amp|**2`` over the branches with that kept index."""
     q, keep = state.q, [int(r) for r in keep]
     rest = [r for r in range(state.num_registers) if r not in keep]
 
@@ -73,14 +74,21 @@ def reference_partial_trace(state: SparseState, keep) -> np.ndarray:
 
     kept_idx, rest_keys = key(keep), key(rest)
     dim = q ** len(keep)
-    order = np.argsort(rest_keys)
     assert len(np.unique(rest_keys)) == len(rest_keys), "a discarded-digit group has two branches"
-    amps = state.amps[order]
+    weights = state.amps.real**2 + state.amps.imag**2
+    order = np.argsort(kept_idx, kind="stable")
+    bins = np.split(weights[order], np.flatnonzero(np.diff(kept_idx[order])) + 1)
     rho = np.zeros((dim, dim), dtype=np.complex128)
-    rho[np.diag_indices(dim)] = np.bincount(
-        kept_idx[order], weights=amps.real**2 + amps.imag**2, minlength=dim
-    )
+    rho[np.unique(kept_idx), np.unique(kept_idx)] = [math.fsum(b) for b in bins]
     return rho
+
+
+def assert_diagonal_reference(rho: np.ndarray, reference: np.ndarray, ulps: int = 64) -> None:
+    """``rho`` is diagonal like the reference, each entry within ``ulps``
+    units in the last place of the reference's."""
+    assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0
+    got, want = np.diag(rho).real, np.diag(reference).real
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(want))
 
 
 def grouped_state(
@@ -341,6 +349,51 @@ class TestAffine:
         assert np.array_equal(out.amps, st.amps[order])
 
 
+class TestModMatmul:
+    # The reduction sees only the product x, so one column of values against
+    # a unit coefficient reaches every x up to the bound t * (q-1)**2 of a
+    # t-column product, on the float type that bound selects.  Over F_4093
+    # one column is the float32 edge (bound 16,744,464, just below 2**24) and
+    # two columns are past it.
+    @pytest.mark.parametrize(
+        "q, t", [(2, 1), (2, 14), (11, 1), (11, 14), (53, 1), (53, 14), (4093, 1), (4093, 2)]
+    )
+    def test_every_value_to_the_bound(self, q, t):
+        bound = t * (q - 1) ** 2
+        ftype = np.float32 if bound < 1 << 24 else np.float64
+        assert (ftype == np.float64) == (q == 4093 and t == 2)
+        coeff_t = np.zeros((t, 1), dtype=np.int64)
+        coeff_t[0, 0] = 1
+        step = 1 << 21
+        for lo in range(0, bound + 1, step):
+            x = np.arange(lo, min(lo + step, bound + 1))
+            rows = np.zeros((len(x), t), dtype=np.int64)
+            rows[:, 0] = x
+            got = qsim._mod_matmul(rows, coeff_t, q)
+            assert got.dtype == ftype
+            assert np.array_equal(got[:, 0], x % q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 200),
+        t=hst.integers(1, 24),
+        c=hst.integers(1, 6),
+    )
+    def test_float64_path_at_65521(self, seed, n, t, c):
+        # Half the entries are q - 1, so products reach their bound.
+        q = 65521
+        rng = np.random.default_rng(seed)
+
+        def residues(shape):
+            return np.where(rng.random(shape) < 0.5, q - 1, rng.integers(0, q, shape))
+
+        rows, coeff_t = residues((n, t)), residues((t, c))
+        got = qsim._mod_matmul(rows, coeff_t, q)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, rows @ coeff_t % q)
+
+
 class TestControlledAdd:
     def test_zero_coeff_noop(self):
         st = random_state(3, 3, np.random.default_rng(1), support=5)
@@ -430,6 +483,19 @@ class TestEncode:
         deal(secret, p)
         info = qsim._codeword_table.cache_info()
         assert (info.hits, info.misses) == (4, 1)
+
+    @pytest.mark.parametrize("q, e", [(2, 15), (11, 5), (8209, 1), (5, 0)])
+    def test_table_blocks_match_one_shot(self, q, e):
+        # The table is written one block per row of its high digits; over
+        # these fields it has 4, 121, 1 and 1 blocks (8209 rows exceed a
+        # block on their own).  Every codeword must match the int64 product.
+        t = 1
+        g = full_rank_generator(q, t + e + 1, t + e, seed=q + e)
+        table = qsim._codeword_table(q, g.array.shape, g.array.tobytes(), t)
+        digits = np.array(list(itertools.product(range(q), repeat=e)), dtype=np.int64)
+        expected = digits.reshape(q**e, e) @ g.array[:, t:].T % q
+        assert table.dtype == np.uint16 and not table.flags.writeable
+        assert np.array_equal(table, expected)
 
     def test_shape_and_field_checked(self):
         st = SparseState.basis(5, (1, 2))
@@ -542,7 +608,7 @@ class TestPartialTrace:
         p = make_params(*params)
         st = deal(default_secret_pairs(p)[1][0], p).state
         regs = [r for i in shares for r in p.registers_of(i)]
-        assert np.array_equal(st.partial_trace(regs).matrix, reference_partial_trace(st, regs))
+        assert_diagonal_reference(st.partial_trace(regs).matrix, reference_partial_trace(st, regs))
 
     @pytest.mark.parametrize(
         "params, shares",
@@ -560,7 +626,7 @@ class TestPartialTrace:
                 assert rho.diagonal is not None and rho._matrix is None
                 assert rho.diagonal.dtype == np.float64 and not rho.diagonal.flags.writeable
                 dense = rho.matrix
-                assert np.array_equal(dense, reference_partial_trace(st, regs))
+                assert_diagonal_reference(dense, reference_partial_trace(st, regs))
                 assert dense.dtype == np.complex128 and not dense.flags.writeable
                 assert rho.matrix is dense
 
@@ -585,6 +651,17 @@ class TestPartialTrace:
         vec = np.zeros(11**2, dtype=np.complex128)
         vec[[1 * 11 + 2, 7 * 11 + 3]] = secret.amps
         assert np.abs(rho - np.outer(vec, vec.conj())).max() <= 1e-14
+
+    def test_recovered_4_5_11_basis_block_sums_exactly(self):
+        # 1.77 M groups of one branch, every one on the same kept index: a
+        # bincount that summed their equal weights one after another left
+        # trace and purity 1.7e-11 and 3.4e-11 below 1.
+        p = make_params(4, 5, 11)
+        res = recover_from_k(deal(basis_secret(p, (1, 2)), p), [1, 2, 3, 4])
+        rho = res.state.partial_trace(res.secret_registers)
+        assert rho.diagonal is not None
+        assert abs(rho.trace() - 1.0) <= 1e-13
+        assert abs(rho.purity() - 1.0) <= 1e-13
 
     def test_broad_support_small_groups(self):
         # About 2000 branches in pairs over 625 kept indices: many groups,
@@ -615,7 +692,7 @@ class TestPartialTrace:
         if groups == "multi":
             assert np.abs(rho - dense_partial_trace(st, keep)).max() <= 1e-14
         else:
-            assert np.array_equal(rho, reference_partial_trace(st, keep))
+            assert_diagonal_reference(rho, reference_partial_trace(st, keep))
 
     def test_dimension_cap(self):
         st = SparseState.basis(7, (0,) * 5)
@@ -655,6 +732,21 @@ class TestDensityMatrix:
         nan[pos] = np.nan
         with pytest.raises(ValueError, match="not Hermitian"):
             DensityMatrix(3, 4, nan)
+
+    @pytest.mark.parametrize("params, shares", [((2, 3, 5), [2]), ((3, 4, 7), [1, 2])])
+    def test_diagonal_state_reads_its_diagonal(self, params, shares):
+        # trace, purity and fidelity of a diagonal state build no dense
+        # matrix (268 MB at dim 4096), and agree with the dense path.
+        p = make_params(*params)
+        regs = [r for i in shares for r in p.registers_of(i)]
+        rho = deal(default_secret_pairs(p)[1][0], p).state.partial_trace(regs)
+        psi = random_state(p.q, len(regs), np.random.default_rng(5), support=7)
+        values = (rho.trace(), rho.purity(), fidelity(rho, psi))
+        assert rho._matrix is None
+        dense = DensityMatrix(p.q, len(regs), rho.matrix.copy())
+        assert dense.diagonal is None
+        expected = (dense.trace(), dense.purity(), fidelity(dense, psi))
+        assert values == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_psd_check_on_eigenvalues(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
