@@ -143,6 +143,9 @@ class ScenarioConfig:
         for name in ("cap_branches", "cap_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        paired = [m for m in self.modes if m in ("secrecy", "mixed")]
+        if paired and self.random_count == 1:
+            raise ConfigError(f"modes {paired} compare secrets in pairs; {self.secrets!r} draws one")
 
     @property
     def random_count(self) -> int | None:

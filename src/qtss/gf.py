@@ -188,16 +188,6 @@ class FieldMatrix:
     def __neg__(self) -> FieldMatrix:
         return FieldMatrix._wrap(self.field, -self.array % self.field.q)
 
-    def transpose(self) -> FieldMatrix:
-        return FieldMatrix._wrap(self.field, self.array.T)
-
-    def hstack(self, other: FieldMatrix) -> FieldMatrix:
-        if other.field != self.field:
-            raise ValueError("operands over different fields")
-        if other.rows != self.rows:
-            raise ValueError("row counts differ")
-        return FieldMatrix._wrap(self.field, np.hstack([self.array, other.array]))
-
     def rank(self) -> int:
         """Rank over F_q, by the same elimination as :meth:`inverse`."""
         return _row_reduce(self.array.copy(), self.cols, self.field.q)

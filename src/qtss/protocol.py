@@ -466,6 +466,8 @@ def secrecy_check(
         raise ValueError(f"subset of {len(members)} is authorized; secrecy applies to <= k-1 = {p.k - 1}")
     if any(not 1 <= i <= p.n for i in members):
         raise ValueError(f"subset {members} not within participants 1..{p.n}")
+    if not secret_pairs:
+        raise ValueError("no secret pairs to compare; a check of none would pass vacuously")
     regs = [r for i in members for r in p.registers_of(i)]
     dim = p.q ** len(regs)
     if dim > dim_cap:

@@ -43,23 +43,25 @@ duplicate merging use the same key builder with no kept registers and no
 diagonal.
 
 Reduced states.  ``partial_trace`` groups branches by the digits of the
-discarded registers.  When no group holds two branches, the reduced state is
-diagonal and the :class:`DensityMatrix` stores only its real diagonal, as
-for every unauthorized subset of a dealt state (the discarded shares fix the
-branch); it reads no amplitude or index in sorted order, and
-``trace_distance``, ``trace``, ``purity`` and ``fidelity`` work from the
-diagonal.  Groups of several branches, as in a recovered state, are summed
-as dense blocks over the kept indices they occupy, so no sparse-matrix
-library and no copy of the whole state's amplitudes is needed; the module
-imports numpy alone.
+discarded registers.  A :class:`DensityMatrix` has one form: its exact
+diagonal, and its coherences as a u x u block on the u kept indices that
+carry any.  When no group holds two branches, as for every unauthorized
+subset of a dealt state (the discarded shares fix the branch), the block is
+empty and no amplitude or index is read in sorted order.  Groups of several
+branches, as in a recovered state, are summed as dense blocks over the kept
+indices they occupy, so no sparse-matrix library, no dim x dim array and no
+copy of the whole state's amplitudes is needed; the module imports numpy
+alone.  ``trace``, ``purity`` and ``fidelity`` read the diagonal and the
+block, and ``trace_distance`` needs a dense matrix only when a state has
+coherences.
 
-Summation order.  A diagonal entry sums its branches' weights ``|amp|**2``
-in branch order, block by block, split into a coarse part that sums exactly
-and a small remainder (:func:`_branch_keys`), so it lies within about one
-ulp of the correctly rounded sum however many branches it has.  (Summed one
-after another, 7.9 M equal weights drift 2e-10 from 1, and their purity
-twice that, past ``MATCH_TOL``.)  The multi-branch sums are dense products
-in group order.
+Summation order.  Every diagonal entry sums its branches' weights
+``|amp|**2`` in branch order, block by block, split into a coarse part that
+sums exactly and a small remainder (:func:`_branch_keys`), so it lies within
+about one ulp of the correctly rounded sum however many branches it has.
+(Summed one after another, 7.9 M equal weights drift 2e-10 from 1, and
+their purity twice that, past ``MATCH_TOL``.)  The coherences are dense
+products in group order.
 
 Tolerances.  Normalization, Hermiticity and trace checks use ``NORM_TOL``
 (1e-12); state/fidelity comparisons use ``MATCH_TOL`` (1e-10); amplitudes
@@ -525,22 +527,20 @@ class SparseState:
           discarded columns if key and index exceed 64 bits).  A streamed
           comparison of sorted neighbours then marks the groups.
 
-        If no group holds two branches, as for every unauthorized subset of a
-        dealt state, the reduced state is that diagonal: it is returned with
-        no gather in sorted order and no dense matrix.  Otherwise the branches
-        of the groups of two or more are gathered in sorted order and summed
-        densely over the u kept indices they occupy
+        The diagonal is the streamed one in every case: each entry is summed
+        in branch order, in the two parts described at :func:`_branch_keys`,
+        and lies within about one ulp of the exact sum of its weights however
+        many branches it has.  If no group holds two branches, as for every
+        unauthorized subset of a dealt state, that diagonal is the whole
+        reduced state, returned with no gather in sorted order.  Otherwise
+        the branches of the groups of two or more are gathered in sorted
+        order and summed densely over the u kept indices they occupy
         (:func:`_group_outer_sum`), at about ``groups * u**2`` complex
-        multiply-adds.  For the states this program traces (a recovered
+        multiply-adds, and the off-diagonal part of that u x u sum is the
+        state's coherences.  For the states this program traces (a recovered
         secret block, the complement of a factored block) every group
-        occupies the same u indices, so u is the group size.  If every branch
-        lies in such a group, as in a recovered state, that sum is the
-        reduced matrix, diagonal included; otherwise the matrix takes the
-        sum's off-diagonal part and the streamed diagonal.
-
-        Each streamed diagonal entry is summed in branch order, in the two
-        parts described at :func:`_branch_keys`, and lies within about one
-        ulp of the exact sum of its weights however many branches it has.
+        occupies the same u indices, so u is the group size.  No dim x dim
+        array is built.
         """
         keep = self._check_registers(keep, "kept")
         dim = self.q ** len(keep)
@@ -552,26 +552,22 @@ class SparseState:
         kept_idx, rest_keys, diagonal = _branch_keys(self.labels, self.q, keep, rest, self.amps)
         order, same = _branch_order(rest_keys)
         if not same.any():
-            return DensityMatrix._from_diagonal(self.q, len(keep), diagonal)
+            return DensityMatrix._reduced(self.q, len(keep), diagonal)
         # A branch shares its group iff it has the key of a sorted neighbour.
         # The split skips its copy of ``order`` when no branch is a singleton,
         # as in a recovered state.
         in_multi = np.zeros(len(order), dtype=bool)
         in_multi[1:] = same
         in_multi[:-1] |= same
-        mixed = not in_multi.all()
-        multi = order[in_multi] if mixed else order
-        # The groups' sum P lives on the kept indices they occupy; it is
-        # symmetrized into rho as (P + P^H) / 2, exactly Hermitian.  Its
-        # diagonal sums the groups' own weights, which the streamed diagonal
-        # already holds beside the singletons', so a mixed state keeps that.
+        multi = order if in_multi.all() else order[in_multi]
+        # The groups' sum P lives on the kept indices they occupy.  Its
+        # off-diagonal part, symmetrized as (P + P^H) / 2, is exactly
+        # Hermitian; its diagonal repeats weights the streamed diagonal holds.
         starts = np.flatnonzero(np.concatenate(([True], ~same))[in_multi])
         occupied, prod = _group_outer_sum(self.amps, kept_idx, multi, starts, dim)
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        rho[np.ix_(occupied, occupied)] = (prod + prod.conj().T) * 0.5
-        if mixed:
-            rho[np.diag_indices(dim)] = diagonal
-        return DensityMatrix(self.q, len(keep), rho)
+        coherences = (prod + prod.conj().T) * 0.5
+        np.fill_diagonal(coherences, 0.0)
+        return DensityMatrix._reduced(self.q, len(keep), diagonal, occupied, coherences)
 
 
 def _branch_keys(
@@ -722,115 +718,117 @@ def _check_trace(tr: complex, dim: int) -> None:
         raise ValueError(f"density matrix trace {tr} is not 1")
 
 
-class DensityMatrix:
-    """A reduced state on a register subset, as a dense Hermitian matrix or,
-    when it is diagonal, as its real diagonal alone.
+_NO_INDICES = np.empty(0, dtype=np.intp)
+_NO_COHERENCES = np.empty((0, 0), dtype=np.complex128)
 
-    :meth:`SparseState.partial_trace` stores the diagonal form when no group
-    of branches sharing the discarded digits has two members, as for every
-    unauthorized subset of a dealt state.  ``diagonal`` then holds the
-    weights: :meth:`trace`, :meth:`purity` and :func:`fidelity` read it, and
-    ``matrix`` builds the dense array from it only on first use (268 MB at
-    dim 4096).  ``diagonal`` is None for a dense state.  Hermiticity (of a
-    dense state) and unit trace are validated on construction (within
-    ``NORM_TOL``); a diagonal of summed ``|amp|**2`` is real and
-    non-negative by construction.  Positive semidefiniteness is an invariant
-    of every reduction of a normalized state, not checked, to avoid an
-    eigensolve per construction.
+
+class DensityMatrix:
+    """A reduced state on a register subset: its real diagonal, and its
+    coherences among the kept indices that carry any.
+
+    ``diagonal`` holds all ``dim`` weights.  ``occupied`` lists, ascending,
+    the u indices that ``coherences`` lives on, a u x u Hermitian block with
+    zero diagonal; both are empty for a diagonal state, as for every
+    unauthorized subset of a dealt state.  :meth:`SparseState.partial_trace`
+    builds the parts from the groups of branches, with no dense matrix.  The
+    constructor takes a dense matrix, validates Hermiticity and unit trace
+    (within ``NORM_TOL``) and keeps every index occupied.  :meth:`trace`,
+    :meth:`purity` and :func:`fidelity` read the diagonal and the block;
+    ``matrix`` builds the dense array on each read (268 MB at dim 4096).
+    Positive semidefiniteness is an invariant of every reduction of a
+    normalized state, not checked, to avoid an eigensolve per construction.
     """
 
-    __slots__ = ("q", "num_registers", "diagonal", "_matrix")
+    __slots__ = ("q", "num_registers", "diagonal", "occupied", "coherences")
 
     def __init__(self, q: int, num_registers: int, matrix) -> None:
-        matrix = np.asarray(matrix, dtype=np.complex128)
+        matrix = np.array(matrix, dtype=np.complex128)
         dim = q**num_registers
         if matrix.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix for {num_registers} registers of dimension {q}")
         if not _hermitian_within_tol(matrix):
             raise ValueError("density matrix is not Hermitian")
         _check_trace(complex(np.trace(matrix)), dim)
-        self.q = q
-        self.num_registers = num_registers
-        self.diagonal = None
-        self._matrix = matrix
-        matrix.setflags(write=False)
+        diagonal = matrix.diagonal().real.copy()
+        np.fill_diagonal(matrix, 0.0)
+        self._adopt(q, num_registers, diagonal, np.arange(dim), matrix)
 
     @classmethod
-    def _from_diagonal(cls, q: int, num_registers: int, diagonal: np.ndarray) -> DensityMatrix:
-        """Internal: the diagonal state with the given real, non-negative
-        weights, of which only the trace is checked."""
+    def _reduced(
+        cls,
+        q: int,
+        num_registers: int,
+        diagonal: np.ndarray,
+        occupied: np.ndarray = _NO_INDICES,
+        coherences: np.ndarray = _NO_COHERENCES,
+    ) -> DensityMatrix:
+        """Internal: the state with the given real, non-negative diagonal and
+        Hermitian coherences on ``occupied``, of which only the trace is checked."""
         _check_trace(float(np.sum(diagonal)), len(diagonal))
         self = object.__new__(cls)
+        self._adopt(q, num_registers, diagonal, occupied, coherences)
+        return self
+
+    def _adopt(self, q: int, num_registers: int, diagonal, occupied, coherences) -> None:
         self.q = q
         self.num_registers = num_registers
         self.diagonal = diagonal
-        self._matrix = None
-        diagonal.setflags(write=False)
-        return self
+        self.occupied = occupied
+        self.coherences = coherences
+        for part in (diagonal, occupied, coherences):
+            part.setflags(write=False)
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense complex matrix (read-only), built once for a diagonal state."""
-        if self._matrix is None:
-            dense = np.zeros((self.dim, self.dim), dtype=np.complex128)
-            dense[np.diag_indices(self.dim)] = self.diagonal
-            dense.setflags(write=False)
-            self._matrix = dense
-        return self._matrix
+        """The dense complex matrix (read-only), built on each read."""
+        dense = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        dense[np.ix_(self.occupied, self.occupied)] = self.coherences
+        dense[np.diag_indices(self.dim)] = self.diagonal
+        dense.setflags(write=False)
+        return dense
 
     @property
     def dim(self) -> int:
         return self.q**self.num_registers
 
     def trace(self) -> float:
-        if self.diagonal is not None:
-            return float(np.sum(self.diagonal))
-        return float(np.trace(self._matrix).real)
+        return float(np.sum(self.diagonal))
 
     def purity(self) -> float:
-        if self.diagonal is not None:
-            return float(np.sum(self.diagonal**2))
-        return float(np.sum(np.abs(self._matrix) ** 2))
-
-    def allclose(self, other: DensityMatrix, tol: float = MATCH_TOL) -> bool:
-        return (
-            self.q == other.q
-            and self.num_registers == other.num_registers
-            and bool(np.allclose(self.matrix, other.matrix, atol=tol, rtol=0.0))
-        )
+        return float(np.sum(self.diagonal**2) + np.vdot(self.coherences, self.coherences).real)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(q={self.q}, registers={self.num_registers}, dim={self.dim})"
 
 
 def fidelity(rho: DensityMatrix, psi: SparseState) -> float:
-    """``<psi| rho |psi>`` for a pure reference on the same registers; for a
-    diagonal ``rho``, the diagonal weighted by ``|psi|**2``."""
+    """``<psi| rho |psi>`` for a pure reference on the same registers: the
+    diagonal weighted by ``|psi|**2``, plus ``v^H C v`` for the coherences C
+    and psi's amplitudes v on their indices."""
     if psi.q != rho.q or psi.num_registers != rho.num_registers:
         raise ValueError("state and density matrix live on different registers")
     idx = (psi.labels @ _powers(psi.q, psi.num_registers)).astype(np.int64)
-    if rho.diagonal is not None:
-        return float(np.dot(rho.diagonal[idx], psi.amps.real**2 + psi.amps.imag**2))
     vec = np.zeros(rho.dim, dtype=np.complex128)
     vec[idx] = psi.amps
-    val = np.vdot(vec, rho.matrix @ vec)
-    return float(val.real)
+    near = vec[rho.occupied]
+    weights = psi.amps.real**2 + psi.amps.imag**2
+    return float(np.dot(rho.diagonal[idx], weights) + np.vdot(near, rho.coherences @ near).real)
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of the absolute eigenvalues of ``rho - sigma``, exactly.
 
-    Two states stored as diagonals (those of an unauthorized subset, say)
+    Two states with no coherences (those of an unauthorized subset, say)
     differ by a diagonal matrix, whose eigenvalues are its entries: they are
     sorted, as ``eigvalsh`` returns them, and summed with no dense matrix.
     Any other pair gets one ``eigvalsh`` of the dense difference.
     """
     if rho.q != sigma.q or rho.num_registers != sigma.num_registers:
         raise ValueError("density matrices live on different registers")
-    if rho.diagonal is not None and sigma.diagonal is not None:
-        vals = np.sort(rho.diagonal - sigma.diagonal)
-    else:
+    if rho.coherences.size or sigma.coherences.size:
         vals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
+    else:
+        vals = np.sort(rho.diagonal - sigma.diagonal)
     return float(0.5 * np.sum(np.abs(vals)))
 
 

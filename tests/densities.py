@@ -1,8 +1,9 @@
 """Dense density-matrix helpers that only the tests need.
 
 ``qtss.qsim`` reduces sparse states straight to the registers it keeps and
-never needs a spectrum of a whole reduced state, so these two operations on a
-:class:`~qtss.qsim.DensityMatrix` live here, as oracles for the tests.
+never needs a spectrum, a comparison or a dense matrix of a whole reduced
+state, so these operations on a :class:`~qtss.qsim.DensityMatrix` live here,
+as oracles for the tests.
 """
 
 from __future__ import annotations
@@ -12,6 +13,26 @@ from typing import Sequence
 import numpy as np
 
 from qtss.qsim import MATCH_TOL, DensityMatrix
+
+
+def allclose(rho: DensityMatrix, sigma: DensityMatrix, tol: float = MATCH_TOL) -> bool:
+    """Same registers, and dense matrices equal entry by entry within ``tol``."""
+    return (
+        rho.q == sigma.q
+        and rho.num_registers == sigma.num_registers
+        and bool(np.allclose(rho.matrix, sigma.matrix, atol=tol, rtol=0.0))
+    )
+
+
+def forbid_dense(monkeypatch) -> None:
+    """Make building (through the constructor) or reading any dense density
+    matrix fail the test."""
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense density matrix was built")
+
+    monkeypatch.setattr(DensityMatrix, "__init__", dense)
+    monkeypatch.setattr(DensityMatrix, "matrix", property(dense))
 
 
 def eigenvalues(rho: DensityMatrix, psd_tol: float = MATCH_TOL) -> np.ndarray:

@@ -380,7 +380,7 @@ def test_criterion_8_simulator_self_checks():
         inner = sorted(int(x) for x in rng.choice(size, size=inner_size, replace=False))
         via = densities.partial_trace(st.partial_trace(outer), inner)
         direct = st.partial_trace([outer[i] for i in inner])
-        assert via.allclose(direct, tol=1e-10)
+        assert densities.allclose(via, direct, tol=1e-10)
         cases += 1
 
     elapsed = time.perf_counter() - start

@@ -101,6 +101,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="count"):
             parse_config("params = 2,2,5\nsecrets = random:0")
 
+    @pytest.mark.parametrize("modes", ["secrecy", "mixed", "encode, secrecy, mixed"])
+    def test_one_secret_cannot_be_paired(self, modes):
+        # One secret would be compared with itself: a trace distance of 0
+        # that passes even for a dealer that leaks.
+        with pytest.raises(ConfigError, match="compare secrets in pairs; 'random:1' draws one"):
+            parse_config(f"params = 2,3,5\nmodes = {modes}\nsecrets = random:1")
+        assert parse_config(f"params = 2,3,5\nmodes = {modes}\nsecrets = random:2").random_count == 2
+        assert parse_config("params = 2,3,5\nmodes = encode, recover-k\nsecrets = random:1").random_count == 1
+
     def test_bad_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("params = 2,2,5\nnonsense here")
@@ -188,7 +197,7 @@ class TestRun:
         # Every (3,4,7) pair of shares has dimension 2401: secrecy skips its
         # 10 pairs of all 7 shares, mixed the 6 pairs of its 4 retained ones.
         cfg = parse_config(
-            "params = 3,4,7\nmodes = secrecy, mixed\nsecrets = random:1\nseed = 5\ncap_dim = 100"
+            "params = 3,4,7\nmodes = secrecy, mixed\nsecrets = random:2\nseed = 5\ncap_dim = 100"
         )
         secrecy, mixed = run(cfg).records
         assert secrecy.metrics["subsets_over_dim_cap"] == 10
@@ -403,10 +412,11 @@ class TestMainEntry:
             ("", ["--cap-branches", "-3"], "cap_branches must be at least 1"),
             ("modes =", [], "config names no modes"),
             ("modes = , ,", [], "config names no modes"),
+            ("modes = costs, mixed\nsecrets = random:1", [], "modes ['mixed'] compare secrets in pairs"),
         ],
         ids=[
             "seed", "seed-flag", "cap-dim", "cap-dim-flag", "cap-branches",
-            "cap-branches-flag", "modes-empty", "modes-commas",
+            "cap-branches-flag", "modes-empty", "modes-commas", "mixed-one-secret",
         ],
     )
     def test_out_of_range_values_exit_two(self, tmp_path, capsys, line, args, message):

@@ -194,12 +194,9 @@ class TestMatrixAlgebra:
         with pytest.raises(ValueError, match="different fields"):
             FieldMatrix.identity(F5, 2) @ FieldMatrix.identity(F7, 2)
 
-    def test_neg_transpose_hstack(self):
+    def test_neg(self):
         m = FieldMatrix.from_rows(F5, [[1, 2], [3, 4]])
         assert (-m).row_tuples() == ((4, 3), (2, 1))
-        assert m.transpose().row_tuples() == ((1, 3), (2, 4))
-        st = m.hstack(FieldMatrix.identity(F5, 2))
-        assert st.row_tuples() == ((1, 2, 1, 0), (3, 4, 0, 1))
 
     def test_non_square_inverse_rejected(self):
         with pytest.raises(ValueError, match="non-square"):
@@ -212,10 +209,9 @@ class TestMatrixAlgebra:
         big = FieldMatrix(F5, 1, 2, (2**70 + 3, np.uint64(2**64 - 2)))
         assert big.row_tuples() == (((2**70 + 3) % 5, (2**64 - 2) % 5),)
 
-    def test_stored_array_is_read_only_and_shared(self):
+    def test_stored_array_is_read_only(self):
         m = FieldMatrix.from_rows(F5, [[1, 2], [3, 4]])
         assert m.array.dtype == np.int64
-        assert np.shares_memory(m.transpose().array, m.array)  # a view, not a copy
         with pytest.raises(ValueError):
             m.array[0, 0] = 0
 
@@ -242,7 +238,7 @@ class TestRank:
         assert FieldMatrix.zeros(F5, 3, 4).rank() == 0
         assert FieldMatrix.zeros(F5, 0, 3).rank() == 0
         assert vandermonde(F7, (1, 2, 3, 4), 6).rank() == 4
-        assert vandermonde(F7, (1, 2, 3, 4), 6).transpose().rank() == 4
+        assert FieldMatrix._wrap(F7, vandermonde(F7, (1, 2, 3, 4), 6).array.T).rank() == 4
 
     @settings(max_examples=200, deadline=None)
     @given(m=small_matrices())
@@ -264,7 +260,7 @@ class TestRank:
         stacked = FieldMatrix.from_rows(m.field, m.row_tuples() + m.row_tuples())
         if m.rows:
             assert stacked.rank() == m.rank()
-        assert m.transpose().rank() == m.rank()
+        assert FieldMatrix._wrap(m.field, m.array.T).rank() == m.rank()
 
     @settings(max_examples=100, deadline=None)
     @given(m=small_matrices(max_rows=4))

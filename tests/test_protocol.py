@@ -12,6 +12,7 @@ import itertools
 import math
 from pathlib import Path
 
+import densities
 import numpy as np
 import pytest
 
@@ -493,6 +494,15 @@ class TestSecrecy:
         report = secrecy_check(P235, [1], [(a, b), (a, b)])
         assert report.secrets_tested == 2
 
+    def test_no_pairs_rejected(self, monkeypatch):
+        # Zero pairs would report a maximum distance of 0 and pass.  The
+        # subset is validated first, and nothing is dealt.
+        monkeypatch.setattr(protocol, "deal", None)
+        with pytest.raises(ValueError, match="no secret pairs"):
+            secrecy_check(P235, [1], [])
+        with pytest.raises(ValueError, match="authorized"):
+            secrecy_check(P235, [1, 2], [])
+
     def test_each_secret_dealt_once(self, monkeypatch):
         dealt = []
 
@@ -506,19 +516,9 @@ class TestSecrecy:
         assert sorted(dealt) == sorted(map(id, (a, b, c)))
         assert report.secrets_tested == 3 and report.passed
 
-    @staticmethod
-    def forbid_dense(monkeypatch):
-        """Make building or reading any dense density matrix fail the test."""
-
-        def dense(*args, **kwargs):
-            raise AssertionError("a dense density matrix was built")
-
-        monkeypatch.setattr(DensityMatrix, "__init__", dense)
-        monkeypatch.setattr(DensityMatrix, "matrix", property(dense))
-
     def test_pair_subset_builds_no_dense_matrix(self, monkeypatch):
         # (3,4,7) shares {1, 2}: dimension 2401, compared on diagonals alone.
-        self.forbid_dense(monkeypatch)
+        densities.forbid_dense(monkeypatch)
         report = secrecy_check(P347, [1, 2], default_secret_pairs(P347, 7))
         assert report.passed and report.secrets_tested == 4
 
@@ -549,9 +549,9 @@ class TestSecrecy:
         pairs = default_secret_pairs(P235)[:1]
         regs = list(P235.registers_of(1))
         rho, sigma = (deal(s, P235).state.partial_trace(regs) for s in pairs[0])
-        assert rho.diagonal is not None and sigma.diagonal is not None
+        assert rho.coherences.size == 0 and sigma.coherences.size == 0
         expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)))
-        self.forbid_dense(monkeypatch)
+        densities.forbid_dense(monkeypatch)
         report = secrecy_check(P235, [1], pairs)
         assert report.max_trace_distance > 1e-10
         assert report.passed is False
@@ -744,12 +744,12 @@ class TestCleve23Reference:
             st = encode_reference_cleve23(SparseState.basis(3, (s,)))
             for reg in range(3):
                 rho = st.partial_trace([reg])
-                assert rho.allclose(maximally_mixed(3, 1), tol=1e-12)
+                assert densities.allclose(rho, maximally_mixed(3, 1), tol=1e-12)
                 rhos.append(rho)
         sup = encode_reference_cleve23(
             superpose([(SparseState.basis(3, (0,)), 0.6), (SparseState.basis(3, (2,)), 0.8)])
         )
-        assert sup.partial_trace([1]).allclose(maximally_mixed(3, 1), tol=1e-12)
+        assert densities.allclose(sup.partial_trace([1]), maximally_mixed(3, 1), tol=1e-12)
 
     def test_linearity(self):
         a, b = SparseState.basis(3, (0,)), SparseState.basis(3, (1,))

@@ -121,6 +121,14 @@ def grouped_state(
     return SparseState(q, np.array(rows, dtype=np.int64), amps)
 
 
+@pytest.fixture(scope="class")
+def recovered_4_5_11():
+    """A 2-term (4,5,11) secret and its recovery from shares 1 to 4."""
+    p = make_params(4, 5, 11)
+    secret = SparseState.from_branches(11, [((1, 2), 0.6), ((7, 3), 0.8j)])
+    return secret, recover_from_k(deal(secret, p), [1, 2, 3, 4])
+
+
 def random_small_state(rng: np.random.Generator) -> SparseState:
     q = int(rng.choice([2, 3, 5, 7]))
     regs = int(rng.integers(1, 5))
@@ -515,7 +523,7 @@ class TestPartialTrace:
     def test_correlated_pair_maximally_mixed(self):
         st = SparseState.from_branches(5, [((i, i), 1.0) for i in range(5)])
         rho = st.partial_trace([0])
-        assert rho.allclose(DensityMatrix(5, 1, np.eye(5) / 5), tol=1e-12)
+        assert densities.allclose(rho, DensityMatrix(5, 1, np.eye(5) / 5), tol=1e-12)
 
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -546,7 +554,7 @@ class TestPartialTrace:
             inner_pos = sorted(rng.choice(size, size=inner_size, replace=False))
             via = densities.partial_trace(st.partial_trace(outer), inner_pos)
             direct = st.partial_trace([outer[i] for i in inner_pos])
-            assert via.allclose(direct, tol=1e-10)
+            assert densities.allclose(via, direct, tol=1e-10)
 
     def test_schmidt_spectrum_symmetry(self):
         rng = np.random.default_rng(17)
@@ -614,21 +622,22 @@ class TestPartialTrace:
         "params, shares",
         [((2, 3, 5), [1]), ((2, 3, 5), [3]), ((3, 4, 7), [2]), ((3, 4, 7), [1, 2]), ((3, 4, 7), [3, 5])],
     )
-    def test_dealt_unauthorized_subset_stored_as_diagonal(self, params, shares):
+    def test_dealt_unauthorized_subset_stored_as_diagonal(self, params, shares, monkeypatch):
         # The discarded shares fix every branch of a dealt state, so the
-        # reduced state keeps only its diagonal until the dense matrix is read.
+        # reduced state has no coherences and no dense matrix is read.
         p = make_params(*params)
         regs = [r for i in shares for r in p.registers_of(i)]
         for pair in default_secret_pairs(p):
             for secret in pair:
                 st = deal(secret, p).state
-                rho = st.partial_trace(regs)
-                assert rho.diagonal is not None and rho._matrix is None
+                with monkeypatch.context() as patch:
+                    densities.forbid_dense(patch)
+                    rho = st.partial_trace(regs)
+                assert rho.coherences.size == 0
                 assert rho.diagonal.dtype == np.float64 and not rho.diagonal.flags.writeable
                 dense = rho.matrix
                 assert_diagonal_reference(dense, reference_partial_trace(st, regs))
                 assert dense.dtype == np.complex128 and not dense.flags.writeable
-                assert rho.matrix is dense
 
     def test_recovered_secret_block_matches_dense_oracle(self):
         # After recovery every discarded-digit group holds one branch per
@@ -640,17 +649,27 @@ class TestPartialTrace:
         assert np.count_nonzero(rho - np.diag(np.diag(rho))) > 0
         assert np.abs(rho - dense_partial_trace(res.state, regs)).max() <= 1e-14
 
-    def test_recovered_4_5_11_block_is_the_secret_projector(self):
+    def test_recovered_4_5_11_block_is_the_secret_projector(self, recovered_4_5_11):
         # 1.77 M discarded-digit groups of two branches each: the block sum
         # must not drift from |s><s| as the group count grows.
-        p = make_params(4, 5, 11)
-        secret = SparseState.from_branches(11, [((1, 2), 0.6), ((7, 3), 0.8j)])
-        res = recover_from_k(deal(secret, p), [1, 2, 3, 4])
+        secret, res = recovered_4_5_11
         regs = list(res.secret_registers)
         rho = res.state.partial_trace(regs).matrix
         vec = np.zeros(11**2, dtype=np.complex128)
         vec[[1 * 11 + 2, 7 * 11 + 3]] = secret.amps
         assert np.abs(rho - np.outer(vec, vec.conj())).max() <= 1e-14
+
+    def test_recovered_4_5_11_coherences_on_two_indices(self, recovered_4_5_11, monkeypatch):
+        # The secret's two components sit at kept indices 1*11+2 and 7*11+3:
+        # its coherences are one 2 x 2 block, and tracing, fidelity and
+        # purity build no 121 x 121 matrix.
+        secret, res = recovered_4_5_11
+        densities.forbid_dense(monkeypatch)
+        rho = res.state.partial_trace(res.secret_registers)
+        assert rho.occupied.tolist() == [13, 80]
+        assert rho.coherences.shape == (2, 2)
+        assert abs(fidelity(rho, secret) - 1.0) <= 1e-14
+        assert abs(rho.purity() - 1.0) <= 1e-14
 
     def test_recovered_4_5_11_basis_block_sums_exactly(self):
         # 1.77 M groups of one branch, every one on the same kept index: a
@@ -659,7 +678,7 @@ class TestPartialTrace:
         p = make_params(4, 5, 11)
         res = recover_from_k(deal(basis_secret(p, (1, 2)), p), [1, 2, 3, 4])
         rho = res.state.partial_trace(res.secret_registers)
-        assert rho.diagonal is not None
+        assert rho.coherences.size == 0
         assert abs(rho.trace() - 1.0) <= 1e-13
         assert abs(rho.purity() - 1.0) <= 1e-13
 
@@ -670,7 +689,7 @@ class TestPartialTrace:
         keep = [0, 2, 4, 5]
         st = grouped_state(5, 9, keep, [2] * 1000, rng)
         rho = st.partial_trace(keep)
-        assert rho.diagonal is None
+        assert rho.coherences.size
         assert np.abs(rho.matrix - dense_partial_trace(st, keep)).max() <= 1e-14
 
     @pytest.mark.parametrize("groups", ["singletons", "multi"])
@@ -734,17 +753,18 @@ class TestDensityMatrix:
             DensityMatrix(3, 4, nan)
 
     @pytest.mark.parametrize("params, shares", [((2, 3, 5), [2]), ((3, 4, 7), [1, 2])])
-    def test_diagonal_state_reads_its_diagonal(self, params, shares):
-        # trace, purity and fidelity of a diagonal state build no dense
+    def test_diagonal_state_reads_its_diagonal(self, params, shares, monkeypatch):
+        # trace, purity and fidelity of a diagonal state read no dense
         # matrix (268 MB at dim 4096), and agree with the dense path.
         p = make_params(*params)
         regs = [r for i in shares for r in p.registers_of(i)]
         rho = deal(default_secret_pairs(p)[1][0], p).state.partial_trace(regs)
         psi = random_state(p.q, len(regs), np.random.default_rng(5), support=7)
-        values = (rho.trace(), rho.purity(), fidelity(rho, psi))
-        assert rho._matrix is None
+        with monkeypatch.context() as patch:
+            densities.forbid_dense(patch)
+            values = (rho.trace(), rho.purity(), fidelity(rho, psi))
         dense = DensityMatrix(p.q, len(regs), rho.matrix.copy())
-        assert dense.diagonal is None
+        assert dense.coherences.shape == (dense.dim, dense.dim)
         expected = (dense.trace(), dense.purity(), fidelity(dense, psi))
         assert values == pytest.approx(expected, rel=1e-15, abs=0)
 
@@ -788,7 +808,7 @@ class TestDistances:
         regs = [r for i in shares for r in p.registers_of(i)]
         for pair in default_secret_pairs(p)[-pairs:]:
             rho, sigma = (deal(s, p).state.partial_trace(regs) for s in pair)
-            assert rho.diagonal is not None and sigma.diagonal is not None
+            assert rho.coherences.size == 0 and sigma.coherences.size == 0
             dense = [DensityMatrix(p.q, len(regs), x.matrix) for x in (rho, sigma)]
             assert trace_distance(rho, sigma) == trace_distance(*dense)
 
@@ -808,30 +828,34 @@ class TestDistances:
             .partial_trace(keep)
             for _ in range(2)
         )
-        assert rho.diagonal is not None and sigma.diagonal is not None
+        assert rho.coherences.size == 0 and sigma.coherences.size == 0
         dense = [DensityMatrix(q, registers, x.matrix) for x in (rho, sigma)]
         assert trace_distance(rho, sigma) == trace_distance(*dense)
 
-    def test_diagonal_and_dense_pair_takes_dense_path(self):
+    def test_diagonal_and_dense_pair_takes_dense_path(self, monkeypatch):
         rng = np.random.default_rng(43)
         keep = [0, 1]
         singles = grouped_state(5, 4, keep, [1] * 12, rng)
         dense = grouped_state(5, 4, keep, [3, 1, 2], rng).partial_trace(keep)
-        assert dense.diagonal is None
+        assert dense.coherences.size
         copy = DensityMatrix(5, 2, singles.partial_trace(keep).matrix)
+        reads = []
+        build = DensityMatrix.matrix.fget
+        monkeypatch.setattr(DensityMatrix, "matrix", property(lambda rho: reads.append(rho) or build(rho)))
         for swap in (False, True):
+            reads.clear()
             diag = singles.partial_trace(keep)
-            assert diag.diagonal is not None and diag._matrix is None
+            assert diag.coherences.size == 0 and not reads
             pair, expected = ((dense, diag), (dense, copy)) if swap else ((diag, dense), (copy, dense))
             assert trace_distance(*pair) == trace_distance(*expected)
-            assert diag._matrix is not None  # the dense path read the matrix
+            assert any(rho is diag for rho in reads)  # the dense path read the matrix
 
     def test_dense_difference_is_one_eigensolve(self):
         # Multi-branch groups of several sizes make both reduced states dense.
         rng = np.random.default_rng(41)
         keep = [0, 1, 2]
         rho, sigma = (grouped_state(3, 5, keep, [4, 1, 3, 2, 6], rng).partial_trace(keep) for _ in range(2))
-        assert rho.diagonal is None and sigma.diagonal is None
+        assert rho.coherences.size and sigma.coherences.size
         expected = float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix))))
         assert trace_distance(rho, sigma) == expected
 
