@@ -6,13 +6,15 @@ register subset, and additions into a target block controlled on disjoint
 source registers -- so amplitudes are carried around unchanged and the only
 floating-point effect is ordinary rounding in the amplitudes themselves.
 
-Representation.  A state is a pair of parallel arrays: an ``(N, R)`` uint16
-matrix of basis labels (one row per branch, one column per register) and an
-``(N,)`` complex vector of amplitudes.  This is a sparse map keyed by label
-rows; labels are packed into base-q integers internally for sorting and
-grouping.  Rows are always unique, at every state size and with no scan
-for collisions: the array constructor merges duplicate rows, and this module
-owns both label maps, each with its rank certificate over F_q.
+Representation.  A state is a pair of parallel arrays: an ``(N, R)`` matrix
+of basis labels (one row per branch, one column per register), in the
+narrowest unsigned type that holds q - 1 (one byte per digit up to q = 251,
+two bytes above; :func:`_label_dtype`), and an ``(N,)`` complex vector of
+amplitudes.  This is a sparse map keyed by label rows; labels are packed
+into base-q integers internally for sorting and grouping.  Rows are always
+unique, at every state size and with no scan for collisions: the array
+constructor merges duplicate rows, and this module owns both label maps,
+each with its rank certificate over F_q.
 :meth:`SparseState.encode` (the dealer) needs a generator of full column
 rank, checked once per matrix; :meth:`SparseState.apply_affine` needs an
 invertible square map, checked on each call.  The label maps leave rows
@@ -29,7 +31,7 @@ labels (and amplitudes) and one write of its output:
 
 - the codeword table of a generator: one block per row of its high
   randomness digits, each the low digits' table plus that row, mod q,
-  written straight into the cached uint16 table;
+  written straight into the cached table of label rows;
 - ``encode``: one modular add of the table per secret component;
 - ``apply_affine``: one float product and reduction per block;
 - ``partial_trace``: kept indices, packed discarded keys and the diagonal
@@ -119,10 +121,6 @@ _BLOCK_ENTRIES = 1 << 16
 # _branch_keys).
 _WEIGHT_GRID = 2.0**40
 
-# Unsigned 16 bits hold every digit of every field PrimeField accepts
-# (q < 2**16); no other module names this dtype.
-_LABEL_DTYPE = np.uint16
-
 
 class EmptyStateError(ValueError):
     """All amplitudes cancelled or no branches were supplied."""
@@ -132,8 +130,15 @@ class DimensionCapError(ValueError):
     """A dense object would exceed the configured dimension cap."""
 
 
+def _label_dtype(q: int) -> np.dtype:
+    """The narrowest unsigned type that holds every digit of F_q: uint8 up to
+    q = 251, uint16 for every larger field PrimeField accepts (q < 2**16).
+    Every label array of a state over F_q has this type."""
+    return np.min_scalar_type(q - 1)
+
+
 def _as_labels(digits, q: int) -> np.ndarray:
-    """Label rows in the simulator's dtype, after checking every digit is an
+    """Label rows in the label type of F_q, after checking every digit is an
     integer in [0, q).
 
     Non-integral digits raise ``TypeError`` and out-of-range digits
@@ -145,7 +150,7 @@ def _as_labels(digits, q: int) -> np.ndarray:
         arr = np.array(_exact_ints(arr)).reshape(arr.shape)
     if arr.size and (arr.min() < 0 or arr.max() >= q):
         raise ValueError(f"label digits must lie in [0, {q})")
-    return arr.astype(_LABEL_DTYPE, copy=False)
+    return arr.astype(_label_dtype(q), copy=False)
 
 
 def _powers(q: int, width: int) -> np.ndarray:
@@ -218,12 +223,13 @@ def _mod_matmul(rows: np.ndarray, coeff_t: np.ndarray, q: int) -> np.ndarray:
 def _mod_add(labels: np.ndarray, digits: np.ndarray, q: int, out: np.ndarray) -> None:
     """Write ``(labels + digits) % q`` into ``out``, ``_CHUNK_ROWS`` rows at a time.
 
-    ``digits`` is one row of residues, added to every label row.  Below
-    q = 2**15 the sum of two residues fits the label dtype, and its wrapped
-    difference ``x - q`` is smaller than ``x`` exactly when ``x >= q``, so
-    ``min(x, x - q)`` is the residue.  Larger fields sum each block in 32 bits.
+    ``digits`` is one row of residues, added to every label row.  Each block
+    is summed in the narrowest unsigned type that holds ``2 * (q - 1)``: the
+    labels' own type up to q = 127 (bytes) and q = 32749 (uint16), the next
+    wider one above.  There the wrapped difference ``x - q`` is smaller than
+    ``x`` exactly when ``x >= q``, so ``min(x, x - q)`` is the residue.
     """
-    work = _LABEL_DTYPE if 2 * (q - 1) <= np.iinfo(_LABEL_DTYPE).max else np.uint32
+    work = np.min_scalar_type(2 * (q - 1)).type
     row = np.asarray(digits).astype(work)
     modulus = work(q)
     for lo in range(0, len(labels), _CHUNK_ROWS):
@@ -261,9 +267,9 @@ def _codeword_table(q: int, shape: tuple[int, int], entries: bytes, t: int) -> n
         low += 1
     split = e - low
     inner = _mod_matmul(_digit_rows(np.arange(q**low), q, low), coeff_t[split:], q)
-    inner = inner.astype(_LABEL_DTYPE)
+    inner = inner.astype(_label_dtype(q))
     outer = _mod_matmul(_digit_rows(np.arange(q**split), q, split), coeff_t[:split], q)
-    table = np.empty((q**e, generator.rows), dtype=_LABEL_DTYPE)
+    table = np.empty((q**e, generator.rows), dtype=inner.dtype)
     for lo, row in zip(range(0, len(table), len(inner)), outer):
         _mod_add(inner, row, q, out=table[lo : lo + len(inner)])
     table.setflags(write=False)
@@ -389,21 +395,6 @@ class SparseState:
         """The same state with branches sorted lexicographically by label."""
         return SparseState._wrap(self.q, *_combine(self.labels, self.amps, self.q))
 
-    def branch_dict(self) -> dict[tuple[int, ...], complex]:
-        return {tuple(int(d) for d in row): complex(a) for row, a in zip(self.labels, self.amps)}
-
-    def allclose(self, other: SparseState, tol: float = MATCH_TOL) -> bool:
-        """Branch-by-branch amplitude comparison (no global-phase slack)."""
-        if not isinstance(other, SparseState):
-            raise TypeError(f"cannot compare SparseState with {type(other).__name__}")
-        if self.q != other.q or self.num_registers != other.num_registers:
-            return False
-        mine, theirs = self.branch_dict(), other.branch_dict()
-        for lbl in mine.keys() | theirs.keys():
-            if abs(mine.get(lbl, 0.0) - theirs.get(lbl, 0.0)) > tol:
-                return False
-        return True
-
     def dump(self) -> str:
         """One line per branch: ``label-digits : re,im``, sorted by label.
 
@@ -443,7 +434,7 @@ class SparseState:
         table = _codeword_table(self.q, g.array.shape, entries, t)
         per_basis = len(table)
         total = self.num_branches * per_basis
-        labels = np.empty((total, g.rows), dtype=_LABEL_DTYPE)
+        labels = np.empty((total, g.rows), dtype=table.dtype)
         amps = np.empty(total, dtype=np.complex128)
         weight = 1.0 / np.sqrt(per_basis)
         coeff = g.array[:, :t]
@@ -553,18 +544,11 @@ class SparseState:
         order, same = _branch_order(rest_keys)
         if not same.any():
             return DensityMatrix._reduced(self.q, len(keep), diagonal)
-        # A branch shares its group iff it has the key of a sorted neighbour.
-        # The split skips its copy of ``order`` when no branch is a singleton,
-        # as in a recovered state.
-        in_multi = np.zeros(len(order), dtype=bool)
-        in_multi[1:] = same
-        in_multi[:-1] |= same
-        multi = order if in_multi.all() else order[in_multi]
         # The groups' sum P lives on the kept indices they occupy.  Its
         # off-diagonal part, symmetrized as (P + P^H) / 2, is exactly
         # Hermitian; its diagonal repeats weights the streamed diagonal holds.
-        starts = np.flatnonzero(np.concatenate(([True], ~same))[in_multi])
-        occupied, prod = _group_outer_sum(self.amps, kept_idx, multi, starts, dim)
+        multi, bounds = _multi_groups(order, same)
+        occupied, prod = _group_outer_sum(self.amps, kept_idx, multi, bounds, dim)
         coherences = (prod + prod.conj().T) * 0.5
         np.fill_diagonal(coherences, 0.0)
         return DensityMatrix._reduced(self.q, len(keep), diagonal, occupied, coherences)
@@ -622,27 +606,67 @@ def _branch_keys(
     return kept_idx, rest_keys, diagonal
 
 
+def _multi_groups(order: np.ndarray, same: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The branches of the groups of two or more, in sorted order, and the
+    groups' bounds in that list (:func:`_bounds`).
+
+    A branch shares its group iff it has the key of a sorted neighbour, and
+    opens its group iff its key differs from the one before.  ``order`` is
+    returned as is, not copied, when no branch is a singleton, as in a
+    recovered state.
+    """
+    in_multi = np.zeros(len(order), dtype=bool)
+    in_multi[1:] = same
+    in_multi[:-1] |= same
+    opens = np.empty(len(order), dtype=bool)
+    opens[0] = True
+    np.logical_not(same, out=opens[1:])
+    if in_multi.all():
+        return order, _bounds(opens)
+    return order[in_multi], _bounds(opens[in_multi])
+
+
+def _bounds(opens: np.ndarray) -> np.ndarray:
+    """Where each group opens, then the end: ``np.flatnonzero(opens)`` and
+    ``len(opens)``, in the narrowest unsigned type that holds that length.
+
+    The indices are found ``_CHUNK_ROWS`` entries at a time, so no int64
+    array of all of them is made.
+    """
+    out = np.empty(np.count_nonzero(opens) + 1, dtype=np.min_scalar_type(len(opens)))
+    pos = 0
+    for lo in range(0, len(opens), _CHUNK_ROWS):
+        found = np.flatnonzero(opens[lo : lo + _CHUNK_ROWS])
+        out[pos : pos + len(found)] = found + lo
+        pos += len(found)
+    out[-1] = len(opens)
+    return out
+
+
 def _group_outer_sum(
-    amps: np.ndarray, kept_idx: np.ndarray, multi: np.ndarray, starts: np.ndarray, dim: int
+    amps: np.ndarray, kept_idx: np.ndarray, multi: np.ndarray, bounds: np.ndarray, dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The kept indices that the multi-branch groups occupy, and the groups'
     summed outer products ``sum_g v_g v_g^H`` on those u indices.
 
-    ``multi`` lists the groups' branches in sorted order, each group
-    contiguous from its entry of ``starts``.  The groups fill dense
-    ``(groups x u)`` blocks of at most ``_BLOCK_ENTRIES`` amplitudes, and
-    each block adds ``block.T @ block.conj()`` to the u x u sum.  Labels are
-    unique, so no two branches of a group share a kept index.
+    ``multi`` lists the groups' branches in sorted order, group g at
+    ``bounds[g]:bounds[g + 1]``.  The groups fill dense ``(groups x u)``
+    blocks of at most ``_BLOCK_ENTRIES`` amplitudes, and each block adds
+    ``block.T @ block.conj()`` to the u x u sum.  Labels are unique, so no
+    two branches of a group share a kept index.
     """
     kept = kept_idx[multi]
-    occupied = np.flatnonzero(np.bincount(kept, minlength=dim))
+    # Counted block by block: ``np.bincount`` copies its input to int64.
+    counts = np.zeros(dim, dtype=np.intp)
+    for lo in range(0, len(kept), _CHUNK_ROWS):
+        counts += np.bincount(kept[lo : lo + _CHUNK_ROWS], minlength=dim)
+    occupied = np.flatnonzero(counts)
     column = np.empty(dim, dtype=np.intp)
     column[occupied] = np.arange(len(occupied))
     u = len(occupied)
-    bounds = np.append(starts, len(multi))
     step = max(1, _BLOCK_ENTRIES // u)
     total = np.zeros((u, u), dtype=np.complex128)
-    for g in range(0, len(starts), step):
+    for g in range(0, len(bounds) - 1, step):
         edges = bounds[g : g + step + 1]
         lo, hi = edges[0], edges[-1]
         rows = np.repeat(np.arange(len(edges) - 1), np.diff(edges))

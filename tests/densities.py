@@ -1,9 +1,10 @@
-"""Dense density-matrix helpers that only the tests need.
+"""State and dense density-matrix helpers that only the tests need.
 
 ``qtss.qsim`` reduces sparse states straight to the registers it keeps and
 never needs a spectrum, a comparison or a dense matrix of a whole reduced
-state, so these operations on a :class:`~qtss.qsim.DensityMatrix` live here,
-as oracles for the tests.
+state, nor a comparison of two sparse states branch by branch, so these
+operations on a :class:`~qtss.qsim.SparseState` or a
+:class:`~qtss.qsim.DensityMatrix` live here, as oracles for the tests.
 """
 
 from __future__ import annotations
@@ -12,7 +13,23 @@ from typing import Sequence
 
 import numpy as np
 
-from qtss.qsim import MATCH_TOL, DensityMatrix
+from qtss.qsim import MATCH_TOL, DensityMatrix, SparseState
+
+
+def branch_dict(state: SparseState) -> dict[tuple[int, ...], complex]:
+    """The state as a map from label digits to amplitude."""
+    return {tuple(int(d) for d in row): complex(a) for row, a in zip(state.labels, state.amps)}
+
+
+def states_allclose(a: SparseState, b: SparseState, tol: float = MATCH_TOL) -> bool:
+    """Branch-by-branch amplitude comparison (no global-phase slack)."""
+    if a.q != b.q or a.num_registers != b.num_registers:
+        return False
+    mine, theirs = branch_dict(a), branch_dict(b)
+    for lbl in mine.keys() | theirs.keys():
+        if abs(mine.get(lbl, 0.0) - theirs.get(lbl, 0.0)) > tol:
+            return False
+    return True
 
 
 def allclose(rho: DensityMatrix, sigma: DensityMatrix, tol: float = MATCH_TOL) -> bool:

@@ -176,6 +176,14 @@ class TestRun:
         else:
             assert rec.bound_dim is None and rec.optimal is None
 
+    def test_label_widths_config_all_pass(self):
+        # The config that CI also runs with the bare install: one scheme per
+        # label width (byte sums, 16-bit sums of byte labels, uint16 labels).
+        report = run(cli.load_config(Path(__file__).parent / "golden" / "label_widths.cfg"))
+        assert report.overall_pass
+        assert [r.q for r in report.records] == [127] * 3 + [131] * 3 + [251] * 3 + [257] * 3
+        assert all(r.status == "pass" for r in report.records)
+
     def test_cap_exceeded_reported_not_failed(self):
         cfg = parse_config("params = 3,4,7\nmodes = recover-k\nsecrets = random:1\ncap_branches = 100")
         report = run(cfg)

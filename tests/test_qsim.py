@@ -192,9 +192,9 @@ class TestConstruction:
     def test_large_field_digits_kept_exact(self):
         # Digits above 2**15 must survive the label dtype unchanged.
         st = SparseState.basis(40009, (40000,))
-        assert st.branch_dict() == {(40000,): 1.0}
+        assert densities.branch_dict(st) == {(40000,): 1.0}
         out = st.apply_affine([0], FieldMatrix(PrimeField(40009), 1, 1, (2,)))
-        assert out.branch_dict() == {(39991,): 1.0}  # 80000 mod 40009
+        assert densities.branch_dict(out) == {(39991,): 1.0}  # 80000 mod 40009
         with pytest.raises(ValueError, match="lie in"):
             SparseState.basis(40009, (40009,))
 
@@ -258,7 +258,7 @@ class TestConstruction:
 class TestSuperpose:
     def test_single(self):
         a = SparseState.basis(3, (0,))
-        assert superpose([(a, 1.0)]).allclose(a)
+        assert densities.states_allclose(superpose([(a, 1.0)]), a)
 
     def test_two_branch_uniform(self):
         a, b = SparseState.basis(3, (0,)), SparseState.basis(3, (1,))
@@ -268,7 +268,7 @@ class TestSuperpose:
 
     def test_zero_coefficient_dropped(self):
         a, b = SparseState.basis(3, (0,)), SparseState.basis(3, (1,))
-        assert superpose([(a, 1.0), (b, 0.0)]).allclose(a)
+        assert densities.states_allclose(superpose([(a, 1.0), (b, 0.0)]), a)
 
     def test_register_mismatch(self):
         with pytest.raises(ValueError, match="register counts"):
@@ -284,17 +284,17 @@ class TestAffine:
     def test_identity_noop(self):
         st = random_state(5, 3, np.random.default_rng(0), support=6)
         out = st.apply_affine([0, 1, 2], FieldMatrix.identity(F5, 3))
-        assert out.allclose(st)
+        assert densities.states_allclose(out, st)
 
     def test_single_register_scale(self):
         st = SparseState.basis(5, (3,))
         out = st.apply_affine([0], FieldMatrix(F5, 1, 1, (2,)))
-        assert out.branch_dict() == {(1,): 1.0}  # 2*3 = 6 = 1 mod 5
+        assert densities.branch_dict(out) == {(1,): 1.0}  # 2*3 = 6 = 1 mod 5
 
     def test_offset(self):
         st = SparseState.basis(5, (0, 4))
         out = st.apply_affine([0, 1], FieldMatrix.identity(F5, 2), offset=(1, 2))
-        assert set(out.branch_dict()) == {(1, 1)}
+        assert set(densities.branch_dict(out)) == {(1, 1)}
 
     def test_round_trip(self):
         rng = np.random.default_rng(42)
@@ -304,8 +304,8 @@ class TestAffine:
         a_inv = a.inverse()
         back_offset = -(a_inv.array @ b) % 5
         fwd = st.apply_affine([0, 2], a, offset=b)
-        assert not fwd.allclose(st)
-        assert fwd.apply_affine([0, 2], a_inv, offset=back_offset).allclose(st)
+        assert not densities.states_allclose(fwd, st)
+        assert densities.states_allclose(fwd.apply_affine([0, 2], a_inv, offset=back_offset), st)
 
     def test_singular_rejected(self):
         st = SparseState.basis(5, (0, 0))
@@ -335,7 +335,7 @@ class TestAffine:
         st = SparseState.basis(5, (1, 2))
         with pytest.raises(TypeError, match="integers"):
             st.apply_affine([0], [[1]], offset=[2.9])
-        assert set(st.apply_affine([0], [[1]], offset=[7]).branch_dict()) == {(3, 2)}
+        assert set(densities.branch_dict(st.apply_affine([0], [[1]], offset=[7]))) == {(3, 2)}
 
     @pytest.mark.parametrize("q", [11, 65521])
     def test_row_blocks_match_int64_oracle(self, q):
@@ -406,12 +406,12 @@ class TestControlledAdd:
     def test_zero_coeff_noop(self):
         st = random_state(3, 3, np.random.default_rng(1), support=5)
         out = st.apply_controlled_add([0], [1, 2], FieldMatrix.zeros(PrimeField(3), 2, 1))
-        assert out.allclose(st)
+        assert densities.states_allclose(out, st)
 
     def test_copy_classical_digits(self):
         st = SparseState.basis(5, (3, 2, 0, 0))
         out = st.apply_controlled_add([0, 1], [2, 3], FieldMatrix.identity(F5, 2))
-        assert set(out.branch_dict()) == {(3, 2, 3, 2)}
+        assert set(densities.branch_dict(out)) == {(3, 2, 3, 2)}
 
     def test_add_then_subtract(self):
         rng = np.random.default_rng(9)
@@ -419,7 +419,7 @@ class TestControlledAdd:
         coeff = FieldMatrix.from_rows(F5, [[2], [3]])
         fwd = st.apply_controlled_add([0], [1, 2], coeff)
         back = fwd.apply_controlled_add([0], [1, 2], -coeff)
-        assert back.allclose(st)
+        assert densities.states_allclose(back, st)
 
     def test_overlap_rejected(self):
         st = SparseState.basis(5, (0, 0))
@@ -458,14 +458,14 @@ class TestEncode:
         # Oracle: G [x; r] in Python ints, for every component x and every r.
         rows = g.row_tuples()
         expected = {}
-        for x, amp in secret.branch_dict().items():
+        for x, amp in densities.branch_dict(secret).items():
             for r in itertools.product(range(q), repeat=e):
                 col = x + r
                 label = tuple(sum(a * b for a, b in zip(row, col)) % q for row in rows)
                 expected[label] = amp / np.sqrt(q**e)
         assert out.num_registers == g.rows
         assert out.num_branches == len(expected) == secret.num_branches * q**e
-        got = out.branch_dict()
+        got = densities.branch_dict(out)
         assert got.keys() == expected.keys()
         assert all(abs(got[k] - expected[k]) <= 1e-15 for k in expected)
 
@@ -502,7 +502,7 @@ class TestEncode:
         table = qsim._codeword_table(q, g.array.shape, g.array.tobytes(), t)
         digits = np.array(list(itertools.product(range(q), repeat=e)), dtype=np.int64)
         expected = digits.reshape(q**e, e) @ g.array[:, t:].T % q
-        assert table.dtype == np.uint16 and not table.flags.writeable
+        assert table.dtype == (np.uint8 if q <= 251 else np.uint16) and not table.flags.writeable
         assert np.array_equal(table, expected)
 
     def test_shape_and_field_checked(self):
@@ -511,6 +511,62 @@ class TestEncode:
             st.encode(FieldMatrix.identity(F5, 1))
         with pytest.raises(ValueError, match="over F_7"):
             st.encode(FieldMatrix.identity(PrimeField(7), 2))
+
+
+# Fields at the edges of the label widths: byte labels whose sums fit a byte
+# (2, 127), byte labels summed in 16 bits (131, 251) and uint16 labels (257).
+LABEL_WIDTHS = [(2, np.uint8), (127, np.uint8), (131, np.uint8), (251, np.uint8), (257, np.uint16)]
+
+
+class TestLabelWidths:
+    @pytest.mark.parametrize("q, dtype", LABEL_WIDTHS)
+    def test_narrowest_type_holds_every_digit(self, q, dtype):
+        st = SparseState.basis(q, (q - 1,))
+        assert st.labels.dtype == dtype and st.labels.tolist() == [[q - 1]]
+        with pytest.raises(ValueError, match="lie in"):
+            SparseState.basis(q, (q,))
+        g = full_rank_generator(q, 3, 2, seed=q)
+        table = qsim._codeword_table(q, g.array.shape, g.array.tobytes(), 1)
+        assert table.dtype == dtype
+        dealt = st.encode(g)
+        assert dealt.labels.dtype == dtype
+        assert dealt.apply_affine([0, 2], full_rank_generator(q, 2, 2, seed=q)).labels.dtype == dtype
+
+    @pytest.mark.parametrize("q, dtype", LABEL_WIDTHS)
+    def test_mod_add_exact_for_every_pair(self, q, dtype):
+        # Row i holds the residue i in every column, and column j adds j.
+        labels = np.repeat(np.arange(q, dtype=dtype)[:, None], q, axis=1)
+        out = np.empty_like(labels)
+        qsim._mod_add(labels, np.arange(q), q, out=out)
+        i, j = np.indices((q, q))
+        assert np.array_equal(out, (i + j) % q)
+
+    @pytest.mark.parametrize("q", [131, 251])
+    def test_encode_relabel_trace_match_int64(self, q):
+        # Byte labels whose sums need 16 bits.  Registers 1..3 hold an
+        # invertible image of (x, r), before and after an invertible affine
+        # map on them, so every discarded-digit group of a trace keeping
+        # register 0 is one branch, as the int64 oracle requires.
+        seed = q
+        while True:
+            g = full_rank_generator(q, 4, 3, seed)
+            if FieldMatrix(PrimeField(q), 3, 3, g.array[1:]).rank() == 3:
+                break
+            seed += 1
+        secret = SparseState.from_branches(q, [((3,), 0.6), ((q - 1,), 0.8j)])
+        dealt = secret.encode(g)
+        r = np.array(list(itertools.product(range(q), repeat=2)), dtype=np.int64)
+        expected = np.concatenate([(x * g.array[:, 0] + r @ g.array[:, 1:].T) % q for x in (3, q - 1)])
+        assert np.array_equal(dealt.labels, expected)
+        targets = [3, 1, 2]
+        a = full_rank_generator(q, 3, 3, seed=q + 1)
+        b = np.array([q - 1, 1, q // 2])
+        out = dealt.apply_affine(targets, a, offset=b)
+        assert np.array_equal(out.labels[:, targets], (expected[:, targets] @ a.array.T + b) % q)
+        assert np.array_equal(out.labels[:, 0], expected[:, 0])
+        for st in (dealt, out):
+            rho = st.partial_trace([0])
+            assert_diagonal_reference(rho.matrix, reference_partial_trace(st, [0]))
 
 
 class TestPartialTrace:
@@ -578,6 +634,23 @@ class TestPartialTrace:
         keep = [7, 2]
         rho = st.partial_trace(keep)
         assert np.allclose(rho.matrix, dense_partial_trace(st, keep), atol=1e-12)
+
+    def test_index_first_occupied_past_one_chunk(self):
+        # 5000 groups of two with kept digits {0, 1}, then one with {1, 2}:
+        # in sorted order, kept index 2 first appears past the first block
+        # of multi-group branches.
+        q, rest = 3, 9
+        rows = []
+        for key in range(5001):
+            digits = [key // q**i % q for i in reversed(range(rest))]
+            rows += [[kept] + digits for kept in ((0, 1) if key < 5000 else (1, 2))]
+        rng = np.random.default_rng(41)
+        amps = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+        st = SparseState(q, np.array(rows), amps)
+        assert st.num_branches > qsim._CHUNK_ROWS
+        rho = st.partial_trace([0])
+        assert rho.occupied.tolist() == [0, 1, 2]
+        assert np.allclose(rho.matrix, dense_partial_trace(st, [0]), atol=1e-12)
 
     @pytest.mark.parametrize("registers", [6, 7])
     def test_wide_discarded_keys(self, registers):
@@ -916,7 +989,7 @@ class TestRandomState:
     def test_deterministic_given_seed(self):
         a = random_state(5, 2, np.random.Generator(np.random.Philox(99)))
         b = random_state(5, 2, np.random.Generator(np.random.Philox(99)))
-        assert a.allclose(b, tol=0.0)
+        assert densities.states_allclose(a, b, tol=0.0)
 
     def test_support_restriction(self):
         st = random_state(5, 2, np.random.default_rng(0), support=3)

@@ -60,7 +60,7 @@ class TestMakeParams:
 
     def test_modulus_past_label_width(self):
         # 65537 is prime, but digits from 2**16 up fit neither PrimeField nor
-        # the uint16 labels of the simulator.
+        # the simulator's widest labels, two bytes a digit.
         with pytest.raises(ParameterError, match="desk-scale bound 65536"):
             make_params(2, 2, 65537)
         assert make_params(2, 2, 65521).q == 65521
