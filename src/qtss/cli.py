@@ -509,7 +509,7 @@ def _run_mixed(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     modes = ("recover-k", "recover-d")
     rec.min_fidelity = _recovery_sweep(cfg, p, rec, secrets, modes, retained)
     rec.subsets_tested = len(secrets) * (math.comb(n_prime, p.k) + math.comb(n_prime, p.d))
-    rec.max_trace_distance, _, skipped = _secrecy_sweep(cfg, p, rec, secrets, retained)
+    rec.max_trace_distance, _, _ = _secrecy_sweep(cfg, p, rec, secrets, retained)
     rec.secrets_tested = len(secrets)
 
 

@@ -2,11 +2,10 @@
 
 Residues are integers in ``[0, q)``.  :class:`FieldMatrix` stores one
 read-only int64 ``(rows, cols)`` numpy array, reduced mod q once at
-construction; every matrix entry, Vandermonde node, relabeling offset and
-staircase digit is built by :func:`_residues`, which rejects non-integral
-input with ``TypeError`` instead of truncating it.  With q < 2**16 every
-product of two residues is below 2**32, so a product ``(a @ b) % q`` is
-exact in int64.  Rank and inversion share one
+construction; every matrix entry, Vandermonde node and staircase digit is
+built by :func:`_residues`, which rejects non-integral input with
+``TypeError`` instead of truncating it.  With q < 2**16 every product of two
+residues is below 2**32, so a product ``(a @ b) % q`` is exact in int64.  Rank and inversion share one
 Gauss-Jordan elimination (:func:`_row_reduce`) that updates whole rows per
 pivot and pivots on the first nonzero entry at or below the current rank;
 it is exact over a field, so pivot choice never affects correctness.

@@ -54,6 +54,7 @@ from .qsim import (
     DensityMatrix,
     DimensionCapError,
     SparseState,
+    random_state,
     trace_distance,
 )
 from .staircase import (
@@ -496,8 +497,6 @@ def default_secret_pairs(p: SchemeParams, seed: int = 0) -> list[tuple[SparseSta
     all-zeros basis secret against the descending-digit basis secret, and
     one seeded pair of random superpositions.
     """
-    from .qsim import random_state
-
     zeros = basis_secret(p, (0,) * p.m)
     descending = basis_secret(p, tuple((p.q - 1 - i) % p.q for i in range(p.m)))
     rng = np.random.Generator(np.random.Philox(seed))

@@ -1,10 +1,11 @@
 """Exact sparse simulator for registers of q-dimensional qudits.
 
 States are complex superpositions over computational-basis labels.  Every
-evolution offered here permutes basis labels -- invertible affine maps on a
-register subset, and additions into a target block controlled on disjoint
-source registers -- so amplitudes are carried around unchanged and the only
-floating-point effect is ordinary rounding in the amplitudes themselves.
+evolution offered here permutes basis labels -- invertible linear maps over
+F_q on a register subset, of which an addition into a target block controlled
+on disjoint source registers is one -- so amplitudes are carried around
+unchanged and the only floating-point effect is ordinary rounding in the
+amplitudes themselves.
 
 Representation.  A state is a pair of parallel arrays: an ``(N, R)`` matrix
 of basis labels (one row per branch, one column per register), in the
@@ -53,9 +54,10 @@ empty and no amplitude or index is read in sorted order.  Groups of several
 branches, as in a recovered state, are summed as dense blocks over the kept
 indices they occupy, so no sparse-matrix library, no dim x dim array and no
 copy of the whole state's amplitudes is needed; the module imports numpy
-alone.  ``trace``, ``purity`` and ``fidelity`` read the diagonal and the
-block, and ``trace_distance`` needs a dense matrix only when a state has
-coherences.
+alone.  ``purity``, ``fidelity`` and ``trace_distance`` read the diagonal and
+the block; the only dense objects are the u x u block and, in
+``trace_distance``, the difference of two states on the union of their
+occupied indices.  Nothing here reads ``DensityMatrix.matrix``.
 
 Summation order.  Every diagonal entry sums its branches' weights
 ``|amp|**2`` in branch order, block by block, split into a coarse part that
@@ -65,7 +67,7 @@ about one ulp of the correctly rounded sum however many branches it has.
 their purity twice that, past ``MATCH_TOL``.)  The coherences are dense
 products in group order.
 
-Tolerances.  Normalization, Hermiticity and trace checks use ``NORM_TOL``
+Tolerances.  Normalization and trace checks use ``NORM_TOL``
 (1e-12); state/fidelity comparisons use ``MATCH_TOL`` (1e-10); amplitudes
 below ``PRUNE_TOL`` (1e-14) are dropped.  Amplitudes in this problem domain
 are of the form (small integer) / sqrt(branch count), and every sum over
@@ -103,8 +105,9 @@ PRUNE_TOL = 1e-14
 NORM_TOL = 1e-12
 MATCH_TOL = 1e-10
 
-# Largest density matrix we will materialize (rows); 4096 x 4096 complex is
-# ~268 MB.
+# Largest kept dimension of a partial trace.  Its diagonal is a float vector
+# of that length; the dense objects are the u x u coherence block and the
+# |U| x |U| difference in ``trace_distance``, each at most this many rows.
 DEFAULT_DIM_CAP = 4096
 
 # Rows per block of the label passes (deal, relabel, partial trace): bounds
@@ -112,7 +115,6 @@ DEFAULT_DIM_CAP = 4096
 # faster: with two BLAS threads one 65536-row key product costs several times
 # what eight 8192-row ones do.
 _CHUNK_ROWS = 1 << 13
-_HERMITIAN_ROWS = 64
 # Amplitudes per dense block of the multi-branch groups in ``partial_trace``
 # (one megabyte of complex128).
 _BLOCK_ENTRIES = 1 << 16
@@ -444,8 +446,8 @@ class SparseState:
             amps[block] = amp * weight
         return SparseState._wrap(self.q, labels, amps)
 
-    def apply_affine(self, targets: Sequence[int], matrix, offset=None) -> SparseState:
-        """Relabel the target registers by ``x -> A x + b (mod q)``.
+    def apply_affine(self, targets: Sequence[int], matrix) -> SparseState:
+        """Relabel the target registers by ``x -> A x (mod q)``.
 
         ``A`` must be invertible over F_q, which makes the relabeling a
         permutation of basis states (hence unitary); amplitudes are reused
@@ -461,18 +463,13 @@ class SparseState:
             raise SingularMatrixError(
                 f"affine map matrix is singular over F_{self.q}; not a basis permutation"
             )
-        b = np.zeros(t, dtype=np.int64) if offset is None else _residues(offset, self.q)
-        if b.shape != (t,):
-            raise ValueError("offset length does not match target registers")
         # One pass of row blocks over the labels: each block is copied, and its
         # target columns mapped and written over the copy while still in cache.
         new_labels = np.empty_like(self.labels)
-        shift = b.any()
         for lo in range(0, len(new_labels), _CHUNK_ROWS):
             rows = new_labels[lo : lo + _CHUNK_ROWS]
             rows[...] = self.labels[lo : lo + _CHUNK_ROWS]
-            block = _mod_matmul(rows[:, targets], a.array.T, self.q)
-            rows[:, targets] = (block + b) % self.q if shift else block
+            rows[:, targets] = _mod_matmul(rows[:, targets], a.array.T, self.q)
         return SparseState._wrap(self.q, new_labels, self.amps)
 
     def apply_controlled_add(
@@ -721,27 +718,6 @@ def superpose(parts: Sequence[tuple[SparseState, complex]]) -> SparseState:
     return SparseState(q, labels, amps)
 
 
-def _hermitian_within_tol(matrix: np.ndarray) -> bool:
-    """Every entry of ``M - M^H`` lies within ``NORM_TOL``; NaN fails.
-
-    Works through row blocks from the diagonal rightwards (the gap matrix is
-    anti-Hermitian, so that covers every entry), and no temporary is larger
-    than one block.
-    """
-    for lo in range(0, len(matrix), _HERMITIAN_ROWS):
-        hi = lo + _HERMITIAN_ROWS
-        gap = matrix[lo:hi, lo:] - matrix[lo:, lo:hi].conj().T
-        if not (np.abs(gap) <= NORM_TOL).all():
-            return False
-    return True
-
-
-def _check_trace(tr: complex, dim: int) -> None:
-    """Unit trace within ``NORM_TOL`` per dimension; NaN fails."""
-    if not abs(tr - 1.0) <= NORM_TOL * dim:
-        raise ValueError(f"density matrix trace {tr} is not 1")
-
-
 _NO_INDICES = np.empty(0, dtype=np.intp)
 _NO_COHERENCES = np.empty((0, 0), dtype=np.complex128)
 
@@ -754,28 +730,17 @@ class DensityMatrix:
     the u indices that ``coherences`` lives on, a u x u Hermitian block with
     zero diagonal; both are empty for a diagonal state, as for every
     unauthorized subset of a dealt state.  :meth:`SparseState.partial_trace`
-    builds the parts from the groups of branches, with no dense matrix.  The
-    constructor takes a dense matrix, validates Hermiticity and unit trace
-    (within ``NORM_TOL``) and keeps every index occupied.  :meth:`trace`,
-    :meth:`purity` and :func:`fidelity` read the diagonal and the block;
-    ``matrix`` builds the dense array on each read (268 MB at dim 4096).
-    Positive semidefiniteness is an invariant of every reduction of a
-    normalized state, not checked, to avoid an eigensolve per construction.
+    is the one constructor: it builds the parts from the groups of branches,
+    with no dense matrix, and only their unit trace (within ``NORM_TOL`` per
+    index) is checked.  :meth:`purity`, :func:`fidelity` and
+    :func:`trace_distance` read the diagonal and the block.  ``matrix``
+    builds the dense array on each read (268 MB at dim 4096), for readers
+    outside this module.  Positive semidefiniteness is an invariant of every
+    reduction of a normalized state, not checked, to avoid an eigensolve per
+    construction.
     """
 
     __slots__ = ("q", "num_registers", "diagonal", "occupied", "coherences")
-
-    def __init__(self, q: int, num_registers: int, matrix) -> None:
-        matrix = np.array(matrix, dtype=np.complex128)
-        dim = q**num_registers
-        if matrix.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix for {num_registers} registers of dimension {q}")
-        if not _hermitian_within_tol(matrix):
-            raise ValueError("density matrix is not Hermitian")
-        _check_trace(complex(np.trace(matrix)), dim)
-        diagonal = matrix.diagonal().real.copy()
-        np.fill_diagonal(matrix, 0.0)
-        self._adopt(q, num_registers, diagonal, np.arange(dim), matrix)
 
     @classmethod
     def _reduced(
@@ -788,12 +753,10 @@ class DensityMatrix:
     ) -> DensityMatrix:
         """Internal: the state with the given real, non-negative diagonal and
         Hermitian coherences on ``occupied``, of which only the trace is checked."""
-        _check_trace(float(np.sum(diagonal)), len(diagonal))
+        trace = float(np.sum(diagonal))
+        if not abs(trace - 1.0) <= NORM_TOL * len(diagonal):  # NaN fails
+            raise ValueError(f"density matrix trace {trace} is not 1")
         self = object.__new__(cls)
-        self._adopt(q, num_registers, diagonal, occupied, coherences)
-        return self
-
-    def _adopt(self, q: int, num_registers: int, diagonal, occupied, coherences) -> None:
         self.q = q
         self.num_registers = num_registers
         self.diagonal = diagonal
@@ -801,6 +764,7 @@ class DensityMatrix:
         self.coherences = coherences
         for part in (diagonal, occupied, coherences):
             part.setflags(write=False)
+        return self
 
     @property
     def matrix(self) -> np.ndarray:
@@ -814,9 +778,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.q**self.num_registers
-
-    def trace(self) -> float:
-        return float(np.sum(self.diagonal))
 
     def purity(self) -> float:
         return float(np.sum(self.diagonal**2) + np.vdot(self.coherences, self.coherences).real)
@@ -842,17 +803,22 @@ def fidelity(rho: DensityMatrix, psi: SparseState) -> float:
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of the absolute eigenvalues of ``rho - sigma``, exactly.
 
-    Two states with no coherences (those of an unauthorized subset, say)
-    differ by a diagonal matrix, whose eigenvalues are its entries: they are
-    sorted, as ``eigvalsh`` returns them, and summed with no dense matrix.
-    Any other pair gets one ``eigvalsh`` of the dense difference.
+    Off the union U of the two states' occupied indices the difference is
+    diagonal, so its entries there are eigenvalues.  On U it is one
+    |U| x |U| block, which gets one ``eigvalsh``; U is empty when neither
+    state has coherences, as for every unauthorized subset of a dealt state.
+    All eigenvalues are sorted together, as ``eigvalsh`` of the whole
+    difference returns them, and summed.
     """
     if rho.q != sigma.q or rho.num_registers != sigma.num_registers:
         raise ValueError("density matrices live on different registers")
-    if rho.coherences.size or sigma.coherences.size:
-        vals = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    else:
-        vals = np.sort(rho.diagonal - sigma.diagonal)
+    diff = rho.diagonal - sigma.diagonal
+    union = np.union1d(rho.occupied, sigma.occupied)
+    block = np.diag(diff[union].astype(np.complex128))
+    for state, sign in ((rho, 1.0), (sigma, -1.0)):
+        at = np.searchsorted(union, state.occupied)
+        block[np.ix_(at, at)] += sign * state.coherences
+    vals = np.sort(np.concatenate((np.delete(diff, union), np.linalg.eigvalsh(block))))
     return float(0.5 * np.sum(np.abs(vals)))
 
 

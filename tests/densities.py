@@ -32,6 +32,19 @@ def states_allclose(a: SparseState, b: SparseState, tol: float = MATCH_TOL) -> b
     return True
 
 
+def density(q: int, num_registers: int, matrix) -> DensityMatrix:
+    """The reduced state with the given dense matrix, every index occupied.
+
+    Only the trace is checked, as for every reduced state; the matrix must
+    be Hermitian and ``q**num_registers`` square.
+    """
+    matrix = np.array(matrix, dtype=np.complex128)
+    assert matrix.shape == (q**num_registers,) * 2, matrix.shape
+    diagonal = matrix.diagonal().real.copy()
+    np.fill_diagonal(matrix, 0.0)
+    return DensityMatrix._reduced(q, num_registers, diagonal, np.arange(len(diagonal)), matrix)
+
+
 def allclose(rho: DensityMatrix, sigma: DensityMatrix, tol: float = MATCH_TOL) -> bool:
     """Same registers, and dense matrices equal entry by entry within ``tol``."""
     return (
@@ -42,14 +55,17 @@ def allclose(rho: DensityMatrix, sigma: DensityMatrix, tol: float = MATCH_TOL) -
 
 
 def forbid_dense(monkeypatch) -> None:
-    """Make building (through the constructor) or reading any dense density
-    matrix fail the test."""
+    """Make reading any dense density matrix fail the test."""
 
-    def dense(*args, **kwargs):
+    def dense(rho):
         raise AssertionError("a dense density matrix was built")
 
-    monkeypatch.setattr(DensityMatrix, "__init__", dense)
     monkeypatch.setattr(DensityMatrix, "matrix", property(dense))
+
+
+def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
+    """Half the sum of the absolute eigenvalues of the dense ``rho - sigma``."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix))))
 
 
 def eigenvalues(rho: DensityMatrix, psd_tol: float = MATCH_TOL) -> np.ndarray:
@@ -80,4 +96,4 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     kd = len(keep)
     tensor_form = tensor_form.transpose(tuple(perm) + tuple(kd + i for i in perm))
     dim = rho.q**kd
-    return DensityMatrix(rho.q, kd, tensor_form.reshape(dim, dim))
+    return density(rho.q, kd, tensor_form.reshape(dim, dim))

@@ -344,8 +344,7 @@ def test_criterion_8_simulator_self_checks():
                 break
             except ValueError:
                 continue
-        offset = tuple(int(x) for x in rng.integers(0, st.q, t))
-        out = st.apply_affine(targets, mat, offset)
+        out = st.apply_affine(targets, mat)
         assert out.num_branches == st.num_branches
         assert sorted(np.abs(out.amps)) == sorted(np.abs(st.amps))
         remaining = [r for r in range(st.num_registers) if r not in targets]

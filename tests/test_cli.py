@@ -291,6 +291,11 @@ class TestReportSchema:
         in_readme = re.findall(r"^(\w+) = ", ini_block, flags=re.M)
         assert sorted(in_docstring) == sorted(in_readme) == sorted(names)
 
+    def test_readme_quick_start_runs(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (quick_start,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+        exec(compile(quick_start, "README.md", "exec"), {})
+
 
 class TestCostTableRows:
     def test_intro_rows(self):

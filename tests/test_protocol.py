@@ -531,15 +531,17 @@ class TestSecrecy:
         assert report.max_trace_distance > 1e-10
         assert report.passed is False
         # The superposition pair differs by coherences between secret digits
-        # that share the other register's digit, so the distance goes through
-        # one eigensolve of the dense difference.
+        # that share the other register's digit: the distance needs one
+        # eigensolve on their occupied indices, and still no dense matrix.
         regs = list(P235.registers_of(1))
         rho, sigma = (deal(s, P235).state.partial_trace(regs) for s in pairs[1])
         diff = rho.matrix - sigma.matrix
         assert np.count_nonzero(diff - np.diag(np.diag(diff))) > 0
+        expected = densities.trace_distance(rho, sigma)
+        densities.forbid_dense(monkeypatch)
         td = secrecy_check(P235, [1], pairs[1:]).max_trace_distance
         assert td > 1e-10
-        assert td == pytest.approx(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))), abs=1e-12)
+        assert td == pytest.approx(expected, abs=1e-12)
 
     def test_leaky_dealer_fails_on_diagonals(self, monkeypatch):
         # The same leak, checked with the basis pair alone: both reduced
@@ -550,7 +552,7 @@ class TestSecrecy:
         regs = list(P235.registers_of(1))
         rho, sigma = (deal(s, P235).state.partial_trace(regs) for s in pairs[0])
         assert rho.coherences.size == 0 and sigma.coherences.size == 0
-        expected = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.matrix - sigma.matrix)))
+        expected = densities.trace_distance(rho, sigma)
         densities.forbid_dense(monkeypatch)
         report = secrecy_check(P235, [1], pairs)
         assert report.max_trace_distance > 1e-10
@@ -723,7 +725,7 @@ def encode_reference_cleve23(secret: SparseState) -> SparseState:
 
 def maximally_mixed(q: int, num_registers: int) -> DensityMatrix:
     dim = q**num_registers
-    return DensityMatrix(q, num_registers, np.eye(dim, dtype=np.complex128) / dim)
+    return densities.density(q, num_registers, np.eye(dim) / dim)
 
 
 class TestCleve23Reference:

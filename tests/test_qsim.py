@@ -291,21 +291,13 @@ class TestAffine:
         out = st.apply_affine([0], FieldMatrix(F5, 1, 1, (2,)))
         assert densities.branch_dict(out) == {(1,): 1.0}  # 2*3 = 6 = 1 mod 5
 
-    def test_offset(self):
-        st = SparseState.basis(5, (0, 4))
-        out = st.apply_affine([0, 1], FieldMatrix.identity(F5, 2), offset=(1, 2))
-        assert set(densities.branch_dict(out)) == {(1, 1)}
-
     def test_round_trip(self):
         rng = np.random.default_rng(42)
         st = random_state(5, 3, rng, support=10)
         a = FieldMatrix.from_rows(F5, [[2, 1], [1, 1]])
-        b = (3, 4)
-        a_inv = a.inverse()
-        back_offset = -(a_inv.array @ b) % 5
-        fwd = st.apply_affine([0, 2], a, offset=b)
+        fwd = st.apply_affine([0, 2], a)
         assert not densities.states_allclose(fwd, st)
-        assert densities.states_allclose(fwd.apply_affine([0, 2], a_inv, offset=back_offset), st)
+        assert densities.states_allclose(fwd.apply_affine([0, 2], a.inverse()), st)
 
     def test_singular_rejected(self):
         st = SparseState.basis(5, (0, 0))
@@ -330,13 +322,6 @@ class TestAffine:
         with pytest.raises(TypeError, match="integers"):
             st.apply_affine([0, 1], [[1.7, 0], [0, 1]])
 
-    def test_non_integral_offset_rejected(self):
-        # An offset of 2.9 used to shift by 2.
-        st = SparseState.basis(5, (1, 2))
-        with pytest.raises(TypeError, match="integers"):
-            st.apply_affine([0], [[1]], offset=[2.9])
-        assert set(densities.branch_dict(st.apply_affine([0], [[1]], offset=[7]))) == {(3, 2)}
-
     @pytest.mark.parametrize("q", [11, 65521])
     def test_row_blocks_match_int64_oracle(self, q):
         # Three full row blocks and a partial one.  Over F_65521 the products
@@ -348,10 +333,10 @@ class TestAffine:
         st = SparseState(q, rng.integers(0, q, (n, 6)), rng.normal(size=n) + 1j * rng.normal(size=n))
         targets = [5, 1, 3, 0]
         upper = np.array([[2, 3, 0, q - 1], [0, q - 1, 7, 0], [0, 0, 1, 4], [0, 0, 0, 9]])
-        a, b = upper[[2, 0, 3, 1]], np.array([1, q - 1, 0, 7])
-        out = st.apply_affine(targets, a, offset=b).canonical()
+        a = upper[[2, 0, 3, 1]]
+        out = st.apply_affine(targets, a).canonical()
         expected = st.labels.astype(np.int64)
-        expected[:, targets] = (expected[:, targets] @ a.T + b) % q
+        expected[:, targets] = (expected[:, targets] @ a.T) % q
         order = np.lexsort(expected.T[::-1])
         assert np.array_equal(out.labels, expected[order])
         assert np.array_equal(out.amps, st.amps[order])
@@ -544,7 +529,7 @@ class TestLabelWidths:
     @pytest.mark.parametrize("q", [131, 251])
     def test_encode_relabel_trace_match_int64(self, q):
         # Byte labels whose sums need 16 bits.  Registers 1..3 hold an
-        # invertible image of (x, r), before and after an invertible affine
+        # invertible image of (x, r), before and after an invertible linear
         # map on them, so every discarded-digit group of a trace keeping
         # register 0 is one branch, as the int64 oracle requires.
         seed = q
@@ -560,9 +545,8 @@ class TestLabelWidths:
         assert np.array_equal(dealt.labels, expected)
         targets = [3, 1, 2]
         a = full_rank_generator(q, 3, 3, seed=q + 1)
-        b = np.array([q - 1, 1, q // 2])
-        out = dealt.apply_affine(targets, a, offset=b)
-        assert np.array_equal(out.labels[:, targets], (expected[:, targets] @ a.array.T + b) % q)
+        out = dealt.apply_affine(targets, a)
+        assert np.array_equal(out.labels[:, targets], (expected[:, targets] @ a.array.T) % q)
         assert np.array_equal(out.labels[:, 0], expected[:, 0])
         for st in (dealt, out):
             rho = st.partial_trace([0])
@@ -579,7 +563,7 @@ class TestPartialTrace:
     def test_correlated_pair_maximally_mixed(self):
         st = SparseState.from_branches(5, [((i, i), 1.0) for i in range(5)])
         rho = st.partial_trace([0])
-        assert densities.allclose(rho, DensityMatrix(5, 1, np.eye(5) / 5), tol=1e-12)
+        assert densities.allclose(rho, densities.density(5, 1, np.eye(5) / 5), tol=1e-12)
 
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -752,7 +736,7 @@ class TestPartialTrace:
         res = recover_from_k(deal(basis_secret(p, (1, 2)), p), [1, 2, 3, 4])
         rho = res.state.partial_trace(res.secret_registers)
         assert rho.coherences.size == 0
-        assert abs(rho.trace() - 1.0) <= 1e-13
+        assert abs(np.sum(rho.diagonal) - 1.0) <= 1e-13
         assert abs(rho.purity() - 1.0) <= 1e-13
 
     def test_broad_support_small_groups(self):
@@ -795,55 +779,42 @@ class TestPartialTrace:
         st = random_state(3, 2, np.random.default_rng(23), support=5)
         rho = st.partial_trace([])
         assert rho.matrix.shape == (1, 1)
-        assert rho.trace() == pytest.approx(1.0)
+        assert rho.diagonal.tolist() == pytest.approx([1.0])
 
 
 class TestDensityMatrix:
     def test_validation(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            DensityMatrix(2, 1, np.array([[0.5, 1.0], [0.0, 0.5]]))
+        # partial_trace is the one constructor; its parts are checked for
+        # unit trace within NORM_TOL per index, and NaN never passes.
+        with pytest.raises(TypeError):
+            DensityMatrix(2, 1, np.eye(2) / 2)
+        densities.density(3, 4, np.eye(81) / 81 + np.diag([0.8e-12 * 81] + [0.0] * 80))
         with pytest.raises(ValueError, match="trace"):
-            DensityMatrix(2, 1, np.eye(2))
-        with pytest.raises(ValueError, match="expected"):
-            DensityMatrix(2, 2, np.eye(2) / 2)
-
-    @pytest.mark.parametrize("pos", [(0, 1), (70, 5), (5, 70), (80, 80)])
-    def test_hermiticity_tolerance_unchanged(self, pos):
-        # dim 81 spans several row blocks of the check; the gap M - M^H must
-        # stay within NORM_TOL entry by entry, and NaN never passes.
-        base = np.eye(81, dtype=np.complex128) / 81
-        step = 1j if pos[0] == pos[1] else 1.0
-        within = base.copy()
-        within[pos] += 0.4e-12 * step
-        DensityMatrix(3, 4, within)
-        off = base.copy()
-        off[pos] += 2e-12 * step
-        with pytest.raises(ValueError, match="not Hermitian"):
-            DensityMatrix(3, 4, off)
-        nan = base.copy()
-        nan[pos] = np.nan
-        with pytest.raises(ValueError, match="not Hermitian"):
-            DensityMatrix(3, 4, nan)
+            densities.density(3, 4, np.eye(81) / 81 + np.diag([1.2e-12 * 81] + [0.0] * 80))
+        with pytest.raises(ValueError, match="trace"):
+            densities.density(2, 1, np.eye(2))
+        with pytest.raises(ValueError, match="trace"):
+            densities.density(2, 1, np.diag([np.nan, 0.5]))
 
     @pytest.mark.parametrize("params, shares", [((2, 3, 5), [2]), ((3, 4, 7), [1, 2])])
     def test_diagonal_state_reads_its_diagonal(self, params, shares, monkeypatch):
-        # trace, purity and fidelity of a diagonal state read no dense
-        # matrix (268 MB at dim 4096), and agree with the dense path.
+        # purity and fidelity of a diagonal state read no dense matrix
+        # (268 MB at dim 4096), and agree with every index occupied.
         p = make_params(*params)
         regs = [r for i in shares for r in p.registers_of(i)]
         rho = deal(default_secret_pairs(p)[1][0], p).state.partial_trace(regs)
         psi = random_state(p.q, len(regs), np.random.default_rng(5), support=7)
         with monkeypatch.context() as patch:
             densities.forbid_dense(patch)
-            values = (rho.trace(), rho.purity(), fidelity(rho, psi))
-        dense = DensityMatrix(p.q, len(regs), rho.matrix.copy())
+            values = (rho.purity(), fidelity(rho, psi))
+        dense = densities.density(p.q, len(regs), rho.matrix)
         assert dense.coherences.shape == (dense.dim, dense.dim)
-        expected = (dense.trace(), dense.purity(), fidelity(dense, psi))
+        expected = (dense.purity(), fidelity(dense, psi))
         assert values == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_psd_check_on_eigenvalues(self):
         bad = np.diag([1.5, -0.5]).astype(complex)
-        rho = DensityMatrix(2, 1, bad)
+        rho = densities.density(2, 1, bad)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             densities.eigenvalues(rho)
 
@@ -882,7 +853,7 @@ class TestDistances:
         for pair in default_secret_pairs(p)[-pairs:]:
             rho, sigma = (deal(s, p).state.partial_trace(regs) for s in pair)
             assert rho.coherences.size == 0 and sigma.coherences.size == 0
-            dense = [DensityMatrix(p.q, len(regs), x.matrix) for x in (rho, sigma)]
+            dense = [densities.density(p.q, len(regs), x.matrix) for x in (rho, sigma)]
             assert trace_distance(rho, sigma) == trace_distance(*dense)
 
     @settings(max_examples=40, deadline=None)
@@ -902,26 +873,37 @@ class TestDistances:
             for _ in range(2)
         )
         assert rho.coherences.size == 0 and sigma.coherences.size == 0
-        dense = [DensityMatrix(q, registers, x.matrix) for x in (rho, sigma)]
+        dense = [densities.density(q, registers, x.matrix) for x in (rho, sigma)]
         assert trace_distance(rho, sigma) == trace_distance(*dense)
 
-    def test_diagonal_and_dense_pair_takes_dense_path(self, monkeypatch):
+    def test_coherent_against_diagonal_reads_no_matrix(self, monkeypatch):
+        # Only one state has coherences, on some of the kept indices: the
+        # difference is one block on those and diagonal elsewhere.  Both
+        # states spread over most kept indices, so the distance is below 1.
         rng = np.random.default_rng(43)
         keep = [0, 1]
-        singles = grouped_state(5, 4, keep, [1] * 12, rng)
-        dense = grouped_state(5, 4, keep, [3, 1, 2], rng).partial_trace(keep)
-        assert dense.coherences.size
-        copy = DensityMatrix(5, 2, singles.partial_trace(keep).matrix)
-        reads = []
-        build = DensityMatrix.matrix.fget
-        monkeypatch.setattr(DensityMatrix, "matrix", property(lambda rho: reads.append(rho) or build(rho)))
-        for swap in (False, True):
-            reads.clear()
-            diag = singles.partial_trace(keep)
-            assert diag.coherences.size == 0 and not reads
-            pair, expected = ((dense, diag), (dense, copy)) if swap else ((diag, dense), (copy, dense))
-            assert trace_distance(*pair) == trace_distance(*expected)
-            assert any(rho is diag for rho in reads)  # the dense path read the matrix
+        diag = grouped_state(5, 5, keep, [1] * 60, rng).partial_trace(keep)
+        coherent = grouped_state(5, 5, keep, [3, 1, 2] + [1] * 40, rng).partial_trace(keep)
+        assert diag.coherences.size == 0 and 0 < len(coherent.occupied) < coherent.dim
+        pairs = [(diag, coherent), (coherent, diag)]
+        expected = [densities.trace_distance(*pair) for pair in pairs]
+        densities.forbid_dense(monkeypatch)
+        for pair, want in zip(pairs, expected):
+            assert abs(trace_distance(*pair) - want) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_occupied_sets_differ(self, seed, monkeypatch):
+        # Both states have coherences, on different proper subsets of the
+        # kept indices, and their union leaves some indices out.
+        rng = np.random.default_rng(seed)
+        keep = [0, 2, 3]
+        rho, sigma = (grouped_state(3, 6, keep, [4, 1, 3, 2, 1], rng).partial_trace(keep) for _ in range(2))
+        union = np.union1d(rho.occupied, sigma.occupied)
+        assert not np.array_equal(rho.occupied, sigma.occupied)
+        assert max(len(rho.occupied), len(sigma.occupied)) < len(union) < rho.dim
+        expected = densities.trace_distance(rho, sigma)
+        densities.forbid_dense(monkeypatch)
+        assert abs(trace_distance(rho, sigma) - expected) <= 1e-12
 
     def test_dense_difference_is_one_eigensolve(self):
         # Multi-branch groups of several sizes make both reduced states dense.
@@ -933,8 +915,8 @@ class TestDistances:
         assert trace_distance(rho, sigma) == expected
 
     def test_dimension_mismatch(self):
-        a = DensityMatrix(2, 1, np.eye(2) / 2)
-        b = DensityMatrix(2, 2, np.eye(4) / 4)
+        a = densities.density(2, 1, np.eye(2) / 2)
+        b = densities.density(2, 2, np.eye(4) / 4)
         with pytest.raises(ValueError, match="different registers"):
             trace_distance(a, b)
         with pytest.raises(ValueError, match="different registers"):
