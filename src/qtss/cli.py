@@ -34,7 +34,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -45,11 +44,11 @@ from typing import Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from .protocol import (
-    CostRow,
     basis_secret,
     convert_to_mixed,
     cost_table,
     deal,
+    participant_sets,
     recover_from_d,
     recover_from_k,
     secrecy_check,
@@ -336,9 +335,10 @@ def _pick_secrets(cfg: ScenarioConfig, p: SchemeParams, mode: str) -> list[Spars
         support = full_dim
     else:
         support = full_dim if full_dim * per_basis <= cfg.cap_branches else 2
-    if per_basis > cfg.cap_branches or support * per_basis > cfg.cap_branches:
+    if support * per_basis > cfg.cap_branches:
         raise EnumerationCapError(
-            f"branch count {per_basis} per basis secret exceeds cap {cfg.cap_branches}"
+            f"branch count {support * per_basis} ({support} secret labels x {per_basis} "
+            f"per basis secret) exceeds cap {cfg.cap_branches}"
         )
     if count is None:
         return [basis_secret(p, digits) for digits in itertools.product(range(p.q), repeat=p.m)]
@@ -351,16 +351,7 @@ def _pick_secrets(cfg: ScenarioConfig, p: SchemeParams, mode: str) -> list[Spars
 # ---------------------------------------------------------------------------
 
 
-def _session_shape(p: SchemeParams, mode: str) -> tuple[Callable, int]:
-    """(combiner, participants contacted) of a recovery mode."""
-    if mode == "recover-d":
-        return recover_from_d, p.d
-    return recover_from_k, p.k
-
-
-def _cost_row(p: SchemeParams, participants: int) -> CostRow:
-    """The :func:`cost_table` row of a session with that many participants."""
-    return next(r for r in cost_table(p) if r.participants == participants)
+_COMBINERS = {"recover-d": recover_from_d, "recover-k": recover_from_k}
 
 
 def _recovery_sweep(
@@ -370,28 +361,28 @@ def _recovery_sweep(
     secrets: Sequence[SparseState],
     modes: Sequence[str],
     retained: Sequence[int],
-) -> float:
+) -> tuple[float, int]:
     """Deal each secret once and recover it, in each recovery mode, from every
-    subset of the retained participants; returns the minimum fidelity."""
+    participant set of that mode among the retained participants; returns
+    the minimum fidelity and the number of sets per secret."""
+    expected_cost = {r.participants: r.qudits for r in cost_table(p)}
+    sessions = [(mode, s) for mode in modes for s in participant_sets(p, mode, retained)[0]]
     min_fid = 1.0
     for secret in secrets:
         dealt = convert_to_mixed(deal(secret, p, cfg.cap_branches), len(retained))
-        for mode in modes:
-            recover, size = _session_shape(p, mode)
-            expected_cost = _cost_row(p, size).qudits
-            for subset in itertools.combinations(retained, size):
-                result = recover(dealt, subset)
-                cost = result.transcript.qudit_cost
-                if cost != expected_cost:
-                    rec.fail(f"subset {subset}: cost {cost} != {expected_cost}")
-                rho = result.state.partial_trace(result.secret_registers, cfg.cap_dim)
-                fid = fidelity(rho, secret)
-                min_fid = min(min_fid, fid)
-                if fid < 1.0 - MATCH_TOL:
-                    rec.fail(f"subset {subset}: fidelity {fid} below 1 - 1e-10")
-                if abs(rho.purity() - 1.0) > MATCH_TOL:
-                    rec.fail(f"subset {subset}: secret block not disentangled")
-    return min_fid
+        for mode, subset in sessions:
+            result = _COMBINERS[mode](dealt, subset)
+            cost = result.transcript.qudit_cost
+            if cost != expected_cost[len(subset)]:
+                rec.fail(f"subset {subset}: cost {cost} != {expected_cost[len(subset)]}")
+            rho = result.state.partial_trace(result.secret_registers, cfg.cap_dim)
+            fid = fidelity(rho, secret)
+            min_fid = min(min_fid, fid)
+            if fid < 1.0 - MATCH_TOL:
+                rec.fail(f"subset {subset}: fidelity {fid} below 1 - 1e-10")
+            if abs(rho.purity() - 1.0) > MATCH_TOL:
+                rec.fail(f"subset {subset}: secret block not disentangled")
+    return min_fid, len(sessions)
 
 
 def _secrecy_sweep(
@@ -412,21 +403,16 @@ def _secrecy_sweep(
     pairs = list(zip(secrets[::2], secrets[1::2]))
     if len(secrets) % 2:
         pairs.append((secrets[-1], secrets[0]))
-    max_td, tested, skipped = 0.0, 0, 0
-    for size in range(1, p.k):
-        for subset in itertools.combinations(retained, size):
-            try:
-                report = secrecy_check(p, subset, pairs, cfg.cap_dim, cfg.cap_branches)
-            except DimensionCapError:  # raised before any deal
-                skipped += 1
-                continue
-            tested += 1
-            max_td = max(max_td, report.max_trace_distance)
-            if not report.passed:
-                rec.fail(f"subset {subset}: trace distance {report.max_trace_distance} above 1e-10")
+    subsets, skipped = participant_sets(p, "secrecy", retained, cfg.cap_dim)
+    max_td = 0.0
+    for subset in subsets:
+        report = secrecy_check(p, subset, pairs, cfg.cap_dim, cfg.cap_branches)
+        max_td = max(max_td, report.max_trace_distance)
+        if not report.passed:
+            rec.fail(f"subset {subset}: trace distance {report.max_trace_distance} above 1e-10")
     if skipped:
         rec.metrics["subsets_over_dim_cap"] = skipped
-    return max_td, tested, skipped
+    return max_td, len(subsets), skipped
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +451,12 @@ def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
 
 def _run_recovery(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     secrets = _pick_secrets(cfg, p, rec.mode)
-    _, size = _session_shape(p, rec.mode)
-    row = _cost_row(p, size)
-    rec.subsets_tested = math.comb(p.n, size)
-    participants = range(1, p.n + 1)
-    rec.min_fidelity = _recovery_sweep(cfg, p, rec, secrets, (rec.mode,), participants)
+    rec.min_fidelity, rec.subsets_tested = _recovery_sweep(
+        cfg, p, rec, secrets, (rec.mode,), range(1, p.n + 1)
+    )
     rec.secrets_tested = len(secrets)
+    # cost_table lists the k-share row, then the d-share row unless d = k.
+    row = cost_table(p)[-1 if rec.mode == "recover-d" else 0]
     rec.qudit_cost = row.qudits
     rec.channel_dim = row.channel_dim
     if rec.mode == "recover-d":
@@ -480,9 +466,9 @@ def _run_recovery(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
 
 def _run_secrecy(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     secrets = _pick_secrets(cfg, p, "secrecy")
-    max_td, rec.subsets_tested, skipped = _secrecy_sweep(cfg, p, rec, secrets, range(1, p.n + 1))
+    retained = range(1, p.n + 1)
+    rec.max_trace_distance, rec.subsets_tested, skipped = _secrecy_sweep(cfg, p, rec, secrets, retained)
     rec.secrets_tested = len(secrets)
-    rec.max_trace_distance = max_td
     if rec.subsets_tested == 0 and skipped:
         rec.status = "cap-exceeded"
         rec.detail = f"all {skipped} subsets exceed the dimension cap {cfg.cap_dim}"
@@ -491,24 +477,23 @@ def _run_secrecy(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
 def _run_costs(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     rows = cost_table(p)
     rec.metrics["rows"] = [asdict(r) for r in rows]
-    d_rows = [r for r in rows if r.mode == "recover-d"] or rows
-    rec.qudit_cost = d_rows[0].qudits
-    rec.channel_dim = d_rows[0].channel_dim
-    rec.bound_dim = d_rows[0].bound_dim
-    rec.optimal = d_rows[0].optimal
+    row = rows[-1]  # the d-share row, or the one row when d = k
+    rec.qudit_cost = row.qudits
+    rec.channel_dim = row.channel_dim
+    rec.bound_dim = row.bound_dim
+    rec.optimal = row.optimal
     if not all(r.optimal for r in rows):
         rec.fail("achieved channel dimension misses the lower bound")
 
 
 def _run_mixed(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
-    """Re-verify recovery and secrecy after discarding shares down to max(k, d)."""
-    n_prime = max(p.k, p.d)
-    rec.metrics["retained_shares"] = n_prime
+    """Re-verify recovery and secrecy after discarding shares down to d."""
+    rec.metrics["retained_shares"] = p.d
     secrets = _pick_secrets(cfg, p, "mixed")[:4]
-    retained = range(1, n_prime + 1)
+    retained = range(1, p.d + 1)
     modes = ("recover-k", "recover-d")
-    rec.min_fidelity = _recovery_sweep(cfg, p, rec, secrets, modes, retained)
-    rec.subsets_tested = len(secrets) * (math.comb(n_prime, p.k) + math.comb(n_prime, p.d))
+    rec.min_fidelity, sets = _recovery_sweep(cfg, p, rec, secrets, modes, retained)
+    rec.subsets_tested = len(secrets) * sets
     rec.max_trace_distance, _, _ = _secrecy_sweep(cfg, p, rec, secrets, retained)
     rec.secrets_tested = len(secrets)
 
@@ -586,6 +571,7 @@ def demo(secret_spec: str = "10", stream: TextIO | None = None) -> int:
     out = stream or sys.stdout
     p = make_params(2, 3, 5)
     secret = _demo_secret(p, secret_spec)
+    cost_rows = {r.participants: r for r in cost_table(p)}
 
     def w(line: str = "") -> None:
         print(line, file=out)
@@ -616,7 +602,7 @@ def demo(secret_spec: str = "10", stream: TextIO | None = None) -> int:
         ok = factor_check(result.state, result.secret_registers, secret)
         w(f"  secret registers: {result.secret_registers}; fidelity = {fid:.10f}")
         w(f"  fully disentangled from the rest: {ok}")
-        row = _cost_row(p, len(t.accessed))
+        row = cost_rows[len(t.accessed)]
         w(
             f"  communication: {t.qudit_cost} qudits (channel dimension {t.channel_dim})"
             + (f"; lower bound {row.bound_dim} -> optimal" if row.optimal else "")

@@ -37,10 +37,17 @@ program, checked on each call), so labels stay distinct at every state size
 with no scan.  Secrecy of small participant subsets is checked
 operationally: reduced density matrices of a subset must be identical (zero
 trace distance) across secrets.
+
+:func:`participant_sets` is the one rule for which sets a claim is checked
+on: every d-set or k-set of the retained participants for recovery, and
+every set of at most k-1 of them whose reduced dimension fits the cap for
+secrecy, with a count of those it skips.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -73,19 +80,18 @@ __all__ = [
     "RecoveryResult",
     "SecrecyReport",
     "CostRow",
-    "SECRECY_TOL",
     "basis_secret",
     "deal",
     "recover_from_d",
     "recover_from_k",
     "secrecy_check",
+    "participant_sets",
     "convert_to_mixed",
     "lower_bound",
     "cost_table",
     "default_secret_pairs",
 ]
 
-SECRECY_TOL = MATCH_TOL
 # CPython's default limit on the digits of an int converted to text.
 _MAX_COST_DIGITS = 4300
 
@@ -447,7 +453,7 @@ class SecrecyReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_trace_distance <= SECRECY_TOL
+        return self.max_trace_distance <= MATCH_TOL
 
 
 def secrecy_check(
@@ -490,6 +496,26 @@ def secrecy_check(
             if last_use[id(s)] == i:
                 reduced.pop(id(s), None)
     return SecrecyReport(frozenset(members), max_td, len(last_use))
+
+
+def participant_sets(
+    p: SchemeParams, mode: str, retained: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
+) -> tuple[list[tuple[int, ...]], int]:
+    """The participant sets a claim is checked on, and how many were skipped.
+
+    ``recover-d`` and ``recover-k`` give every d- or k-set of ``retained``;
+    ``secrecy`` gives every set of 1..k-1 of them whose reduced dimension
+    q**(m*size) fits ``dim_cap``, and counts the others as skipped.  Sets come
+    in :func:`itertools.combinations` order, size by size.  Raises
+    ``ValueError`` for any other mode.
+    """
+    sizes = {"recover-d": [p.d], "recover-k": [p.k], "secrecy": range(1, p.k)}
+    if mode not in sizes:
+        raise ValueError(f"no participant sets for mode {mode!r}; valid: {sorted(sizes)}")
+    fit = [size for size in sizes[mode] if mode != "secrecy" or p.q ** (p.m * size) <= dim_cap]
+    sets = [s for size in fit for s in itertools.combinations(retained, size)]
+    skipped = sum(math.comb(len(retained), size) for size in sizes[mode]) - len(sets)
+    return sets, skipped
 
 
 def default_secret_pairs(p: SchemeParams, seed: int = 0) -> list[tuple[SparseState, SparseState]]:

@@ -24,6 +24,7 @@ from qtss.protocol import (
     cost_table,
     deal,
     lower_bound,
+    participant_sets,
     recover_from_d,
     recover_from_k,
     secrecy_check,
@@ -202,6 +203,7 @@ def test_criterion_4_secrecy_of_small_subsets():
     start = time.perf_counter()
     worst = 0.0
     tested = skipped = 0
+    swept = over = 0  # the same totals as qtss run's sweep counts them
     for triple in QUANTUM_GRID:
         p = make_params(*triple)
         for size in range(1, p.k):
@@ -211,6 +213,8 @@ def test_criterion_4_secrecy_of_small_subsets():
                     continue
                 worst = max(worst, subset_secrecy(p, subset))
                 tested += 1
+        sets, skips = participant_sets(p, "secrecy", range(1, p.n + 1))
+        swept, over = swept + len(sets), over + skips
     p = make_params(2, 3, 5)
     mixed_ok = True
     eye25 = np.eye(25, dtype=complex) / 25
@@ -230,6 +234,7 @@ def test_criterion_4_secrecy_of_small_subsets():
     )
     assert worst <= TD_TOL
     assert mixed_ok
+    assert (tested, skipped) == (swept, over)
 
 
 def test_criterion_5_cost_optimality():

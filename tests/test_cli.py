@@ -196,6 +196,36 @@ class TestRun:
         assert rec.status == "cap-exceeded" and report.overall_pass
         assert rec.detail == "cost figure 65521**6400 has 30825 digits, over 4300"
 
+    def test_basis_sweep_over_cap_names_the_sweep_total(self):
+        # 1771561 branches per basis secret fit the cap; 121 of them do not.
+        cfg = parse_config("params = 4,5,11\nmodes = encode, secrecy\nsecrets = basis-exhaustive")
+        records = run(cfg).records
+        assert [r.status for r in records] == ["cap-exceeded"] * 2
+        for rec in records:
+            assert rec.detail == (
+                "branch count 214358881 (121 secret labels x 1771561 per basis secret) "
+                "exceeds cap 10000000"
+            )
+
+    def test_capped_recovery_tests_no_subsets(self):
+        # The 343-dimensional secret block of (3,5,7) is over cap_dim = 49 in
+        # the first session, so no session is checked.
+        cfg = parse_config("params = 3,5,7\nmodes = recover-d\nsecrets = random:3\ncap_dim = 49")
+        (rec,) = run(cfg).records
+        assert rec.status == "cap-exceeded" and rec.subsets_tested == 0
+
+    def test_dim_cap_config_all_pass_or_capped(self):
+        # The config that CI also runs with the bare install: cap_dim = 49
+        # skips subsets of (3,4,7) and caps every (3,5,7) record.
+        report = run(cli.load_config(Path(__file__).parent / "golden" / "dim_cap.cfg"))
+        assert report.overall_pass
+        status = {(r.k, r.d, r.q, r.mode): r.status for r in report.records}
+        assert {key for key, s in status.items() if s != "pass"} == {
+            (3, 5, 7, mode) for mode in ("secrecy", "mixed", "recover-d")
+        }
+        secrecy = next(r for r in report.records if (r.d, r.mode) == (4, "secrecy"))
+        assert (secrecy.subsets_tested, secrecy.metrics["subsets_over_dim_cap"]) == (5, 10)
+
     def test_secrecy_dim_cap(self):
         cfg = parse_config("params = 2,3,5\nmodes = secrecy\nsecrets = random:2\ncap_dim = 4")
         report = run(cfg)

@@ -560,6 +560,41 @@ class TestSecrecy:
         assert report.max_trace_distance == pytest.approx(expected, abs=1e-12)
 
 
+class TestParticipantSets:
+    @pytest.mark.parametrize("triple", [(2, 2, 5), (2, 3, 5), (3, 4, 7), (3, 5, 7), (4, 5, 11)])
+    @pytest.mark.parametrize("retained_to", ["n", "d"])
+    def test_sets_are_combinations_in_order(self, triple, retained_to):
+        # retained_to = "d" is the view the mixed mode checks.
+        p = make_params(*triple)
+        retained = range(1, getattr(p, retained_to) + 1)
+        for mode, sizes in (("recover-d", [p.d]), ("recover-k", [p.k]), ("secrecy", range(1, p.k))):
+            expected = [s for size in sizes for s in itertools.combinations(retained, size)]
+            sets, skipped = protocol.participant_sets(p, mode, retained, dim_cap=10**9)
+            assert (sets, skipped) == (expected, 0)
+
+    @pytest.mark.parametrize(
+        "triple, fit, skipped", [((3, 4, 7), 15, 0), ((3, 5, 7), 5, 10), ((4, 5, 11), 7, 56)]
+    )
+    def test_secrecy_skips_at_the_default_cap(self, triple, fit, skipped):
+        p = make_params(*triple)
+        sets, over = protocol.participant_sets(p, "secrecy", range(1, p.n + 1))
+        assert (len(sets), over) == (fit, skipped)
+        assert all(p.q ** (p.m * len(s)) <= protocol.DEFAULT_DIM_CAP for s in sets)
+
+    def test_cap_below_one_share_skips_every_secrecy_set(self):
+        sets, skipped = protocol.participant_sets(P347, "secrecy", range(1, 6), dim_cap=7**2 - 1)
+        assert sets == [] and skipped == 5 + 10
+
+    @pytest.mark.parametrize("mode", ["recover-d", "recover-k"])
+    def test_recovery_sets_never_skipped(self, mode):
+        assert protocol.participant_sets(P347, mode, range(1, 6), dim_cap=1)[1] == 0
+
+    @pytest.mark.parametrize("mode", ["mixed", "encode", "costs", ""])
+    def test_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match="no participant sets"):
+            protocol.participant_sets(P235, mode, range(1, 4))
+
+
 class TestComplementRule:
     """For n = 2k-1 the complement of an authorized set has at most k-1
     members, and must learn nothing."""
