@@ -110,7 +110,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One ``qtss run`` sweep; each field is a config key of the same name."""
+    """One ``qtss run`` sweep; each field is a config key of the same name.
+
+    ``cap_branches`` bounds what one scenario deals: with ``random:<count>``
+    the branches of one dealt state, with ``basis-exhaustive`` the total over
+    the sweep's q**m basis secrets, each of which is dealt on its own.
+    """
 
     params: tuple[tuple[int, int, int], ...]
     modes: tuple[str, ...] = ALL_MODES
@@ -487,14 +492,20 @@ def _run_costs(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
 
 
 def _run_mixed(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
-    """Re-verify recovery and secrecy after discarding shares down to d."""
+    """Re-verify recovery and secrecy after discarding shares down to d, on
+    at most the first 4 secrets.
+
+    Recovery sweeps each mode of :func:`cost_table` (``recover-k`` alone when
+    d = k, as the procedures coincide), and ``subsets_tested`` counts each
+    recovery set and each secrecy set checked once, as the other modes do.
+    """
     rec.metrics["retained_shares"] = p.d
     secrets = _pick_secrets(cfg, p, "mixed")[:4]
     retained = range(1, p.d + 1)
-    modes = ("recover-k", "recover-d")
+    modes = [row.mode for row in cost_table(p)]
     rec.min_fidelity, sets = _recovery_sweep(cfg, p, rec, secrets, modes, retained)
-    rec.subsets_tested = len(secrets) * sets
-    rec.max_trace_distance, _, _ = _secrecy_sweep(cfg, p, rec, secrets, retained)
+    rec.max_trace_distance, checked, _ = _secrecy_sweep(cfg, p, rec, secrets, retained)
+    rec.subsets_tested = sets + checked
     rec.secrets_tested = len(secrets)
 
 

@@ -184,9 +184,6 @@ class FieldMatrix:
             )
         return FieldMatrix._wrap(self.field, self.array @ other.array % self.field.q)
 
-    def __neg__(self) -> FieldMatrix:
-        return FieldMatrix._wrap(self.field, -self.array % self.field.q)
-
     def rank(self) -> int:
         """Rank over F_q, by the same elimination as :meth:`inverse`."""
         return _row_reduce(self.array.copy(), self.cols, self.field.q)

@@ -4,19 +4,18 @@ The dealer is the staircase generator matrix G over F_q: it turns an
 ``m``-qudit secret into the global shared state, each basis component |s>
 mapping to the uniform superposition, over all randomness assignments r, of
 the share digit labels ``G [s; r]``.  Two combiner procedures undo the
-encoding:
-
-* :func:`recover_from_d` contacts ``d`` participants and receives one qudit
-  each (the first register of every contacted share).  It inverts the
-  d-row Vandermonde block in place, then folds the recovered digits into the
-  randomness-head block so that block mirrors the first qudits of the
-  uncontacted shares, which disentangles the secret.
-
-* :func:`recover_from_k` contacts ``k`` participants and receives all their
-  ``m*k`` qudits.  Column by column it strips the Vandermonde mixing, peels
-  the tail digits off the first column, extracts the secret, and finally
-  re-randomizes the leftover registers so each mirrors the corresponding
-  registers of the uncontacted shares.
+encoding: :func:`recover_from_d` contacts ``d`` participants and receives
+one qudit each (the first register of every contacted share), and
+:func:`recover_from_k` contacts ``k`` participants and receives all their
+``m*k`` qudits.  Both follow one rule (:func:`_session`).  The received
+registers carry ``A x``, with A a square block of G's rows and x the secret
+digits then the randomness digits they depend on.  The combiner applies
+``A^-1``, then overwrites each randomness register that has a counterpart
+(the same register position on an uncontacted share) with that
+counterpart's digit.  Every leftover register then mirrors an uncontacted
+share, which disentangles the secret.  For the d-share combiner A is the
+d-row Vandermonde block ``V_D``, and the steps are the paper's: invert
+``V_D``, then remix the randomness head.
 
 Every combiner operation is recorded in a transcript as one invertible
 square matrix over F_q on the registers it names, and is mechanically
@@ -69,7 +68,6 @@ from .staircase import (
     EnumerationCapError,
     SchemeParams,
     generator_matrix,
-    scheme_vandermonde,
 )
 
 __all__ = [
@@ -275,26 +273,42 @@ class _CombinerSession:
 def recover_from_d(dealt: DealtState, participants: Iterable[int]) -> RecoveryResult:
     """Recover the secret from d participants, one qudit per share.
 
-    Steps, confined to the d received registers (the first qudit of every
-    contacted share):
+    The d received registers (the first qudit of every contacted share)
+    carry the d-row Vandermonde block ``V_D`` times the secret digits and
+    the first randomness block (head then tail).  The session (see
+    :func:`_session`) is the paper's procedure, op for op:
 
-    1. Invert the d-row Vandermonde block.  The received registers then hold
-       the m secret digits followed by the k-1 digits of the first
-       randomness block (head then tail).
-    2. Remix the head block: scale it by the head-column block of the
-       uncontacted rows' Vandermonde matrix, then add the matching
-       combination of the secret and tail digits.  The head registers now
-       carry exactly the digit values sitting in the uncontacted shares'
-       first qudits, so summing over the head randomness yields a perfectly
-       correlated pair, independent of the secret.
+    1. Invert ``V_D``; the registers now hold those digits.
+    2. Remix the head block: scale it by the uncontacted rows' head-column
+       block, then add the matching combination of the secret and tail
+       digits.  The head registers then carry exactly the digits of the
+       uncontacted shares' first qudits, so summing over the head
+       randomness yields a perfectly correlated pair, independent of the
+       secret.  The tail registers keep their randomness digits.
 
-    The secret ends in the first m received registers, disentangled from
-    everything else; cost is exactly d qudits.
+    The secret ends in the first qudits of the first m contacted shares,
+    disentangled from everything else; cost is exactly d qudits.
     """
-    return _run_session(dealt, participants, dealt.params.d, "d", _d_session)
+    return _run_session(dealt, participants, dealt.params.d, "d", 1)
 
 
-def _run_session(dealt: DealtState, participants: Iterable[int], size: int, what: str, build):
+def recover_from_k(dealt: DealtState, participants: Iterable[int]) -> RecoveryResult:
+    """Recover the secret from k participants, all m qudits of each.
+
+    The m*k received registers carry their m*k rows of the generator G
+    times every secret and randomness digit.  The session (see
+    :func:`_session`) inverts that square block, so the registers hold the
+    secret digits then the randomness digits.  It then overwrites every
+    randomness register with the digit of its counterpart on an uncontacted
+    share, which disentangles the secret as in :func:`recover_from_d`.
+
+    The secret ends in the first qudits of the first m contacted shares;
+    cost is exactly m*k qudits.
+    """
+    return _run_session(dealt, participants, dealt.params.k, "k", dealt.params.m)
+
+
+def _run_session(dealt: DealtState, participants: Iterable[int], size: int, what: str, per_share: int):
     """Check the contacted participants, build their session's program from
     the parameters alone, and run it on the dealt state."""
     chosen = sorted(set(participants))
@@ -303,139 +317,71 @@ def _run_session(dealt: DealtState, participants: Iterable[int], size: int, what
     missing = sorted(set(chosen) - dealt.active)
     if missing:
         raise ValueError(f"participants {missing} are not part of this scheme view")
-    session, output = build(dealt.params, chosen)
+    session, output = _session(dealt.params, chosen, per_share)
     return session.finish(dealt.state, output)
 
 
-def _d_session(p: SchemeParams, chosen: Sequence[int]) -> tuple[_CombinerSession, Sequence[int]]:
-    """The d-share combiner's session on the sorted participants ``chosen``
-    (see :func:`recover_from_d`), and the registers left holding the secret."""
-    regs = [p.registers_of(i)[0] for i in chosen]
-    session = _CombinerSession(p.q, {i: (r,) for i, r in zip(chosen, regs)})
+def _session(p: SchemeParams, chosen: Sequence[int], per_share: int) -> tuple[_CombinerSession, list[int]]:
+    """The combiner's session on the sorted participants ``chosen``, each
+    sending its first ``per_share`` registers, and the registers left
+    holding the secret.
 
-    vand = scheme_vandermonde(p)
-    block_d = vand.submatrix([i - 1 for i in chosen], None)
-    session.affine(
-        regs,
-        block_d.inverse(),
-        "invert the d-row Vandermonde block; registers now hold the secret "
-        "digits then the first randomness block",
-    )
+    The received registers, in received order (the first register of every
+    contacted share, then the first register of each later column, then
+    the rest of each later column), carry ``A x``: A is G restricted to
+    their rows and to the ``m + per_share*(k-1)`` columns they depend on,
+    and x is the secret digits then the randomness digits those columns
+    name.  A is square for d shares sending one register each and for k
+    shares sending all m; :meth:`FieldMatrix.inverse` rejects a singular A.
 
-    others = sorted(set(range(1, p.n + 1)) - set(chosen))
-    if others:  # head block has k-m = (2k-1) - d registers
-        block_e = vand.submatrix([i - 1 for i in others], None)
-        head = regs[p.m : p.k]
-        session.affine(
-            head,
-            block_e.submatrix(None, range(p.m, p.k)),
-            "scale the randomness-head block by the uncontacted rows' "
-            "matching column block",
-        )
-        src = regs[: p.m] + regs[p.k :]
-        coeff = block_e.submatrix(None, [*range(p.m), *range(p.k, p.d)])
-        session.controlled_add(
-            src,
-            head,
-            coeff,
-            "fold the secret and tail digits into the head block so it "
-            "mirrors the uncontacted shares' first qudits",
-        )
-    return session, regs[: p.m]
+    1. Apply ``A^-1``: received register t now holds digit t of x.
+    2. Pair the randomness registers, in received order, with their
+       counterparts: the uncontacted shares' first ``per_share`` registers,
+       column by column.  Scale the paired registers by the counterparts'
+       rows of G on their own digits, then add the counterparts' rows on
+       every other digit, controlled on the other registers.  Each paired
+       register now holds its counterpart's digit ``G[counterpart] x``;
+       unpaired randomness registers keep their digits.
 
-
-def recover_from_k(dealt: DealtState, participants: Iterable[int]) -> RecoveryResult:
-    """Recover the secret from k participants, all m qudits of each.
-
-    The received registers form m columns of k registers each (column j
-    holds the contacted shares' j-th qudits).  Steps:
-
-    1. For each column j >= 2, invert the square block of the contacted
-       rows' last k Vandermonde columns; column j then holds one tail digit
-       followed by the j-th randomness block.
-    2. Subtract the tail digits' contribution from column 1 (controlled on
-       the tail registers), leaving only the first k Vandermonde columns'
-       mixing there.
-    3. Invert that square block; column 1 now holds the secret then the
-       randomness head.
-    4. Re-randomize: map each column-j remainder (j >= 2), and afterwards
-       the reassembled first randomness block, through the uncontacted
-       rows' Vandermonde action so each mirrors the corresponding registers
-       of the uncontacted shares.  The column maps run first because they
-       are controlled on tail digits that the final map overwrites.
-
-    The secret ends in the first m registers of the first column; cost is
-    exactly m*k qudits.
+    The composed program is therefore ``T A^-1``, with T built from rows of
+    G, and the secret sits in the first m registers in received order.
     """
-    return _run_session(dealt, participants, dealt.params.k, "k", _k_session)
-
-
-def _k_session(p: SchemeParams, chosen: Sequence[int]) -> tuple[_CombinerSession, Sequence[int]]:
-    """The k-share combiner's session on the sorted participants ``chosen``
-    (see :func:`recover_from_k`), and the registers left holding the secret."""
-    accessed = {i: p.registers_of(i) for i in chosen}
-    cols = list(zip(*accessed.values()))
-    session = _CombinerSession(p.q, accessed)
-
-    vand = scheme_vandermonde(p)
-    block_k = vand.submatrix([i - 1 for i in chosen], None)
-    others = sorted(set(range(1, p.n + 1)) - set(chosen))
-    if p.m > 1:
-        last_k_inverse = block_k.submatrix(None, range(p.m - 1, p.d)).inverse()
-        for j in range(1, p.m):
-            session.affine(
-                list(cols[j]),
-                last_k_inverse,
-                f"invert the trailing-columns block on column {j + 1}; it now holds "
-                f"tail digit {j} then randomness block {j + 1}",
-            )
-        tail_regs = [cols[j][0] for j in range(1, p.m)]
-        session.controlled_add(
-            tail_regs,
-            list(cols[0]),
-            -block_k.submatrix(None, range(p.k, p.d)),
-            "subtract the tail digits' contribution from column 1",
-        )
+    m = p.m
+    shares = [p.registers_of(i)[:per_share] for i in chosen]
+    session = _CombinerSession(p.q, dict(zip(chosen, shares)))
+    field = session.field
+    cols = list(zip(*shares))
+    received = [*cols[0], *(col[0] for col in cols[1:]), *(r for col in cols[1:] for r in col[1:])]
+    g = generator_matrix(p).array
+    width = m + per_share * (p.k - 1)
     session.affine(
-        list(cols[0]),
-        block_k.submatrix(None, range(p.k)).inverse(),
-        "invert the leading-columns block; column 1 now holds the secret "
-        "then the randomness head",
+        received,
+        FieldMatrix._wrap(field, g[received, :width]).inverse(),
+        "decode: invert the generator block on the received registers; they now "
+        "hold the secret digits then the randomness digits",
     )
 
-    if p.k > 1 and others:
-        block_l = vand.submatrix([i - 1 for i in others], None)
-        l_rand = block_l.submatrix(None, range(p.m, p.d))
-        for j in range(1, p.m):
-            rest = list(cols[j][1:])
-            session.affine(
-                rest,
-                l_rand,
-                f"re-randomize column {j + 1}'s remainder through the "
-                "uncontacted rows' action",
-            )
-            session.controlled_add(
-                [cols[j][0]],
-                rest,
-                block_l.submatrix(None, [p.m - 1]),
-                f"add tail digit {j}'s contribution so column {j + 1} mirrors "
-                "the uncontacted shares",
-            )
-        first_block = list(cols[0][p.m :]) + [cols[j][0] for j in range(1, p.m)]
+    others = sorted(set(range(1, p.n + 1)) - set(chosen))
+    counterparts = [(i - 1) * m + j for j in range(per_share) for i in others]
+    if counterparts:
+        stop = m + len(counterparts)
+        targets = received[m:stop]
+        unpaired = [*range(m), *range(stop, width)]
+        mirror = g[counterparts, :width]
         session.affine(
-            first_block,
-            l_rand,
-            "re-randomize the first randomness block through the uncontacted "
-            "rows' action",
+            targets,
+            FieldMatrix._wrap(field, mirror[:, m:stop]),
+            "scale the paired randomness registers by their uncontacted "
+            "counterparts' rows of G on those digits",
         )
         session.controlled_add(
-            list(cols[0][: p.m]),
-            first_block,
-            block_l.submatrix(None, range(p.m)),
-            "add the secret's contribution so the block mirrors the "
-            "uncontacted shares' first qudits",
+            [received[t] for t in unpaired],
+            targets,
+            FieldMatrix._wrap(field, mirror[:, unpaired]),
+            "add the other registers' contribution so each paired register "
+            "mirrors its uncontacted counterpart",
         )
-    return session, cols[0][: p.m]
+    return session, received[:m]
 
 
 # ---------------------------------------------------------------------------

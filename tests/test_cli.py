@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -241,6 +241,41 @@ class TestRun:
         assert secrecy.metrics["subsets_over_dim_cap"] == 10
         assert mixed.metrics["subsets_over_dim_cap"] == 6
         assert mixed.status == "pass" and mixed.metrics["retained_shares"] == 4
+
+    def test_mixed_recovers_each_set_once(self, monkeypatch):
+        # d = k: the d-share procedure is the k-share one, so mixed sweeps
+        # recover-k alone.  subsets_tested counts the one k-set of the two
+        # retained shares and their two single-share secrecy sets.
+        calls = []
+        honest = cli._COMBINERS["recover-d"]
+
+        def counted(dealt, subset):
+            calls.append(subset)
+            return honest(dealt, subset)
+
+        monkeypatch.setitem(cli._COMBINERS, "recover-d", counted)
+        cfg = parse_config("params = 2,2,5\nmodes = mixed\nsecrets = random:3\nseed = 5")
+        (rec,) = run(cfg).records
+        assert rec.status == "pass" and calls == []
+        assert (rec.subsets_tested, rec.secrets_tested) == (3, 3)
+
+    def test_mixed_counts_recovery_and_secrecy_sets(self):
+        # (3,4,7) keeps 4 shares: 4 k-sets, 1 d-set and 4 + 6 secrecy sets,
+        # each counted once however many secrets are tested.
+        cfg = parse_config("params = 3,4,7\nmodes = mixed\nsecrets = random:2\nseed = 5")
+        (rec,) = run(cfg).records
+        assert rec.status == "pass" and (rec.subsets_tested, rec.secrets_tested) == (15, 2)
+
+    def test_cap_branches_bounds_the_basis_sweep_total(self):
+        # Each of the 343 (3,5,7) basis secrets deals 117649 branches, under
+        # the cap, but basis-exhaustive bounds their total; random:2 bounds
+        # one dealt state of a 2-label secret.
+        cfg = parse_config("params = 3,5,7\nmodes = encode\nsecrets = basis-exhaustive")
+        (capped,) = run(cfg).records
+        assert capped.status == "cap-exceeded"
+        assert capped.detail.startswith("branch count 40353607 (343 secret labels")
+        (ran,) = run(replace(cfg, secrets="random:2")).records
+        assert ran.status == "pass" and ran.secrets_tested == 2
 
     def test_odd_secret_count_deals_every_secret(self, monkeypatch):
         # Three secrets: one consecutive pair, then the last secret against

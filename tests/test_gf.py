@@ -194,10 +194,6 @@ class TestMatrixAlgebra:
         with pytest.raises(ValueError, match="different fields"):
             FieldMatrix.identity(F5, 2) @ FieldMatrix.identity(F7, 2)
 
-    def test_neg(self):
-        m = FieldMatrix.from_rows(F5, [[1, 2], [3, 4]])
-        assert (-m).row_tuples() == ((4, 3), (2, 1))
-
     def test_non_square_inverse_rejected(self):
         with pytest.raises(ValueError, match="non-square"):
             FieldMatrix.zeros(F5, 2, 3).inverse()

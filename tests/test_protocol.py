@@ -274,23 +274,50 @@ class TestCombinerLocality:
             assert result.transcript.qudit_cost == len(allowed)
 
 
+def final_rows(p, chosen, per_share):
+    """Register -> the row of ``P @ G[received]`` that a correct session on
+    ``chosen`` leaves there, P being its program.
+
+    In received order (the first register of every contacted share, then
+    the first register of each later column, then the rest of each later
+    column), the first m registers hold the secret digits, so their rows are
+    units.  The next ones are paired, column by column, with the uncontacted
+    shares' registers and must carry those registers' rows of G.  Any left
+    over (a d-session's tail) keep their randomness digits: unit rows again.
+    """
+    g = protocol.generator_matrix(p).array
+    unit = np.eye(g.shape[1], dtype=np.int64)
+    cols = list(zip(*(p.registers_of(i)[:per_share] for i in chosen)))
+    received = [*cols[0], *(c[0] for c in cols[1:]), *(r for c in cols[1:] for r in c[1:])]
+    others = [i for i in range(1, p.n + 1) if i not in chosen]
+    counterparts = [p.registers_of(i)[j] for j in range(per_share) for i in others]
+    rows = {}
+    for t, reg in enumerate(received):
+        paired = p.m <= t < p.m + len(counterparts)
+        rows[reg] = g[counterparts[t - p.m]] if paired else unit[t]
+    return rows
+
+
 class TestProgramsWithoutState:
     def test_every_program_recovers_exactly_at_6_9_13(self):
         # (6,9,13) deals 13**20 branches per secret, far past simulation, so
         # the combiners' programs are checked over F_q alone.  With G the
-        # generator and P a session's program on its received registers, P
-        # must be invertible and the output rows of P @ G[received] must be
-        # [I_m | 0]: the secret digits come out with no randomness mixed in.
-        # Every op is one invertible square matrix on sources + targets whose
-        # source rows are the identity: sources only control.
+        # generator and P a session's program on its received registers,
+        # every row of P @ G[received] is pinned: the output rows are
+        # [I_m | 0] (the secret digits, with no randomness mixed in), each
+        # paired register's row is its uncontacted counterpart's row of G,
+        # and a d-session's tail registers keep their randomness unit rows.
+        # As G[received] has full rank on the columns it depends on, this
+        # fixes P.  Every op is one invertible square matrix on sources +
+        # targets whose source rows are the identity: sources only control.
         p = make_params(6, 9, 13)
         g = protocol.generator_matrix(p).array
         exact = np.eye(p.m, p.m + p.randomness_len, dtype=np.int64)
         checked = {}
-        for size, build in ((p.k, protocol._k_session), (p.d, protocol._d_session)):
+        for size, per_share in ((p.k, p.m), (p.d, 1)):
             subsets = list(itertools.combinations(range(1, p.n + 1), size))
             for subset in subsets:
-                session, output = build(p, subset)
+                session, output = protocol._session(p, subset, per_share)
                 for op in session.ops:
                     side, s = len(op.sources) + len(op.targets), len(op.sources)
                     assert op.matrix.array.shape == (side, side), op.note
@@ -301,14 +328,17 @@ class TestProgramsWithoutState:
                 out = prog.array @ g[session.registers] % p.q
                 rows = [session.registers.index(r) for r in output]
                 assert np.array_equal(out[rows], exact), subset
+                expected = final_rows(p, subset, per_share)
+                assert sorted(expected) == sorted(session.registers)
+                for i, reg in enumerate(session.registers):
+                    assert np.array_equal(out[i], expected[reg]), (subset, reg)
             checked[size] = len(subsets)
         assert checked == {p.k: 462, p.d: 55}
 
     @pytest.mark.parametrize("triple", [(3, 5, 7), (4, 7, 11)], ids=["3-5-7", "4-7-11"])
-    def test_k_session_inverts_two_blocks(self, monkeypatch, triple):
-        # One inverse of the trailing-columns block serves every column j >= 2,
-        # and one of the leading-columns block serves column 1: two in all,
-        # whatever m is.
+    def test_each_session_inverts_once(self, monkeypatch, triple):
+        # A session decodes with one inverse of its block of G: m*k x m*k
+        # for a k-session, d x d (the Vandermonde block V_D) for a d-session.
         p = make_params(*triple)
         calls = []
         honest = FieldMatrix.inverse
@@ -318,8 +348,11 @@ class TestProgramsWithoutState:
             return honest(self)
 
         monkeypatch.setattr(FieldMatrix, "inverse", counted)
-        protocol._k_session(p, list(range(1, p.k + 1)))
-        assert p.m > 2 and calls == [(p.k, p.k), (p.k, p.k)]
+        for size, per_share, side in ((p.k, p.m, p.m * p.k), (p.d, 1, p.d)):
+            calls.clear()
+            protocol._session(p, list(range(1, size + 1)), per_share)
+            assert calls == [(side, side)]
+        assert p.m > 2
 
 
 def replay(dealt, transcript) -> SparseState:

@@ -403,7 +403,7 @@ class TestControlledAdd:
         st = random_state(5, 3, rng, support=8)
         coeff = FieldMatrix.from_rows(F5, [[2], [3]])
         fwd = st.apply_controlled_add([0], [1, 2], coeff)
-        back = fwd.apply_controlled_add([0], [1, 2], -coeff)
+        back = fwd.apply_controlled_add([0], [1, 2], FieldMatrix.from_rows(F5, [[-2], [-3]]))
         assert densities.states_allclose(back, st)
 
     def test_overlap_rejected(self):
