@@ -47,6 +47,8 @@ from .protocol import (
     lower_bound,
     recover_from_d,
     recover_from_k,
+    recovery_session,
+    run_session,
     secrecy_check,
 )
 
@@ -91,6 +93,8 @@ __all__ = [
     "basis_secret",
     "recover_from_d",
     "recover_from_k",
+    "recovery_session",
+    "run_session",
     "secrecy_check",
     "convert_to_mixed",
     "lower_bound",

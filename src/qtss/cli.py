@@ -51,6 +51,8 @@ from .protocol import (
     participant_sets,
     recover_from_d,
     recover_from_k,
+    recovery_session,
+    run_session,
     secrecy_check,
 )
 from .qsim import (
@@ -139,6 +141,11 @@ class ScenarioConfig:
         bad = [m for m in self.modes if m not in ALL_MODES]
         if bad:
             raise ConfigError(f"unknown modes {bad}; valid: {list(ALL_MODES)}")
+        for name in ("params", "modes"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name} names {repeated} more than once")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
         self.random_count  # raises ConfigError on a malformed ``secrets``
@@ -356,9 +363,6 @@ def _pick_secrets(cfg: ScenarioConfig, p: SchemeParams, mode: str) -> list[Spars
 # ---------------------------------------------------------------------------
 
 
-_COMBINERS = {"recover-d": recover_from_d, "recover-k": recover_from_k}
-
-
 def _recovery_sweep(
     cfg: ScenarioConfig,
     p: SchemeParams,
@@ -367,19 +371,20 @@ def _recovery_sweep(
     modes: Sequence[str],
     retained: Sequence[int],
 ) -> tuple[float, int]:
-    """Deal each secret once and recover it, in each recovery mode, from every
-    participant set of that mode among the retained participants; returns
-    the minimum fidelity and the number of sets per secret."""
+    """Build the session of every participant set of each recovery mode
+    among the retained participants once, and check its cost; then deal each
+    secret once and run every session on it.  Returns the minimum fidelity
+    and the number of sets."""
     expected_cost = {r.participants: r.qudits for r in cost_table(p)}
-    sessions = [(mode, s) for mode in modes for s in participant_sets(p, mode, retained)[0]]
+    sessions = [(s, recovery_session(p, m, s)) for m in modes for s in participant_sets(p, m, retained)[0]]
+    for subset, transcript in sessions:
+        if transcript.qudit_cost != expected_cost[len(subset)]:
+            rec.fail(f"subset {subset}: cost {transcript.qudit_cost} != {expected_cost[len(subset)]}")
     min_fid = 1.0
     for secret in secrets:
         dealt = convert_to_mixed(deal(secret, p, cfg.cap_branches), len(retained))
-        for mode, subset in sessions:
-            result = _COMBINERS[mode](dealt, subset)
-            cost = result.transcript.qudit_cost
-            if cost != expected_cost[len(subset)]:
-                rec.fail(f"subset {subset}: cost {cost} != {expected_cost[len(subset)]}")
+        for subset, transcript in sessions:
+            result = run_session(dealt, transcript)
             rho = result.state.partial_trace(result.secret_registers, cfg.cap_dim)
             fid = fidelity(rho, secret)
             min_fid = min(min_fid, fid)

@@ -158,19 +158,6 @@ class FieldMatrix:
     def row_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(tuple, self.array.tolist()))
 
-    def submatrix(
-        self,
-        row_idx: Sequence[int] | None = None,
-        col_idx: Sequence[int] | None = None,
-    ) -> FieldMatrix:
-        """Extract rows/columns in the given order; ``None`` keeps all."""
-        arr = self.array
-        if row_idx is not None:
-            arr = arr[_selection(row_idx, self.rows, "row")]
-        if col_idx is not None:
-            arr = arr[:, _selection(col_idx, self.cols, "column")]
-        return FieldMatrix._wrap(self.field, arr)
-
     # -- algebra ------------------------------------------------------
 
     def __matmul__(self, other):
@@ -200,17 +187,6 @@ class FieldMatrix:
 
     def __repr__(self) -> str:
         return f"FieldMatrix(q={self.field.q}, {self.row_tuples()})"
-
-
-def _selection(idx: Sequence[int], bound: int, what: str) -> list[int]:
-    """Validated indices for :meth:`FieldMatrix.submatrix`."""
-    idx = [int(i) for i in idx]
-    for i in idx:
-        if not 0 <= i < bound:
-            raise IndexError(f"{what} index {i} out of range")
-    if len(set(idx)) != len(idx):
-        raise ValueError("duplicate indices in submatrix selection")
-    return idx
 
 
 def _row_reduce(rows: np.ndarray, ncols: int, q: int) -> int:

@@ -7,11 +7,11 @@ the share digit labels ``G [s; r]``.  Two combiner procedures undo the
 encoding: :func:`recover_from_d` contacts ``d`` participants and receives
 one qudit each (the first register of every contacted share), and
 :func:`recover_from_k` contacts ``k`` participants and receives all their
-``m*k`` qudits.  Both follow one rule (:func:`_session`).  The received
-registers carry ``A x``, with A a square block of G's rows and x the secret
-digits then the randomness digits they depend on.  The combiner applies
-``A^-1``, then overwrites each randomness register that has a counterpart
-(the same register position on an uncontacted share) with that
+``m*k`` qudits.  Both follow one rule (:func:`recovery_session`).  The
+received registers carry ``A x``, with A a square block of G's rows and x
+the secret digits then the randomness digits they depend on.  The combiner
+applies ``A^-1``, then overwrites each randomness register that has a
+counterpart (the same register position on an uncontacted share) with that
 counterpart's digit.  Every leftover register then mirrors an uncontacted
 share, which disentangles the secret.  For the d-share combiner A is the
 d-row Vandermonde block ``V_D``, and the steps are the paper's: invert
@@ -19,13 +19,15 @@ d-row Vandermonde block ``V_D``, and the steps are the paper's: invert
 
 Every combiner operation is recorded in a transcript as one invertible
 square matrix over F_q on the registers it names, and is mechanically
-confined to the registers the combiner actually received; an operation
-touching anything else raises :class:`CombinerLocalityError`.  The
-transcript is the session's program: when the session finishes, its ops are
-composed into one invertible matrix over F_q on the received registers and
-applied to the shared state in a single relabeling.  A session is built from
-the parameters and the contacted participants alone, so its program can be
-checked over F_q for schemes whose states are far too large to simulate.
+confined to the registers the combiner actually received; a transcript with
+an operation touching anything else raises :class:`CombinerLocalityError`
+when it is built.  The transcript is the session's program, and
+:func:`recovery_session` builds it from the parameters and the contacted
+participants alone, so its program can be checked over F_q for schemes whose
+states are far too large to simulate, and one transcript serves every dealt
+state.  :func:`run_session` composes its ops into one invertible matrix over
+F_q on the received registers and applies it to the shared state in a single
+relabeling.
 
 This module builds matrices and never touches labels: the dealer hands the
 generator matrix to :meth:`SparseState.encode`, and a session hands its
@@ -53,7 +55,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gf import FieldMatrix, PrimeField, shear
+from .gf import FieldMatrix, shear
 from .qsim import (
     DEFAULT_DIM_CAP,
     MATCH_TOL,
@@ -82,6 +84,8 @@ __all__ = [
     "deal",
     "recover_from_d",
     "recover_from_k",
+    "recovery_session",
+    "run_session",
     "secrecy_check",
     "participant_sets",
     "convert_to_mixed",
@@ -158,7 +162,7 @@ def deal(
 class OpRecord:
     """One combiner operation: what it did, which registers it touched, and
     its map, one square matrix over F_q; a program that
-    :meth:`_CombinerSession.finish` accepts has every op's matrix invertible.
+    :func:`run_session` accepts has every op's matrix invertible.
 
     ``matrix`` maps the digits x of ``sources + targets`` to ``matrix @ x``.
     The sources only control: their rows of ``matrix`` are the identity, so
@@ -177,12 +181,18 @@ class OpRecord:
 
 @dataclass(frozen=True)
 class RecoveryTranscript:
-    """Accounting for one recovery session.
+    """One recovery session, built before any state exists.
 
+    ``accessed`` maps each contacted participant to the registers it sends.
     ``operations`` is the session's program, in the order it runs.
     ``qudit_cost`` counts the registers communicated to the combiner and
     ``channel_dim`` is the total Hilbert-space dimension q**cost that had to
     cross the channel.
+
+    Construction checks the program: it has ops, all over one field, and
+    each names every register once, only registers the combiner received
+    (else :class:`CombinerLocalityError`), with a square matrix.  Costs are
+    not checked against the registers.
     """
 
     accessed: Mapping[int, tuple[int, ...]]
@@ -190,6 +200,43 @@ class RecoveryTranscript:
     qudit_cost: int
     channel_dim: int
     output_registers: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        fields = {op.matrix.field.q for op in self.operations}
+        if len(fields) != 1:
+            raise ValueError(f"a program needs ops over one field F_q, got q in {sorted(fields)}")
+        allowed = set(self.registers)
+        for op in self.operations:
+            registers = op.sources + op.targets
+            if len(set(registers)) != len(registers):
+                raise ValueError(f"operation names a register twice: {list(registers)}")
+            outside = sorted(set(registers) - allowed)
+            if outside:
+                raise CombinerLocalityError(
+                    f"operation touches registers {outside} the combiner never received"
+                )
+            if op.matrix.array.shape != (len(registers),) * 2:
+                raise ValueError(f"a {op.matrix.array.shape} matrix cannot map {len(registers)} registers")
+
+    @property
+    def registers(self) -> tuple[int, ...]:
+        """The received registers, participant by participant."""
+        return tuple(r for regs in self.accessed.values() for r in regs)
+
+    def program(self) -> FieldMatrix:
+        """The ops composed into one matrix on :attr:`registers`.
+
+        Row i of the running product gives received register i's digit as a
+        combination of the digits the combiner received, so each op acts on
+        the rows of its registers exactly as it would on label digits.
+        """
+        field = self.operations[0].matrix.field
+        pos = {r: i for i, r in enumerate(self.registers)}
+        prog = np.eye(len(pos), dtype=np.int64)
+        for op in self.operations:
+            rows = [pos[r] for r in op.sources + op.targets]
+            prog[rows] = op.matrix.array @ prog[rows] % field.q
+        return FieldMatrix._wrap(field, prog)
 
 
 @dataclass(frozen=True)
@@ -202,81 +249,13 @@ class RecoveryResult:
         return self.transcript.output_registers
 
 
-class _CombinerSession:
-    """Records a combiner's operations over F_q, refusing non-local ones.
-
-    Building the program needs only q and the registers each contacted
-    participant sent; :meth:`finish` is the one step that touches a state,
-    running the whole program on it as one linear map.
-    """
-
-    def __init__(self, q: int, accessed: dict[int, tuple[int, ...]]):
-        self.field = PrimeField(q)
-        self.accessed = accessed
-        self.registers = [r for regs in accessed.values() for r in regs]
-        self.allowed = frozenset(self.registers)
-        self.ops: list[OpRecord] = []
-
-    def _record(
-        self, targets: Sequence[int], sources: Sequence[int], note: str, matrix: FieldMatrix
-    ) -> None:
-        registers = list(sources) + list(targets)
-        if len(set(registers)) != len(registers):
-            raise ValueError(f"operation names a register twice: {registers}")
-        outside = sorted(set(registers) - self.allowed)
-        if outside:
-            raise CombinerLocalityError(
-                f"operation touches registers {outside} the combiner never received"
-            )
-        if matrix.array.shape != (len(registers),) * 2:
-            raise ValueError(f"a {matrix.array.shape} matrix cannot map {len(registers)} registers")
-        self.ops.append(OpRecord(tuple(targets), tuple(sources), note, matrix))
-
-    def affine(self, targets: Sequence[int], matrix: FieldMatrix, note: str) -> None:
-        self._record(targets, (), note, matrix)
-
-    def controlled_add(
-        self, sources: Sequence[int], targets: Sequence[int], coeff: FieldMatrix, note: str
-    ) -> None:
-        self._record(targets, sources, note, shear(coeff))
-
-    def program(self) -> FieldMatrix:
-        """The recorded ops composed into one matrix on ``self.registers``.
-
-        Row i of the running product gives received register i's digit as a
-        combination of the digits the combiner received, so each op acts on
-        the rows of its registers exactly as it would on label digits.
-        """
-        q = self.field.q
-        pos = {r: i for i, r in enumerate(self.registers)}
-        prog = np.eye(len(self.registers), dtype=np.int64)
-        for op in self.ops:
-            rows = [pos[r] for r in op.sources + op.targets]
-            prog[rows] = op.matrix.array @ prog[rows] % q
-        return FieldMatrix._wrap(self.field, prog)
-
-    def finish(self, state: SparseState, output_registers: Sequence[int]) -> RecoveryResult:
-        # apply_affine rejects a singular program: its invertibility is the
-        # certificate that the whole session permutes basis states.
-        state = state.apply_affine(self.registers, self.program())
-        cost = len(self.allowed)
-        transcript = RecoveryTranscript(
-            accessed=dict(self.accessed),
-            operations=tuple(self.ops),
-            qudit_cost=cost,
-            channel_dim=state.q**cost,
-            output_registers=tuple(output_registers),
-        )
-        return RecoveryResult(state, transcript)
-
-
 def recover_from_d(dealt: DealtState, participants: Iterable[int]) -> RecoveryResult:
     """Recover the secret from d participants, one qudit per share.
 
     The d received registers (the first qudit of every contacted share)
     carry the d-row Vandermonde block ``V_D`` times the secret digits and
     the first randomness block (head then tail).  The session (see
-    :func:`_session`) is the paper's procedure, op for op:
+    :func:`recovery_session`) is the paper's procedure, op for op:
 
     1. Invert ``V_D``; the registers now hold those digits.
     2. Remix the head block: scale it by the uncontacted rows' head-column
@@ -289,7 +268,7 @@ def recover_from_d(dealt: DealtState, participants: Iterable[int]) -> RecoveryRe
     The secret ends in the first qudits of the first m contacted shares,
     disentangled from everything else; cost is exactly d qudits.
     """
-    return _run_session(dealt, participants, dealt.params.d, "d", 1)
+    return run_session(dealt, recovery_session(dealt.params, "recover-d", participants))
 
 
 def recover_from_k(dealt: DealtState, participants: Iterable[int]) -> RecoveryResult:
@@ -297,34 +276,37 @@ def recover_from_k(dealt: DealtState, participants: Iterable[int]) -> RecoveryRe
 
     The m*k received registers carry their m*k rows of the generator G
     times every secret and randomness digit.  The session (see
-    :func:`_session`) inverts that square block, so the registers hold the
-    secret digits then the randomness digits.  It then overwrites every
-    randomness register with the digit of its counterpart on an uncontacted
-    share, which disentangles the secret as in :func:`recover_from_d`.
+    :func:`recovery_session`) inverts that square block, so the registers
+    hold the secret digits then the randomness digits.  It then overwrites
+    every randomness register with the digit of its counterpart on an
+    uncontacted share, which disentangles the secret as in
+    :func:`recover_from_d`.
 
     The secret ends in the first qudits of the first m contacted shares;
     cost is exactly m*k qudits.
     """
-    return _run_session(dealt, participants, dealt.params.k, "k", dealt.params.m)
+    return run_session(dealt, recovery_session(dealt.params, "recover-k", participants))
 
 
-def _run_session(dealt: DealtState, participants: Iterable[int], size: int, what: str, per_share: int):
-    """Check the contacted participants, build their session's program from
-    the parameters alone, and run it on the dealt state."""
-    chosen = sorted(set(participants))
-    if len(chosen) != size:
-        raise ValueError(f"need exactly {what}={size} distinct participants, got {len(chosen)}")
-    missing = sorted(set(chosen) - dealt.active)
+def run_session(dealt: DealtState, transcript: RecoveryTranscript) -> RecoveryResult:
+    """Run a session's program on the dealt state as one linear map.
+
+    Every contacted participant must still hold its share.
+    :meth:`SparseState.apply_affine` rejects a singular program: its
+    invertibility is the certificate that the session permutes basis states.
+    """
+    missing = sorted(set(transcript.accessed) - dealt.active)
     if missing:
         raise ValueError(f"participants {missing} are not part of this scheme view")
-    session, output = _session(dealt.params, chosen, per_share)
-    return session.finish(dealt.state, output)
+    return RecoveryResult(dealt.state.apply_affine(transcript.registers, transcript.program()), transcript)
 
 
-def _session(p: SchemeParams, chosen: Sequence[int], per_share: int) -> tuple[_CombinerSession, list[int]]:
-    """The combiner's session on the sorted participants ``chosen``, each
-    sending its first ``per_share`` registers, and the registers left
-    holding the secret.
+def recovery_session(p: SchemeParams, mode: str, participants: Iterable[int]) -> RecoveryTranscript:
+    """The combiner's session on ``participants``, from the parameters alone.
+
+    ``recover-d`` contacts d participants, each sending its first register;
+    ``recover-k`` contacts k, each sending all m.  Raises ``ValueError`` for
+    any other mode, a set of the wrong size, or a participant outside 1..n.
 
     The received registers, in received order (the first register of every
     contacted share, then the first register of each later column, then
@@ -346,42 +328,56 @@ def _session(p: SchemeParams, chosen: Sequence[int], per_share: int) -> tuple[_C
     The composed program is therefore ``T A^-1``, with T built from rows of
     G, and the secret sits in the first m registers in received order.
     """
-    m = p.m
+    shapes = {"recover-d": ("d", p.d, 1), "recover-k": ("k", p.k, p.m)}
+    if mode not in shapes:
+        raise ValueError(f"no recovery session for mode {mode!r}; valid: {sorted(shapes)}")
+    what, size, per_share = shapes[mode]
+    chosen = sorted(set(participants))
+    if len(chosen) != size:
+        raise ValueError(f"need exactly {what}={size} distinct participants, got {len(chosen)}")
+    outside = [i for i in chosen if not 1 <= i <= p.n]
+    if outside:
+        raise ValueError(f"participants {outside} are not part of this scheme")
+    m, field = p.m, p.field
     shares = [p.registers_of(i)[:per_share] for i in chosen]
-    session = _CombinerSession(p.q, dict(zip(chosen, shares)))
-    field = session.field
     cols = list(zip(*shares))
     received = [*cols[0], *(col[0] for col in cols[1:]), *(r for col in cols[1:] for r in col[1:])]
     g = generator_matrix(p).array
     width = m + per_share * (p.k - 1)
-    session.affine(
-        received,
-        FieldMatrix._wrap(field, g[received, :width]).inverse(),
-        "decode: invert the generator block on the received registers; they now "
-        "hold the secret digits then the randomness digits",
-    )
-
+    ops = [
+        OpRecord(
+            tuple(received),
+            (),
+            "decode: invert the generator block on the received registers; they now "
+            "hold the secret digits then the randomness digits",
+            FieldMatrix._wrap(field, g[received, :width]).inverse(),
+        )
+    ]
     others = sorted(set(range(1, p.n + 1)) - set(chosen))
     counterparts = [(i - 1) * m + j for j in range(per_share) for i in others]
     if counterparts:
         stop = m + len(counterparts)
-        targets = received[m:stop]
+        targets = tuple(received[m:stop])
         unpaired = [*range(m), *range(stop, width)]
         mirror = g[counterparts, :width]
-        session.affine(
-            targets,
-            FieldMatrix._wrap(field, mirror[:, m:stop]),
-            "scale the paired randomness registers by their uncontacted "
-            "counterparts' rows of G on those digits",
-        )
-        session.controlled_add(
-            [received[t] for t in unpaired],
-            targets,
-            FieldMatrix._wrap(field, mirror[:, unpaired]),
-            "add the other registers' contribution so each paired register "
-            "mirrors its uncontacted counterpart",
-        )
-    return session, received[:m]
+        ops += [
+            OpRecord(
+                targets,
+                (),
+                "scale the paired randomness registers by their uncontacted "
+                "counterparts' rows of G on those digits",
+                FieldMatrix._wrap(field, mirror[:, m:stop]),
+            ),
+            OpRecord(
+                targets,
+                tuple(received[t] for t in unpaired),
+                "add the other registers' contribution so each paired register "
+                "mirrors its uncontacted counterpart",
+                shear(FieldMatrix._wrap(field, mirror[:, unpaired])),
+            ),
+        ]
+    cost = len(received)
+    return RecoveryTranscript(dict(zip(chosen, shares)), tuple(ops), cost, p.q**cost, tuple(received[:m]))
 
 
 # ---------------------------------------------------------------------------

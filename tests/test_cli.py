@@ -24,6 +24,7 @@ from qtss.cli import (
     parse_config,
     run,
 )
+from qtss.gf import FieldMatrix
 from qtss.staircase import make_params
 
 SMALL_CONFIG = """
@@ -247,17 +248,37 @@ class TestRun:
         # recover-k alone.  subsets_tested counts the one k-set of the two
         # retained shares and their two single-share secrecy sets.
         calls = []
-        honest = cli._COMBINERS["recover-d"]
+        honest = cli.recovery_session
 
-        def counted(dealt, subset):
-            calls.append(subset)
-            return honest(dealt, subset)
+        def counted(p, mode, subset):
+            calls.append((mode, subset))
+            return honest(p, mode, subset)
 
-        monkeypatch.setitem(cli._COMBINERS, "recover-d", counted)
+        monkeypatch.setattr(cli, "recovery_session", counted)
         cfg = parse_config("params = 2,2,5\nmodes = mixed\nsecrets = random:3\nseed = 5")
         (rec,) = run(cfg).records
-        assert rec.status == "pass" and calls == []
+        assert rec.status == "pass" and calls == [("recover-k", (1, 2))]
         assert (rec.subsets_tested, rec.secrets_tested) == (3, 3)
+
+    def test_each_set_is_decoded_once_for_all_secrets(self, monkeypatch):
+        # A session depends on the set alone: (3,4,7) has 10 k-sets and 5
+        # d-sets, each inverting one block of G, however many of the 49
+        # basis secrets run on it.
+        calls = []
+        honest = FieldMatrix.inverse
+
+        def counted(self):
+            calls.append(self.rows)
+            return honest(self)
+
+        monkeypatch.setattr(FieldMatrix, "inverse", counted)
+        cfg = parse_config("params = 3,4,7\nmodes = recover-d, recover-k\nsecrets = basis-exhaustive")
+        records = run(cfg).records
+        assert [(r.status, r.subsets_tested, r.secrets_tested) for r in records] == [
+            ("pass", 5, 49),
+            ("pass", 10, 49),
+        ]
+        assert sorted(calls) == [4] * 5 + [6] * 10
 
     def test_mixed_counts_recovery_and_secrecy_sets(self):
         # (3,4,7) keeps 4 shares: 4 k-sets, 1 d-set and 4 + 6 secrecy sets,
@@ -466,6 +487,23 @@ class TestMainEntry:
         assert "Traceback" not in captured.err
         with pytest.raises(ConfigError, match="line 3: key 'params' repeats line 1"):
             parse_config("params = 2,2,5\nseed = 3\nparams = 3,4,7\nSEED = 9")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("params = 2,3,5; 2,3,5\nmodes = costs, costs", "params names [(2, 3, 5)] more than once"),
+            ("params = 2,3,5; 3,4,7\nmodes = costs, encode, costs", "modes names ['costs'] more than once"),
+        ],
+        ids=["params", "modes"],
+    )
+    def test_repeated_entry_is_config_error(self, tmp_path, capsys, text, message):
+        # A triple or mode named twice would only emit its records twice.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        assert main(["run", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: {message}" in captured.err and "Traceback" not in captured.err
 
     def test_modulus_past_label_width_is_config_error(self, tmp_path, capsys):
         # 65537 is prime but its digits do not fit the 16-bit labels.

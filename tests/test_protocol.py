@@ -17,10 +17,11 @@ import numpy as np
 import pytest
 
 from qtss import protocol
-from qtss.gf import FieldMatrix, SingularMatrixError
+from qtss.gf import FieldMatrix, PrimeField, SingularMatrixError, shear
 from qtss.protocol import (
     CombinerLocalityError,
-    _CombinerSession,
+    OpRecord,
+    RecoveryTranscript,
     basis_secret,
     convert_to_mixed,
     cost_table,
@@ -29,6 +30,8 @@ from qtss.protocol import (
     lower_bound,
     recover_from_d,
     recover_from_k,
+    recovery_session,
+    run_session,
     secrecy_check,
 )
 from qtss.qsim import (
@@ -253,15 +256,29 @@ class TestRecoverFromK:
             recover_from_k(dealt, [1, 2, 3])
 
 
+def transcript_of(*ops) -> RecoveryTranscript:
+    """A (2,3,5) transcript of ``ops`` on registers 0 and 2, as participants
+    1 and 2 send them."""
+    return RecoveryTranscript({1: (0,), 2: (2,)}, ops, 2, 25, (0,))
+
+
 class TestCombinerLocality:
     def test_session_refuses_outside_registers(self):
-        session = _CombinerSession(P235.q, {1: (0,), 2: (2,)})
-        from qtss.gf import FieldMatrix
-
+        one = FieldMatrix.identity(P235.field, 1)
         with pytest.raises(CombinerLocalityError, match=r"\[4\]"):
-            session.affine([4], FieldMatrix.identity(P235.field, 1), "outside")
+            transcript_of(OpRecord((4,), (), "outside", one))
         with pytest.raises(CombinerLocalityError):
-            session.controlled_add([0], [1], FieldMatrix.identity(P235.field, 1), "outside")
+            transcript_of(OpRecord((1,), (0,), "outside", shear(one)))
+
+    def test_replaced_program_is_checked(self):
+        # A transcript is checked whenever it is built, dataclasses.replace
+        # included; its cost figures are taken as given.
+        t = recovery_session(P235, "recover-d", [1, 2, 3])
+        outside = OpRecord((1,), (), "never received", FieldMatrix.identity(P235.field, 1))
+        with pytest.raises(CombinerLocalityError, match=r"\[1\]"):
+            dataclasses.replace(t, operations=t.operations + (outside,))
+        cheap = dataclasses.replace(t, qudit_cost=2, channel_dim=25)
+        assert cheap.operations == t.operations and cheap.qudit_cost == 2
 
     def test_transcripts_stay_local(self):
         rng = rng_for(303)
@@ -314,26 +331,42 @@ class TestProgramsWithoutState:
         g = protocol.generator_matrix(p).array
         exact = np.eye(p.m, p.m + p.randomness_len, dtype=np.int64)
         checked = {}
-        for size, per_share in ((p.k, p.m), (p.d, 1)):
+        for mode, size, per_share in (("recover-k", p.k, p.m), ("recover-d", p.d, 1)):
             subsets = list(itertools.combinations(range(1, p.n + 1), size))
             for subset in subsets:
-                session, output = protocol._session(p, subset, per_share)
-                for op in session.ops:
+                t = recovery_session(p, mode, subset)
+                for op in t.operations:
                     side, s = len(op.sources) + len(op.targets), len(op.sources)
                     assert op.matrix.array.shape == (side, side), op.note
                     assert op.matrix.rank() == side, op.note
                     assert np.array_equal(op.matrix.array[:s], np.eye(s, side, dtype=np.int64))
-                prog = session.program()
-                assert prog.rank() == prog.rows == len(session.registers)
-                out = prog.array @ g[session.registers] % p.q
-                rows = [session.registers.index(r) for r in output]
+                prog = t.program()
+                assert prog.rank() == prog.rows == len(t.registers)
+                out = prog.array @ g[list(t.registers)] % p.q
+                rows = [t.registers.index(r) for r in t.output_registers]
                 assert np.array_equal(out[rows], exact), subset
                 expected = final_rows(p, subset, per_share)
-                assert sorted(expected) == sorted(session.registers)
-                for i, reg in enumerate(session.registers):
+                assert sorted(expected) == sorted(t.registers)
+                for i, reg in enumerate(t.registers):
                     assert np.array_equal(out[i], expected[reg]), (subset, reg)
             checked[size] = len(subsets)
         assert checked == {p.k: 462, p.d: 55}
+
+    def test_session_rejects_bad_requests(self):
+        with pytest.raises(ValueError, match="no recovery session for mode 'secrecy'"):
+            recovery_session(P235, "secrecy", [1])
+        with pytest.raises(ValueError, match=r"participants \[0\] are not part"):
+            recovery_session(P235, "recover-k", [0, 1])
+        with pytest.raises(ValueError, match="exactly d=3"):
+            recovery_session(P235, "recover-d", [1, 2])
+
+    def test_one_session_serves_every_secret(self):
+        t = recovery_session(P347, "recover-d", [1, 2, 4, 5])
+        for digits in [(0, 0), (2, 5), (6, 1)]:
+            secret = basis_secret(P347, digits)
+            result = run_session(deal(secret, P347), t)
+            assert result.transcript is t
+            assert_recovers(result, secret)
 
     @pytest.mark.parametrize("triple", [(3, 5, 7), (4, 7, 11)], ids=["3-5-7", "4-7-11"])
     def test_each_session_inverts_once(self, monkeypatch, triple):
@@ -348,9 +381,9 @@ class TestProgramsWithoutState:
             return honest(self)
 
         monkeypatch.setattr(FieldMatrix, "inverse", counted)
-        for size, per_share, side in ((p.k, p.m, p.m * p.k), (p.d, 1, p.d)):
+        for mode, size, side in (("recover-k", p.k, p.m * p.k), ("recover-d", p.d, p.d)):
             calls.clear()
-            protocol._session(p, list(range(1, size + 1)), per_share)
+            recovery_session(p, mode, range(1, size + 1))
             assert calls == [(side, side)]
         assert p.m > 2
 
@@ -364,11 +397,8 @@ def replay(dealt, transcript) -> SparseState:
 
 
 def rerun(dealt, result, ops) -> SparseState:
-    """Issue the given ops through a fresh session with the same registers."""
-    session = _CombinerSession(dealt.params.q, dict(result.transcript.accessed))
-    for op in ops:
-        session.affine(op.sources + op.targets, op.matrix, op.note)
-    return session.finish(dealt.state, result.secret_registers).state
+    """Run the given ops as the program of the result's transcript."""
+    return run_session(dealt, dataclasses.replace(result.transcript, operations=tuple(ops))).state
 
 
 def sessions(p, secret, n_kept):
@@ -414,23 +444,38 @@ class TestProgram:
 
     def test_singular_program_rejected(self):
         dealt = deal(basis_secret(P235, (1, 2)), P235)
-        session = _CombinerSession(P235.q, {1: (0,), 2: (2,)})
         f = P235.field
-        session.affine([0, 2], FieldMatrix.from_rows(f, [[1, 2], [0, 1]]), "invertible")
-        session.controlled_add([0], [2], FieldMatrix.from_rows(f, [[3]]), "always invertible")
-        session.affine([2], FieldMatrix.zeros(f, 1, 1), "collapses register 2")
+        transcript = transcript_of(
+            OpRecord((0, 2), (), "invertible", FieldMatrix.from_rows(f, [[1, 2], [0, 1]])),
+            OpRecord((2,), (0,), "always invertible", shear(FieldMatrix.from_rows(f, [[3]]))),
+            OpRecord((2,), (), "collapses register 2", FieldMatrix.zeros(f, 1, 1)),
+        )
         with pytest.raises(SingularMatrixError):
-            session.finish(dealt.state, [0])
+            run_session(dealt, transcript)
 
     def test_repeated_register_rejected(self):
         # Composition needs disjoint sources and targets, as the simulator does.
-        session = _CombinerSession(P235.q, {1: (0,), 2: (2,)})
         f = P235.field
-        with pytest.raises(ValueError, match="twice"):
-            session.controlled_add([0], [0], FieldMatrix.from_rows(f, [[1]]), "overlap")
-        with pytest.raises(ValueError, match="twice"):
-            session.affine([2, 2], FieldMatrix.identity(f, 2), "duplicate")
-        assert session.ops == []
+        t = transcript_of(OpRecord((2,), (0,), "add", shear(FieldMatrix.from_rows(f, [[1]]))))
+        overlap = OpRecord((0,), (0,), "overlap", shear(FieldMatrix.from_rows(f, [[1]])))
+        duplicate = OpRecord((2, 2), (), "duplicate", FieldMatrix.identity(f, 2))
+        for bad in (overlap, duplicate):
+            with pytest.raises(ValueError, match="twice"):
+                dataclasses.replace(t, operations=t.operations + (bad,))
+        assert len(t.operations) == 1
+
+    def test_program_is_square_ops_over_one_field(self):
+        # program() composes over one F_q, so it has no field to reduce an
+        # op over another into, and no field at all without ops.
+        t = recovery_session(P235, "recover-d", [1, 2, 3])
+        seven = OpRecord((0,), (), "over F_7", FieldMatrix.identity(PrimeField(7), 1))
+        wide = OpRecord((0,), (), "1x2", FieldMatrix.zeros(P235.field, 1, 2))
+        with pytest.raises(ValueError, match=r"one field F_q, got q in \[5, 7\]"):
+            dataclasses.replace(t, operations=t.operations + (seven,))
+        with pytest.raises(ValueError, match=r"one field F_q, got q in \[\]"):
+            dataclasses.replace(t, operations=())
+        with pytest.raises(ValueError, match="cannot map 1 registers"):
+            dataclasses.replace(t, operations=t.operations + (wide,))
 
     @pytest.mark.parametrize("recover, subset", [(recover_from_d, (1, 2, 3)), (recover_from_k, (1, 3))])
     def test_tampered_coefficient_breaks_recovery(self, recover, subset):

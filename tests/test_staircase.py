@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from qtss.cli import DEFAULT_GRID
+from qtss.gf import FieldMatrix
 from qtss.staircase import (
     EnumerationCapError,
     ParameterError,
@@ -224,8 +225,9 @@ class TestClassicalShadows:
             flat = [(2 * j + 1) % q for j in range(p.randomness_len)]
             c = encode_classical(secret, flat, p)
             for rows in itertools.combinations(range(p.n), p.d):
-                block = v.submatrix(rows, None)
-                solved = (block.inverse() @ c.submatrix(rows, [0])).array.ravel().tolist()
+                block = FieldMatrix._wrap(v.field, v.array[list(rows)])
+                first = FieldMatrix._wrap(c.field, c.array[list(rows), :1])
+                solved = (block.inverse() @ first).array.ravel().tolist()
                 assert solved[: p.m] == secret
                 assert solved[p.m :] == flat[: p.k - 1]
 
