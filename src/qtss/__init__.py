@@ -16,9 +16,7 @@ from .staircase import (
     build_message_matrix,
     encode_classical,
     enumerate_codewords,
-    generator_matrix,
     make_params,
-    scheme_vandermonde,
 )
 from .qsim import (
     DensityMatrix,
@@ -66,11 +64,9 @@ __all__ = [
     "ParameterError",
     "EnumerationCapError",
     "make_params",
-    "scheme_vandermonde",
     "build_message_matrix",
     "encode_classical",
     "enumerate_codewords",
-    "generator_matrix",
     # qsim
     "SparseState",
     "DensityMatrix",

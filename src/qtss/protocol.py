@@ -1,6 +1,7 @@
 """Dealer, combiners, secrecy verifier and communication-cost accounting.
 
-The dealer is the staircase generator matrix G over F_q: it turns an
+The dealer is the scheme's generator matrix G over F_q
+(:attr:`SchemeParams.generator`): it turns an
 ``m``-qudit secret into the global shared state, each basis component |s>
 mapping to the uniform superposition, over all randomness assignments r, of
 the share digit labels ``G [s; r]``.  Two combiner procedures undo the
@@ -20,14 +21,16 @@ d-row Vandermonde block ``V_D``, and the steps are the paper's: invert
 Every combiner operation is recorded in a transcript as one invertible
 square matrix over F_q on the registers it names, and is mechanically
 confined to the registers the combiner actually received; a transcript with
-an operation touching anything else raises :class:`CombinerLocalityError`
-when it is built.  The transcript is the session's program, and
-:func:`recovery_session` builds it from the parameters and the contacted
-participants alone, so its program can be checked over F_q for schemes whose
-states are far too large to simulate, and one transcript serves every dealt
-state.  :func:`run_session` composes its ops into one invertible matrix over
-F_q on the received registers and applies it to the shared state in a single
-relabeling.
+an operation touching anything else, a participant sending registers that
+are not its own, or an output register it never received raises
+:class:`CombinerLocalityError` when it is built.  The transcript is the
+session's program, and :func:`recovery_session` builds it from the
+parameters and the contacted participants alone, so its program can be
+checked over F_q for schemes whose states are far too large to simulate, and
+one transcript serves every state dealt with the same parameters.
+:func:`run_session` refuses a state dealt with other parameters, then
+composes the ops into one invertible matrix over F_q on the received
+registers and applies it to the shared state in a single relabeling.
 
 This module builds matrices and never touches labels: the dealer hands the
 generator matrix to :meth:`SparseState.encode`, and a session hands its
@@ -69,7 +72,6 @@ from .staircase import (
     DEFAULT_BRANCH_CAP,
     EnumerationCapError,
     SchemeParams,
-    generator_matrix,
 )
 
 __all__ = [
@@ -99,7 +101,8 @@ _MAX_COST_DIGITS = 4300
 
 
 class CombinerLocalityError(RuntimeError):
-    """A combiner operation tried to touch a register it never received."""
+    """A combiner session reads a register it never received, or a
+    participant sends a register that is not its own."""
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +136,7 @@ def deal(
 ) -> DealtState:
     """Encode an m-qudit secret into the n*m-register shared state.
 
-    The state is ``secret.encode(generator_matrix(p))``: each basis component
+    The state is ``secret.encode(p.generator)``: each basis component
     |s> of the secret becomes the uniform superposition of its
     q**(m*(k-1)) codeword labels ``G [s; r]``, and superpositions follow by
     linearity.  :meth:`SparseState.encode` certifies that G has full column
@@ -150,7 +153,7 @@ def deal(
         raise EnumerationCapError(
             f"dealing would create {total} branches, above the cap of {cap_branches}"
         )
-    return DealtState(p, secret.encode(generator_matrix(p)), frozenset(range(1, p.n + 1)))
+    return DealtState(p, secret.encode(p.generator), frozenset(range(1, p.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -183,18 +186,23 @@ class OpRecord:
 class RecoveryTranscript:
     """One recovery session, built before any state exists.
 
-    ``accessed`` maps each contacted participant to the registers it sends.
-    ``operations`` is the session's program, in the order it runs.
-    ``qudit_cost`` counts the registers communicated to the combiner and
-    ``channel_dim`` is the total Hilbert-space dimension q**cost that had to
-    cross the channel.
+    ``params`` is the scheme the session was built for.  ``accessed`` maps
+    each contacted participant to the registers it sends.  ``operations`` is
+    the session's program, in the order it runs.  ``qudit_cost`` counts the
+    registers communicated to the combiner and ``channel_dim`` is the total
+    Hilbert-space dimension q**cost that had to cross the channel.
 
-    Construction checks the program: it has ops, all over one field, and
-    each names every register once, only registers the combiner received
-    (else :class:`CombinerLocalityError`), with a square matrix.  Costs are
-    not checked against the registers.
+    Construction checks the shares and the program, and raises
+    :class:`CombinerLocalityError` for a participant outside 1..n, one that
+    sends a register of another share, an op on a register the combiner
+    never received, or an output register it never received.  A register
+    sent twice raises ``ValueError``, and so does a program without ops,
+    with an op over another field than the scheme's, or with an op that
+    names a register twice or has a non-square matrix.  Costs are not
+    checked against the registers.
     """
 
+    params: SchemeParams
     accessed: Mapping[int, tuple[int, ...]]
     operations: tuple[OpRecord, ...]
     qudit_cost: int
@@ -202,10 +210,22 @@ class RecoveryTranscript:
     output_registers: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        fields = {op.matrix.field.q for op in self.operations}
-        if len(fields) != 1:
-            raise ValueError(f"a program needs ops over one field F_q, got q in {sorted(fields)}")
+        p = self.params
+        for i, regs in self.accessed.items():
+            if not 1 <= i <= p.n:
+                raise CombinerLocalityError(f"participant {i} is not one of 1..{p.n}")
+            foreign = sorted(set(regs) - set(p.registers_of(i)))
+            if foreign:
+                raise CombinerLocalityError(f"participant {i} sends registers {foreign} of other shares")
         allowed = set(self.registers)
+        if len(allowed) != len(self.registers):
+            raise ValueError(f"a participant sends a register twice: {list(self.registers)}")
+        unreceived = sorted(set(self.output_registers) - allowed)
+        if unreceived:
+            raise CombinerLocalityError(f"output registers {unreceived} were never received")
+        fields = {op.matrix.field.q for op in self.operations}
+        if fields != {p.q}:
+            raise ValueError(f"a program needs ops over one field F_q, got q in {sorted(fields)}; the scheme's is F_{p.q}")
         for op in self.operations:
             registers = op.sources + op.targets
             if len(set(registers)) != len(registers):
@@ -291,10 +311,14 @@ def recover_from_k(dealt: DealtState, participants: Iterable[int]) -> RecoveryRe
 def run_session(dealt: DealtState, transcript: RecoveryTranscript) -> RecoveryResult:
     """Run a session's program on the dealt state as one linear map.
 
-    Every contacted participant must still hold its share.
-    :meth:`SparseState.apply_affine` rejects a singular program: its
-    invertibility is the certificate that the session permutes basis states.
+    The transcript must be built for the parameters the state was dealt
+    with, and every contacted participant must still hold its share (else
+    ``ValueError``).  :meth:`SparseState.apply_affine` rejects a singular
+    program: its invertibility is the certificate that the session permutes
+    basis states.
     """
+    if transcript.params != dealt.params:
+        raise ValueError(f"session built for {transcript.params} cannot run on a state dealt with {dealt.params}")
     missing = sorted(set(transcript.accessed) - dealt.active)
     if missing:
         raise ValueError(f"participants {missing} are not part of this scheme view")
@@ -342,7 +366,7 @@ def recovery_session(p: SchemeParams, mode: str, participants: Iterable[int]) ->
     shares = [p.registers_of(i)[:per_share] for i in chosen]
     cols = list(zip(*shares))
     received = [*cols[0], *(col[0] for col in cols[1:]), *(r for col in cols[1:] for r in col[1:])]
-    g = generator_matrix(p).array
+    g = p.generator.array
     width = m + per_share * (p.k - 1)
     ops = [
         OpRecord(
@@ -377,7 +401,7 @@ def recovery_session(p: SchemeParams, mode: str, participants: Iterable[int]) ->
             ),
         ]
     cost = len(received)
-    return RecoveryTranscript(dict(zip(chosen, shares)), tuple(ops), cost, p.q**cost, tuple(received[:m]))
+    return RecoveryTranscript(p, dict(zip(chosen, shares)), tuple(ops), cost, p.q**cost, tuple(received[:m]))
 
 
 # ---------------------------------------------------------------------------

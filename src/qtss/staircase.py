@@ -31,9 +31,12 @@ in the registers ``(i-1)*m .. i*m - 1`` that
 :meth:`SchemeParams.registers_of` names.
 
 The whole encoding is linear, so it is one generator matrix ``G`` over F_q
-(:func:`generator_matrix`): its ``n*m`` rows are the share digits,
+(:attr:`SchemeParams.generator`): its ``n*m`` rows are the share digits,
 share-major, and its ``m + m*(k-1)`` columns are the secret digits followed
 by the randomness digits, so the flattened codeword table is ``G [s; r]``.
+The scheme value owns G, built once per value: the dealer and the combiners
+read it from the parameters they are given, so a scheme with another G is
+another value (a subclass that overrides :attr:`SchemeParams.generator`).
 Secrets and randomness are plain digit sequences, reduced mod q; a
 non-integral digit raises ``TypeError``.
 """
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -54,10 +57,8 @@ __all__ = [
     "EnumerationCapError",
     "SchemeParams",
     "make_params",
-    "scheme_vandermonde",
     "build_message_matrix",
     "encode_classical",
-    "generator_matrix",
     "enumerate_codewords",
     "DEFAULT_BRANCH_CAP",
 ]
@@ -79,7 +80,10 @@ class SchemeParams:
     """Validated parameters of a ((k, 2k-1, d)) scheme over F_q.
 
     Derived quantities: ``n = 2k-1`` participants, secret length
-    ``m = d-k+1`` qudits, ``m*(k-1)`` randomness digits.
+    ``m = d-k+1`` qudits, ``m*(k-1)`` randomness digits, and the matrices
+    :attr:`vandermonde` and :attr:`generator`, each built once per value.
+    Equality compares classes, so a subclass that overrides ``generator``
+    is a different scheme from the staircase with the same ``(k, d, q)``.
     """
 
     k: int
@@ -129,6 +133,24 @@ class SchemeParams:
         """
         return tuple(range(1, self.n + 1))
 
+    @cached_property
+    def vandermonde(self) -> FieldMatrix:
+        """The n x d Vandermonde matrix of the scheme, on nodes 1..n."""
+        return vandermonde(self.field, self.nodes, self.d)
+
+    @cached_property
+    def generator(self) -> FieldMatrix:
+        """The (n*m) x (m + m*(k-1)) generator G taking (secret, randomness)
+        digits to the flattened codeword table, share-major.
+
+        Built column by column from :func:`encode_classical` on unit vectors,
+        so the dealer's G is by construction the linear extension of the
+        encoder.
+        """
+        units = np.eye(self.m + self.randomness_len, dtype=np.int64)
+        cols = [encode_classical(e[: self.m], e[self.m :], self).array.ravel() for e in units]
+        return FieldMatrix._wrap(self.field, np.stack(cols, axis=1))
+
     def registers_of(self, participant: int) -> tuple[int, ...]:
         """Global registers of participant ``i`` (1-based): ``(i-1)*m ..
         i*m - 1``, register ``j`` holding codeword digit ``(i, j+1)``."""
@@ -140,12 +162,6 @@ class SchemeParams:
 def make_params(k: int, d: int, q: int) -> SchemeParams:
     """Validate and build scheme parameters."""
     return SchemeParams(k, d, q)
-
-
-@lru_cache(maxsize=64)
-def scheme_vandermonde(p: SchemeParams) -> FieldMatrix:
-    """The n x d Vandermonde matrix of the scheme, on nodes 1..n."""
-    return vandermonde(p.field, p.nodes, p.d)
 
 
 def _digits(values: Sequence[int], length: int, what: str, q: int) -> np.ndarray:
@@ -182,20 +198,7 @@ def encode_classical(
 
     Row ``i`` is participant ``i+1``'s tuple of share digits.
     """
-    return scheme_vandermonde(p) @ build_message_matrix(secret, randomness, p)
-
-
-@lru_cache(maxsize=64)
-def generator_matrix(p: SchemeParams) -> FieldMatrix:
-    """The (n*m) x (m + m*(k-1)) generator G taking (secret, randomness)
-    digits to the flattened codeword table, share-major.
-
-    Built column by column from :func:`encode_classical` on unit vectors, so
-    the dealer's G is by construction the linear extension of the encoder.
-    """
-    units = np.eye(p.m + p.randomness_len, dtype=np.int64)
-    cols = [encode_classical(e[: p.m], e[p.m :], p).array.ravel() for e in units]
-    return FieldMatrix._wrap(p.field, np.stack(cols, axis=1))
+    return p.vandermonde @ build_message_matrix(secret, randomness, p)
 
 
 def enumerate_codewords(

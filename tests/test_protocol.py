@@ -15,6 +15,7 @@ from pathlib import Path
 import densities
 import numpy as np
 import pytest
+from broken_schemes import Collapsed, Leaky
 
 from qtss import protocol
 from qtss.gf import FieldMatrix, PrimeField, SingularMatrixError, shear
@@ -112,19 +113,11 @@ class TestDeal:
             deal(basis_secret(P347, (0, 0)), P347, cap_branches=100)
 
     @pytest.mark.parametrize("kdq", [(2, 3, 5), (4, 5, 11)], ids=["2-3-5", "4-5-11"])
-    def test_non_injective_generator_rejected(self, monkeypatch, kdq):
+    def test_non_injective_generator_rejected(self, kdq):
         # Equal last two randomness columns: the codeword map is no longer
         # injective, so labels would collide.  At (4,5,11) the dealt state
         # would have 11**6 branches on 11**5 distinct labels.
-        honest = protocol.generator_matrix
-
-        def collapsed(p):
-            coeff = honest(p).array.copy()
-            coeff[:, -1] = coeff[:, -2]
-            return FieldMatrix(p.field, *coeff.shape, coeff)
-
-        monkeypatch.setattr(protocol, "generator_matrix", collapsed)
-        p = make_params(*kdq)
+        p = Collapsed(*kdq)
         with pytest.raises(SingularMatrixError, match="codewords would collide"):
             deal(basis_secret(p, (0,) * p.m), p)
 
@@ -256,19 +249,37 @@ class TestRecoverFromK:
             recover_from_k(dealt, [1, 2, 3])
 
 
-def transcript_of(*ops) -> RecoveryTranscript:
-    """A (2,3,5) transcript of ``ops`` on registers 0 and 2, as participants
-    1 and 2 send them."""
-    return RecoveryTranscript({1: (0,), 2: (2,)}, ops, 2, 25, (0,))
+def transcript_of(p, *ops) -> RecoveryTranscript:
+    """A transcript for the m = 2 scheme ``p`` of ``ops`` on registers 0 and
+    2, as participants 1 and 2 send their first registers."""
+    return RecoveryTranscript(p, {1: (0,), 2: (2,)}, ops, 2, 25, (0,))
 
 
 class TestCombinerLocality:
     def test_session_refuses_outside_registers(self):
         one = FieldMatrix.identity(P235.field, 1)
         with pytest.raises(CombinerLocalityError, match=r"\[4\]"):
-            transcript_of(OpRecord((4,), (), "outside", one))
+            transcript_of(P235, OpRecord((4,), (), "outside", one))
         with pytest.raises(CombinerLocalityError):
-            transcript_of(OpRecord((1,), (0,), "outside", shear(one)))
+            transcript_of(P235, OpRecord((1,), (0,), "outside", shear(one)))
+
+    def test_transcript_checks_shares_and_outputs(self):
+        # Participant 1 of (2,3,5) holds registers 0 and 1: it cannot send
+        # share 3's register 4, and register 9 does not exist.
+        swap = OpRecord((0, 4), (), "x", FieldMatrix.identity(P235.field, 2))
+        with pytest.raises(CombinerLocalityError, match=r"participant 1 sends registers \[4\]"):
+            RecoveryTranscript(P235, {1: (0, 4)}, (swap,), 2, 25, (9,))
+        with pytest.raises(CombinerLocalityError, match=r"output registers \[9\] were never"):
+            RecoveryTranscript(P235, {1: (0,), 3: (4,)}, (swap,), 2, 25, (9,))
+        with pytest.raises(CombinerLocalityError, match=r"participant 4 is not one of 1\.\.3"):
+            RecoveryTranscript(P235, {1: (0,), 4: (6,)}, (swap,), 2, 25, (0,))
+        with pytest.raises(ValueError, match="sends a register twice"):
+            RecoveryTranscript(P235, {1: (0, 0)}, (swap,), 2, 25, (0,))
+        with pytest.raises(ValueError, match=r"got q in \[5\]; the scheme's is F_7"):
+            RecoveryTranscript(P347, {1: (0,), 3: (4,)}, (swap,), 2, 49, (0,))
+        # The honest shares and outputs build, with costs taken as given.
+        t = RecoveryTranscript(P235, {1: (0,), 3: (4,)}, (swap,), 2, 25, (0,))
+        assert t.registers == (0, 4)
 
     def test_replaced_program_is_checked(self):
         # A transcript is checked whenever it is built, dataclasses.replace
@@ -302,7 +313,7 @@ def final_rows(p, chosen, per_share):
     shares' registers and must carry those registers' rows of G.  Any left
     over (a d-session's tail) keep their randomness digits: unit rows again.
     """
-    g = protocol.generator_matrix(p).array
+    g = p.generator.array
     unit = np.eye(g.shape[1], dtype=np.int64)
     cols = list(zip(*(p.registers_of(i)[:per_share] for i in chosen)))
     received = [*cols[0], *(c[0] for c in cols[1:]), *(r for c in cols[1:] for r in c[1:])]
@@ -328,7 +339,7 @@ class TestProgramsWithoutState:
         # fixes P.  Every op is one invertible square matrix on sources +
         # targets whose source rows are the identity: sources only control.
         p = make_params(6, 9, 13)
-        g = protocol.generator_matrix(p).array
+        g = p.generator.array
         exact = np.eye(p.m, p.m + p.randomness_len, dtype=np.int64)
         checked = {}
         for mode, size, per_share in (("recover-k", p.k, p.m), ("recover-d", p.d, 1)):
@@ -367,6 +378,22 @@ class TestProgramsWithoutState:
             result = run_session(deal(secret, P347), t)
             assert result.transcript is t
             assert_recovers(result, secret)
+
+    def test_session_runs_only_on_its_scheme(self):
+        # A (2,2,5) session fits the registers and field of a (2,3,5) state,
+        # and would report secret register 0 of its 6 registers.
+        dealt = deal(basis_secret(P235, (1, 0)), P235)
+        with pytest.raises(ValueError, match=r"built for SchemeParams\(k=2, d=2, q=5"):
+            run_session(dealt, recovery_session(P225, "recover-k", [1, 2]))
+        # A broken scheme is another scheme, even where its program is the
+        # honest one: Collapsed's d-block has no collapsed column.
+        collapsed = recovery_session(Collapsed(2, 3, 5), "recover-d", [1, 2, 3])
+        honest = recovery_session(P235, "recover-d", [1, 2, 3])
+        assert np.array_equal(collapsed.program().array, honest.program().array)
+        for t in (collapsed, recovery_session(Leaky(2, 3, 5), "recover-k", [1, 2])):
+            with pytest.raises(ValueError, match=r"cannot run on a state dealt with SchemeParams"):
+                run_session(dealt, t)
+        assert_recovers(run_session(dealt, honest), basis_secret(P235, (1, 0)))
 
     @pytest.mark.parametrize("triple", [(3, 5, 7), (4, 7, 11)], ids=["3-5-7", "4-7-11"])
     def test_each_session_inverts_once(self, monkeypatch, triple):
@@ -446,6 +473,7 @@ class TestProgram:
         dealt = deal(basis_secret(P235, (1, 2)), P235)
         f = P235.field
         transcript = transcript_of(
+            P235,
             OpRecord((0, 2), (), "invertible", FieldMatrix.from_rows(f, [[1, 2], [0, 1]])),
             OpRecord((2,), (0,), "always invertible", shear(FieldMatrix.from_rows(f, [[3]]))),
             OpRecord((2,), (), "collapses register 2", FieldMatrix.zeros(f, 1, 1)),
@@ -456,7 +484,7 @@ class TestProgram:
     def test_repeated_register_rejected(self):
         # Composition needs disjoint sources and targets, as the simulator does.
         f = P235.field
-        t = transcript_of(OpRecord((2,), (0,), "add", shear(FieldMatrix.from_rows(f, [[1]]))))
+        t = transcript_of(P235, OpRecord((2,), (0,), "add", shear(FieldMatrix.from_rows(f, [[1]]))))
         overlap = OpRecord((0,), (0,), "overlap", shear(FieldMatrix.from_rows(f, [[1]])))
         duplicate = OpRecord((2, 2), (), "duplicate", FieldMatrix.identity(f, 2))
         for bad in (overlap, duplicate):
@@ -477,21 +505,37 @@ class TestProgram:
         with pytest.raises(ValueError, match="cannot map 1 registers"):
             dataclasses.replace(t, operations=t.operations + (wide,))
 
-    @pytest.mark.parametrize("recover, subset", [(recover_from_d, (1, 2, 3)), (recover_from_k, (1, 3))])
-    def test_tampered_coefficient_breaks_recovery(self, recover, subset):
+    @pytest.mark.parametrize(
+        "p, recover, subset, tamper",
+        [
+            pytest.param(P235, recover_from_d, (1, 2, 3), "bump", id="recover_from_d-subset0"),
+            pytest.param(P235, recover_from_k, (1, 3), "bump", id="recover_from_k-subset1"),
+            # Without its mirror step a session decodes the digits, but the
+            # secret stays entangled with the uncontacted shares.
+            pytest.param(P347, recover_from_d, (1, 2, 3, 5), "decode-only", id="recover_from_d-decode-only"),
+            pytest.param(P347, recover_from_k, (1, 3, 4), "decode-only", id="recover_from_k-decode-only"),
+        ],
+    )
+    def test_tampered_coefficient_breaks_recovery(self, p, recover, subset, tamper):
         secret = superpose(
-            [(basis_secret(P235, (4, 2)), 0.8), (basis_secret(P235, (3, 3)), 0.6j)]
+            [(basis_secret(p, (4, 2)), 0.8), (basis_secret(p, (3, 3)), 0.6j)]
         )
-        dealt = deal(secret, P235)
+        dealt = deal(secret, p)
         result = recover(dealt, subset)
         ops = list(result.transcript.operations)
-        first = ops[0].matrix
-        entries = first.array.copy()
-        entries[0, 0] += 1
-        bumped = FieldMatrix(first.field, first.rows, first.cols, entries)
-        ops[0] = dataclasses.replace(ops[0], matrix=bumped)
+        if tamper == "bump":
+            first = ops[0].matrix
+            entries = first.array.copy()
+            entries[0, 0] += 1
+            bumped = FieldMatrix(first.field, first.rows, first.cols, entries)
+            ops[0] = dataclasses.replace(ops[0], matrix=bumped)
+        else:
+            ops = ops[:1]
         state = rerun(dealt, result, ops)
-        assert fidelity(state.partial_trace(result.secret_registers), secret) < 1.0 - TOL
+        rho = state.partial_trace(result.secret_registers)
+        assert fidelity(rho, secret) < 1.0 - TOL
+        assert rho.purity() < 1.0 - TOL
+        assert not factor_check(state, result.secret_registers, secret)
         # The untampered program, re-run the same way, still recovers.
         untouched = rerun(dealt, result, result.transcript.operations)
         assert fidelity(untouched.partial_trace(result.secret_registers), secret) >= 1.0 - TOL
@@ -508,22 +552,6 @@ def test_protocol_imports_no_private_qsim_name():
     ]
     assert "SparseState" in names
     assert [n for n in names if n.startswith("_")] == []
-
-
-def leak_first_digit(monkeypatch):
-    """Patch the dealer so that share 1's first register carries secret digit
-    s_0 in the clear and no other register depends on s_0."""
-    honest = protocol.generator_matrix
-    first = P235.registers_of(1)[0]
-
-    def leaky(p):
-        gen = honest(p).array.copy()
-        gen[:, 0] = 0
-        gen[first, 0] = 1
-        gen[first, p.m :] = 0
-        return FieldMatrix(p.field, *gen.shape, gen)
-
-    monkeypatch.setattr(protocol, "generator_matrix", leaky)
 
 
 class TestSecrecy:
@@ -603,21 +631,21 @@ class TestSecrecy:
     def test_leaky_dealer_fails(self, monkeypatch):
         # Negative control: with s_0 in the clear on share 1, every check
         # above must fail on share 1.
-        leak_first_digit(monkeypatch)
+        leaky = Leaky(2, 3, 5)
         pairs = default_secret_pairs(P235)
-        report = secrecy_check(P235, [1], pairs)
+        report = secrecy_check(leaky, [1], pairs)
         assert report.max_trace_distance > 1e-10
         assert report.passed is False
         # The superposition pair differs by coherences between secret digits
         # that share the other register's digit: the distance needs one
         # eigensolve on their occupied indices, and still no dense matrix.
-        regs = list(P235.registers_of(1))
-        rho, sigma = (deal(s, P235).state.partial_trace(regs) for s in pairs[1])
+        regs = list(leaky.registers_of(1))
+        rho, sigma = (deal(s, leaky).state.partial_trace(regs) for s in pairs[1])
         diff = rho.matrix - sigma.matrix
         assert np.count_nonzero(diff - np.diag(np.diag(diff))) > 0
         expected = densities.trace_distance(rho, sigma)
         densities.forbid_dense(monkeypatch)
-        td = secrecy_check(P235, [1], pairs[1:]).max_trace_distance
+        td = secrecy_check(leaky, [1], pairs[1:]).max_trace_distance
         assert td > 1e-10
         assert td == pytest.approx(expected, abs=1e-12)
 
@@ -625,14 +653,14 @@ class TestSecrecy:
         # The same leak, checked with the basis pair alone: both reduced
         # states are diagonal, so the verdict comes from the diagonal
         # comparison, with no dense matrix built.
-        leak_first_digit(monkeypatch)
+        leaky = Leaky(2, 3, 5)
         pairs = default_secret_pairs(P235)[:1]
-        regs = list(P235.registers_of(1))
-        rho, sigma = (deal(s, P235).state.partial_trace(regs) for s in pairs[0])
+        regs = list(leaky.registers_of(1))
+        rho, sigma = (deal(s, leaky).state.partial_trace(regs) for s in pairs[0])
         assert rho.coherences.size == 0 and sigma.coherences.size == 0
         expected = densities.trace_distance(rho, sigma)
         densities.forbid_dense(monkeypatch)
-        report = secrecy_check(P235, [1], pairs)
+        report = secrecy_check(leaky, [1], pairs)
         assert report.max_trace_distance > 1e-10
         assert report.passed is False
         assert report.max_trace_distance == pytest.approx(expected, abs=1e-12)

@@ -29,7 +29,7 @@ from qtss.qsim import (
     superpose,
     trace_distance,
 )
-from qtss.staircase import generator_matrix, make_params
+from qtss.staircase import make_params
 
 F5 = PrimeField(5)
 Q_WIDE = 2039  # prime with 11-bit digits: five discarded registers need 55 bits
@@ -469,7 +469,7 @@ class TestEncode:
         qsim._codeword_table.cache_clear()
         dealt = deal(secret, p).state
         assert qsim._codeword_table.cache_info().misses == 1
-        g = generator_matrix(p)
+        g = p.generator
         for generator in (g.array, g.array.tolist(), FieldMatrix(g.field, g.rows, g.cols, g.array)):
             out = secret.encode(generator)
             assert np.array_equal(out.labels, dealt.labels)

@@ -22,9 +22,7 @@ from qtss.staircase import (
     build_message_matrix,
     encode_classical,
     enumerate_codewords,
-    generator_matrix,
     make_params,
-    scheme_vandermonde,
 )
 
 # The benchmark's reference derivation of G imports nothing from qtss, which
@@ -220,7 +218,7 @@ class TestClassicalShadows:
     def test_any_d_rows_first_column_determine_secret_and_first_block(self):
         for k, d, q in ((2, 3, 5), (3, 4, 7)):
             p = make_params(k, d, q)
-            v = scheme_vandermonde(p)
+            v = p.vandermonde
             secret = [(3 * i + 1) % q for i in range(p.m)]
             flat = [(2 * j + 1) % q for j in range(p.randomness_len)]
             c = encode_classical(secret, flat, p)
@@ -254,7 +252,7 @@ class TestGeneratorMatrix:
     @pytest.mark.parametrize("k,d,q", [*DEFAULT_GRID, (6, 9, 13), (8, 13, 17)])
     def test_matches_reference_derivation(self, k, d, q):
         p = make_params(k, d, q)
-        g = generator_matrix(p)
+        g = p.generator
         assert g.array.shape == (p.n * p.m, p.m + p.randomness_len)
         assert np.array_equal(g.array, np.array(refcheck.encoding_matrix(k, d, q)))
 
@@ -262,7 +260,7 @@ class TestGeneratorMatrix:
     def test_product_is_the_flattened_codeword(self, k, d, q):
         # G [s; r] is the share-major codeword table, for drawn digits.
         p = make_params(k, d, q)
-        g = generator_matrix(p).array
+        g = p.generator.array
         rng = np.random.default_rng(8)
         for _ in range(20):
             s = rng.integers(0, q, p.m)
@@ -272,6 +270,8 @@ class TestGeneratorMatrix:
 
     def test_cached_and_read_only(self):
         p = make_params(3, 4, 7)
-        assert generator_matrix(p) is generator_matrix(make_params(3, 4, 7))
+        assert p.generator is p.generator
+        assert p.vandermonde is p.vandermonde
+        assert np.array_equal(p.generator.array, make_params(3, 4, 7).generator.array)
         with pytest.raises(ValueError):
-            generator_matrix(p).array[0, 0] = 1
+            p.generator.array[0, 0] = 1
