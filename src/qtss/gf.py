@@ -1,11 +1,14 @@
 """Exact arithmetic and small dense linear algebra over prime fields.
 
-Residues are integers in ``[0, q)``.  :class:`FieldMatrix` stores one
-read-only int64 ``(rows, cols)`` numpy array, reduced mod q once at
-construction; every matrix entry, Vandermonde node and staircase digit is
-built by :func:`_residues`, which rejects non-integral input with
-``TypeError`` instead of truncating it.  With q < 2**16 every product of two
-residues is below 2**32, so a product ``(a @ b) % q`` is exact in int64.  Rank and inversion share one
+Residues are integers in ``[0, q)``.  :class:`PrimeField` is a frozen value
+that checks its modulus.  :class:`FieldMatrix` stores one read-only int64
+``(rows, cols)`` numpy array, and ``FieldMatrix(field, entries)`` is its one
+constructor: ``entries`` is any two-dimensional array-like, reduced mod q
+once, and any other shape raises ``ValueError``.  Every matrix entry,
+Vandermonde node and staircase digit is built by :func:`_residues`, which
+rejects non-integral input with ``TypeError`` instead of truncating it.
+With q < 2**16 every product of two residues is below 2**32, so a product
+``(a @ b) % q`` is exact in int64.  Rank and inversion share one
 Gauss-Jordan elimination (:func:`_row_reduce`) that updates whole rows per
 pivot and pivots on the first nonzero entry at or below the current rank;
 it is exact over a field, so pivot choice never affects correctness.
@@ -15,6 +18,7 @@ Matrices are immutable values that can be shared freely between threads.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,28 +52,20 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class PrimeField:
     """The prime field F_q; residues are ints in ``[0, q)``."""
 
-    __slots__ = ("q",)
+    q: int
 
-    def __init__(self, q: int) -> None:
+    def __post_init__(self) -> None:
+        q = self.q
         if not isinstance(q, int) or isinstance(q, bool):
             raise TypeError(f"modulus must be an int, got {type(q).__name__}")
         if q >= _MAX_MODULUS:
             raise ValueError(f"modulus {q} exceeds the desk-scale bound {_MAX_MODULUS}")
         if not _is_prime(q):
             raise ValueError(f"modulus {q} is not prime")
-        self.q = q
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.q == self.q
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.q))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.q})"
 
 
 def _residues(entries, q: int) -> np.ndarray:
@@ -99,23 +95,20 @@ class FieldMatrix:
     """An immutable matrix over a fixed prime field: one read-only int64
     ``(rows, cols)`` array of residues, ``array``.
 
-    ``entries`` may be flat (row-major) or already shaped; it is reduced mod
-    q once here, and every derived matrix is built from residues directly.
+    ``entries`` is any two-dimensional array-like (nested rows or an array);
+    it is reduced mod q once here, and every derived matrix is built from
+    residues directly.  Any other shape raises ``ValueError``.
     """
 
     __slots__ = ("field", "array")
 
-    def __init__(self, field: PrimeField, rows: int, cols: int, entries) -> None:
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be non-negative")
+    def __init__(self, field: PrimeField, entries) -> None:
         arr = _residues(entries, field.q)
-        if arr.size != rows * cols:
-            raise ValueError(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {arr.size}"
-            )
+        if arr.ndim != 2:
+            raise ValueError(f"matrix entries must be two-dimensional, got shape {arr.shape}")
         self.field = field
-        self.array = arr.reshape(rows, cols)
-        self.array.setflags(write=False)
+        self.array = arr
+        arr.setflags(write=False)
 
     @classmethod
     def _wrap(cls, field: PrimeField, array: np.ndarray) -> FieldMatrix:
@@ -126,24 +119,6 @@ class FieldMatrix:
         self.array = array
         array.setflags(write=False)
         return self
-
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, field: PrimeField, rows: Sequence[Sequence[int]]) -> FieldMatrix:
-        rows = [tuple(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("all rows must have the same length")
-        return cls(field, len(rows), ncols, [e for r in rows for e in r])
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> FieldMatrix:
-        return cls._wrap(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> FieldMatrix:
-        return cls._wrap(field, np.zeros((rows, cols), dtype=np.int64))
 
     # -- access -------------------------------------------------------
 
@@ -241,4 +216,4 @@ def vandermonde(field: PrimeField, nodes: Sequence[int], width: int) -> FieldMat
     if any(v == 0 for v in vals):
         raise ValueError("nodes must be nonzero")
     q = field.q
-    return FieldMatrix(field, len(vals), width, [pow(x, j, q) for x in vals for j in range(width)])
+    return FieldMatrix(field, [[pow(x, j, q) for j in range(width)] for x in vals])

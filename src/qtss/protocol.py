@@ -198,8 +198,9 @@ class RecoveryTranscript:
     never received, or an output register it never received.  A register
     sent twice raises ``ValueError``, and so does a program without ops,
     with an op over another field than the scheme's, or with an op that
-    names a register twice or has a non-square matrix.  Costs are not
-    checked against the registers.
+    names a register twice, has a non-square matrix, or rewrites a source
+    (its source rows must be the identity).  Costs are not checked against
+    the registers.
     """
 
     params: SchemeParams
@@ -237,6 +238,8 @@ class RecoveryTranscript:
                 )
             if op.matrix.array.shape != (len(registers),) * 2:
                 raise ValueError(f"a {op.matrix.array.shape} matrix cannot map {len(registers)} registers")
+            if not np.array_equal(op.matrix.array[: len(op.sources)], np.eye(len(op.sources), len(registers))):
+                raise ValueError(f"operation rewrites its sources {list(op.sources)}; their rows must be the identity")
 
     @property
     def registers(self) -> tuple[int, ...]:
@@ -433,35 +436,40 @@ def secrecy_check(
 
     The subset must have at most k-1 participants; a scheme is leak-free on
     it iff every pair of secrets induces identical reduced states there.
+    Some pair must compare two different states (not one object, nor equal
+    labels and amplitudes), else ``ValueError``: a check that compares each
+    secret only with itself would pass vacuously.  Each distinct secret (by
+    identity) is dealt and traced once.
     """
     members = sorted(set(subset))
     if len(members) > p.k - 1:
         raise ValueError(f"subset of {len(members)} is authorized; secrecy applies to <= k-1 = {p.k - 1}")
     if any(not 1 <= i <= p.n for i in members):
         raise ValueError(f"subset {members} not within participants 1..{p.n}")
-    if not secret_pairs:
-        raise ValueError("no secret pairs to compare; a check of none would pass vacuously")
+    if all(_same_state(a, b) for a, b in secret_pairs):
+        raise ValueError("no secret pairs compare two different states; a check of these would pass vacuously")
     regs = [r for i in members for r in p.registers_of(i)]
     dim = p.q ** len(regs)
     if dim > dim_cap:
         raise DimensionCapError(
             f"reduced dimension {dim} for subset {members} exceeds the cap {dim_cap}"
         )
-    # Each distinct secret (by identity) is dealt once, and its reduced state
-    # is kept only until the last pair that names it.
-    last_use = {id(s): i for i, pair in enumerate(secret_pairs) for s in pair}
+    # In order of first appearance, so the deals run in the order pairs name them.
     reduced: dict[int, DensityMatrix] = {}
-    max_td = 0.0
-    for i, pair in enumerate(secret_pairs):
-        for s in pair:
-            if id(s) not in reduced:
-                reduced[id(s)] = deal(s, p, cap_branches).state.partial_trace(regs, dim_cap)
-        rho, sigma = (reduced[id(s)] for s in pair)
-        max_td = max(max_td, trace_distance(rho, sigma))
-        for s in pair:
-            if last_use[id(s)] == i:
-                reduced.pop(id(s), None)
-    return SecrecyReport(frozenset(members), max_td, len(last_use))
+    for s in itertools.chain.from_iterable(secret_pairs):
+        if id(s) not in reduced:
+            reduced[id(s)] = deal(s, p, cap_branches).state.partial_trace(regs, dim_cap)
+    max_td = max(trace_distance(reduced[id(a)], reduced[id(b)]) for a, b in secret_pairs)
+    return SecrecyReport(frozenset(members), max_td, len(reduced))
+
+
+def _same_state(a: SparseState, b: SparseState) -> bool:
+    """Whether two secrets are one state: the same object, or equal labels
+    and amplitudes once their branches are sorted."""
+    if a is b:
+        return True
+    a, b = a.canonical(), b.canonical()
+    return np.array_equal(a.labels, b.labels) and np.array_equal(a.amps, b.amps)
 
 
 def participant_sets(

@@ -83,7 +83,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .gf import FieldMatrix, PrimeField, SingularMatrixError, _exact_ints, _residues, shear
+from .gf import FieldMatrix, PrimeField, SingularMatrixError, _exact_ints, shear
 
 __all__ = [
     "EmptyStateError",
@@ -310,15 +310,12 @@ def _branch_order(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _coerce_matrix(matrix, q: int) -> FieldMatrix:
     """A relabeling matrix over F_q: a :class:`FieldMatrix` as is, anything
-    else through the field's one residue constructor."""
+    else through its one constructor, which rejects any shape but 2-D."""
     if isinstance(matrix, FieldMatrix):
         if matrix.field.q != q:
             raise ValueError(f"matrix over F_{matrix.field.q}, state over F_{q}")
         return matrix
-    arr = _residues(matrix, q)
-    if arr.ndim != 2:
-        raise ValueError("coefficient matrix must be two-dimensional")
-    return FieldMatrix._wrap(PrimeField(q), arr)
+    return FieldMatrix(PrimeField(q), matrix)
 
 
 class SparseState:

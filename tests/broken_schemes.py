@@ -32,7 +32,7 @@ class Leaky(SchemeParams):
         gen[:, 0] = 0
         gen[first, 0] = 1
         gen[first, self.m :] = 0
-        return FieldMatrix(self.field, *gen.shape, gen)
+        return FieldMatrix(self.field, gen)
 
 
 class Collapsed(SchemeParams):
@@ -44,4 +44,4 @@ class Collapsed(SchemeParams):
     def generator(self) -> FieldMatrix:
         gen = _honest(self)
         gen[:, -1] = gen[:, -2]
-        return FieldMatrix(self.field, *gen.shape, gen)
+        return FieldMatrix(self.field, gen)

@@ -343,7 +343,7 @@ def test_criterion_8_simulator_self_checks():
         t = int(rng.integers(1, st.num_registers + 1))
         targets = list(rng.choice(st.num_registers, size=t, replace=False))
         while True:
-            mat = FieldMatrix(f, t, t, tuple(int(x) for x in rng.integers(0, st.q, t * t)))
+            mat = FieldMatrix(f, rng.integers(0, st.q, t * t).reshape(t, t))
             try:
                 mat.inverse()
                 break
@@ -355,7 +355,7 @@ def test_criterion_8_simulator_self_checks():
         remaining = [r for r in range(st.num_registers) if r not in targets]
         if remaining:
             src = [remaining[0]]
-            coeff = FieldMatrix(f, t, 1, tuple(int(x) for x in rng.integers(0, st.q, t)))
+            coeff = FieldMatrix(f, rng.integers(0, st.q, t).reshape(t, 1))
             out2 = out.apply_controlled_add(src, targets, coeff)
             assert out2.num_branches == st.num_branches
             assert sorted(np.abs(out2.amps)) == sorted(np.abs(st.amps))

@@ -8,6 +8,7 @@ are checked by enumerating submatrices and running Gaussian elimination on
 each.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -27,6 +28,10 @@ F5 = PrimeField(5)
 F7 = PrimeField(7)
 
 
+def eye(field: PrimeField, n: int) -> FieldMatrix:
+    return FieldMatrix(field, np.eye(n, dtype=np.int64))
+
+
 class TestPrimeField:
     def test_modulus_must_be_prime(self):
         with pytest.raises(ValueError, match="not prime"):
@@ -38,10 +43,23 @@ class TestPrimeField:
         with pytest.raises(ValueError, match="desk-scale"):
             PrimeField(65537)
 
+    def test_modulus_must_be_an_int(self):
+        with pytest.raises(TypeError, match="must be an int, got bool"):
+            PrimeField(True)
+        with pytest.raises(TypeError, match="must be an int, got float"):
+            PrimeField(5.0)
+        with pytest.raises(ValueError, match="modulus 4 is not prime"):
+            PrimeField(4)
+
     def test_equality_hash(self):
         assert PrimeField(5) == F5
         assert PrimeField(7) != F5
         assert hash(PrimeField(5)) == hash(F5)
+        assert len({PrimeField(5), F5, PrimeField(7)}) == 2
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            F5.q = 7
 
 
 class TestVandermonde:
@@ -70,7 +88,7 @@ class TestVandermonde:
         for rows in itertools.combinations(range(6), 4):
             sub = FieldMatrix._wrap(F7, v.array[list(rows)])
             prod = sub @ sub.inverse()
-            assert prod.row_tuples() == FieldMatrix.identity(F7, 4).row_tuples()
+            assert prod.row_tuples() == eye(F7, 4).row_tuples()
 
     def test_any_row_selection_invertible_random_nodes(self):
         rng = random.Random(20240817)
@@ -93,11 +111,9 @@ class TestVandermonde:
             for t in range(1, min(q - 1, 5) + 1):
                 for nodes in itertools.combinations(range(1, q), t):
                     for start in range(0, 7):
-                        m = FieldMatrix.from_rows(
-                            f, [[pow(x, start + j, q) for j in range(t)] for x in nodes]
-                        )
+                        m = FieldMatrix(f, [[pow(x, start + j, q) for j in range(t)] for x in nodes])
                         prod = m @ m.inverse()
-                        assert prod.row_tuples() == FieldMatrix.identity(f, t).row_tuples()
+                        assert prod.row_tuples() == eye(f, t).row_tuples()
 
 
 class TestSubmatrix:
@@ -114,17 +130,17 @@ class TestSubmatrix:
 
 class TestMatrixAlgebra:
     def test_identity_inverse(self):
-        eye = FieldMatrix.identity(F5, 3)
-        assert eye.inverse().row_tuples() == eye.row_tuples()
+        i3 = eye(F5, 3)
+        assert i3.inverse().row_tuples() == i3.row_tuples()
 
     def test_inverse_product_oracle(self):
-        m = FieldMatrix.from_rows(F5, [[1, 1], [1, 2]])
+        m = FieldMatrix(F5, [[1, 1], [1, 2]])
         inv = m.inverse()
-        assert (m @ inv).row_tuples() == FieldMatrix.identity(F5, 2).row_tuples()
-        assert (inv @ m).row_tuples() == FieldMatrix.identity(F5, 2).row_tuples()
+        assert (m @ inv).row_tuples() == eye(F5, 2).row_tuples()
+        assert (inv @ m).row_tuples() == eye(F5, 2).row_tuples()
 
     def test_singular_raises(self):
-        m = FieldMatrix.from_rows(F5, [[1, 1], [2, 2]])
+        m = FieldMatrix(F5, [[1, 1], [2, 2]])
         with pytest.raises(SingularMatrixError):
             m.inverse()
 
@@ -135,28 +151,27 @@ class TestMatrixAlgebra:
             done = 0
             while done < 20:
                 n = rng.randint(1, 5)
-                m = FieldMatrix(f, n, n, tuple(rng.randrange(q) for _ in range(n * n)))
+                m = FieldMatrix(f, [[rng.randrange(q) for _ in range(n)] for _ in range(n)])
                 try:
                     inv = m.inverse()
                 except SingularMatrixError:
                     continue
-                assert (m @ inv).row_tuples() == FieldMatrix.identity(f, n).row_tuples()
-                assert (inv @ m).row_tuples() == FieldMatrix.identity(f, n).row_tuples()
+                assert (m @ inv).row_tuples() == eye(f, n).row_tuples()
+                assert (inv @ m).row_tuples() == eye(f, n).row_tuples()
                 done += 1
 
     def test_mat_vec_identity_and_column_pick(self):
         # A vector is a one-column matrix.
-        eye = FieldMatrix.identity(F5, 3)
-        v = FieldMatrix(F5, 3, 1, (2, 0, 4))
-        assert (eye @ v).row_tuples() == ((2,), (0,), (4,))
+        v = FieldMatrix(F5, [[2], [0], [4]])
+        assert (eye(F5, 3) @ v).row_tuples() == ((2,), (0,), (4,))
         vm = vandermonde(F5, (1, 2, 3), 3)
-        assert (vm @ FieldMatrix(F5, 3, 1, (1, 0, 0))).row_tuples() == ((1,), (1,), (1,))
+        assert (vm @ FieldMatrix(F5, [[1], [0], [0]])).row_tuples() == ((1,), (1,), (1,))
 
     def test_codeword_product_matches_direct_expressions(self):
         # Independent oracle: evaluate the row expressions
         # (s1 + x*s2 + x^2*r1, x*r1 + x^2*r2) directly mod 5.
         s1, s2, r1, r2 = 1, 2, 3, 4
-        msg = FieldMatrix.from_rows(F5, [[s1, 0], [s2, r1], [r1, r2]])
+        msg = FieldMatrix(F5, [[s1, 0], [s2, r1], [r1, r2]])
         v = vandermonde(F5, (1, 2, 3), 3)
         prod = v @ msg
         for i, x in enumerate((1, 2, 3)):
@@ -167,31 +182,53 @@ class TestMatrixAlgebra:
             assert prod.row_tuples()[i] == expected
 
     def test_dimension_mismatch(self):
-        a = FieldMatrix.identity(F5, 2)
-        b = FieldMatrix.identity(F5, 3)
+        a = eye(F5, 2)
+        b = eye(F5, 3)
         with pytest.raises(ValueError, match="multiply"):
             a @ b
         with pytest.raises(ValueError, match="multiply"):
-            a @ FieldMatrix(F5, 3, 1, (1, 2, 3))
+            a @ FieldMatrix(F5, [[1], [2], [3]])
         assert a.__matmul__((1, 2)) is NotImplemented
 
     def test_field_mismatch(self):
         with pytest.raises(ValueError, match="different fields"):
-            FieldMatrix.identity(F5, 2) @ FieldMatrix.identity(F7, 2)
+            eye(F5, 2) @ eye(F7, 2)
 
     def test_non_square_inverse_rejected(self):
         with pytest.raises(ValueError, match="non-square"):
-            FieldMatrix.zeros(F5, 2, 3).inverse()
+            FieldMatrix(F5, np.zeros((2, 3), dtype=np.int64)).inverse()
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            pytest.param((1, 2, 3, 4), id="flat"),
+            pytest.param((2**70 + 3, np.uint64(2**64 - 2)), id="flat-huge"),
+            pytest.param([], id="empty"),
+            pytest.param(3, id="scalar"),
+            pytest.param(np.zeros((2, 2, 2), dtype=np.int64), id="3-D"),
+            pytest.param([[[1, 2]], [[3, 4]]], id="nested-3-D"),
+            pytest.param([[1, 2], [3]], id="ragged"),
+            pytest.param([[1, 2], 3], id="ragged-scalar"),
+        ],
+    )
+    def test_entries_must_be_two_dimensional(self, entries):
+        with pytest.raises(ValueError):
+            FieldMatrix(F5, entries)
+
+    def test_any_two_dimensional_array_like(self):
+        rows = [[1, 7], [9, 10]]
+        for entries in (rows, tuple(map(tuple, rows)), np.array(rows), np.array(rows, dtype=np.uint8)):
+            assert FieldMatrix(F5, entries).row_tuples() == ((1, 2), (4, 0))
 
     def test_non_integral_entries_rejected(self):
         # 1.9 used to be stored as 1; it is now refused before any residue is taken.
         with pytest.raises(TypeError, match="integers"):
-            FieldMatrix(F5, 2, 2, (1.9, 2, 3, 4))
-        big = FieldMatrix(F5, 1, 2, (2**70 + 3, np.uint64(2**64 - 2)))
+            FieldMatrix(F5, [[1.9, 2], [3, 4]])
+        big = FieldMatrix(F5, [[2**70 + 3, np.uint64(2**64 - 2)]])
         assert big.row_tuples() == (((2**70 + 3) % 5, (2**64 - 2) % 5),)
 
     def test_stored_array_is_read_only(self):
-        m = FieldMatrix.from_rows(F5, [[1, 2], [3, 4]])
+        m = FieldMatrix(F5, [[1, 2], [3, 4]])
         assert m.array.dtype == np.int64
         with pytest.raises(ValueError):
             m.array[0, 0] = 0
@@ -210,14 +247,14 @@ def small_matrices(draw, max_rows=5, max_cols=5):
             max_size=rows * cols,
         )
     )
-    return FieldMatrix(f, rows, cols, tuple(entries))
+    return FieldMatrix(f, np.reshape(entries, (rows, cols)))
 
 
 class TestRank:
     def test_examples(self):
-        assert FieldMatrix.from_rows(F5, [[1, 1], [2, 2]]).rank() == 1
-        assert FieldMatrix.zeros(F5, 3, 4).rank() == 0
-        assert FieldMatrix.zeros(F5, 0, 3).rank() == 0
+        assert FieldMatrix(F5, [[1, 1], [2, 2]]).rank() == 1
+        assert FieldMatrix(F5, np.zeros((3, 4), dtype=np.int64)).rank() == 0
+        assert FieldMatrix(F5, np.zeros((0, 3), dtype=np.int64)).rank() == 0
         assert vandermonde(F7, (1, 2, 3, 4), 6).rank() == 4
         assert FieldMatrix._wrap(F7, vandermonde(F7, (1, 2, 3, 4), 6).array.T).rank() == 4
 
@@ -238,7 +275,7 @@ class TestRank:
     @settings(max_examples=200, deadline=None)
     @given(m=small_matrices())
     def test_stacked_and_transposed_rank(self, m):
-        stacked = FieldMatrix.from_rows(m.field, m.row_tuples() + m.row_tuples())
+        stacked = FieldMatrix(m.field, np.vstack([m.array, m.array]))
         if m.rows:
             assert stacked.rank() == m.rank()
         assert FieldMatrix._wrap(m.field, m.array.T).rank() == m.rank()
@@ -288,7 +325,7 @@ def top_heavy_matrices(draw, max_size=7):
         hst.just(q - 1), hst.integers(max(q - 4, 0), q - 1), hst.integers(0, q - 1), hst.just(0)
     )
     entries = draw(hst.lists(entry, min_size=rows * cols, max_size=rows * cols))
-    return FieldMatrix(PrimeField(q), rows, cols, entries)
+    return FieldMatrix(PrimeField(q), np.reshape(entries, (rows, cols)))
 
 
 class TestAgainstReferenceElimination:

@@ -257,7 +257,7 @@ def transcript_of(p, *ops) -> RecoveryTranscript:
 
 class TestCombinerLocality:
     def test_session_refuses_outside_registers(self):
-        one = FieldMatrix.identity(P235.field, 1)
+        one = FieldMatrix(P235.field, [[1]])
         with pytest.raises(CombinerLocalityError, match=r"\[4\]"):
             transcript_of(P235, OpRecord((4,), (), "outside", one))
         with pytest.raises(CombinerLocalityError):
@@ -266,7 +266,7 @@ class TestCombinerLocality:
     def test_transcript_checks_shares_and_outputs(self):
         # Participant 1 of (2,3,5) holds registers 0 and 1: it cannot send
         # share 3's register 4, and register 9 does not exist.
-        swap = OpRecord((0, 4), (), "x", FieldMatrix.identity(P235.field, 2))
+        swap = OpRecord((0, 4), (), "x", FieldMatrix(P235.field, [[1, 0], [0, 1]]))
         with pytest.raises(CombinerLocalityError, match=r"participant 1 sends registers \[4\]"):
             RecoveryTranscript(P235, {1: (0, 4)}, (swap,), 2, 25, (9,))
         with pytest.raises(CombinerLocalityError, match=r"output registers \[9\] were never"):
@@ -285,7 +285,7 @@ class TestCombinerLocality:
         # A transcript is checked whenever it is built, dataclasses.replace
         # included; its cost figures are taken as given.
         t = recovery_session(P235, "recover-d", [1, 2, 3])
-        outside = OpRecord((1,), (), "never received", FieldMatrix.identity(P235.field, 1))
+        outside = OpRecord((1,), (), "never received", FieldMatrix(P235.field, [[1]]))
         with pytest.raises(CombinerLocalityError, match=r"\[1\]"):
             dataclasses.replace(t, operations=t.operations + (outside,))
         cheap = dataclasses.replace(t, qudit_cost=2, channel_dim=25)
@@ -474,9 +474,9 @@ class TestProgram:
         f = P235.field
         transcript = transcript_of(
             P235,
-            OpRecord((0, 2), (), "invertible", FieldMatrix.from_rows(f, [[1, 2], [0, 1]])),
-            OpRecord((2,), (0,), "always invertible", shear(FieldMatrix.from_rows(f, [[3]]))),
-            OpRecord((2,), (), "collapses register 2", FieldMatrix.zeros(f, 1, 1)),
+            OpRecord((0, 2), (), "invertible", FieldMatrix(f, [[1, 2], [0, 1]])),
+            OpRecord((2,), (0,), "always invertible", shear(FieldMatrix(f, [[3]]))),
+            OpRecord((2,), (), "collapses register 2", FieldMatrix(f, [[0]])),
         )
         with pytest.raises(SingularMatrixError):
             run_session(dealt, transcript)
@@ -484,20 +484,27 @@ class TestProgram:
     def test_repeated_register_rejected(self):
         # Composition needs disjoint sources and targets, as the simulator does.
         f = P235.field
-        t = transcript_of(P235, OpRecord((2,), (0,), "add", shear(FieldMatrix.from_rows(f, [[1]]))))
-        overlap = OpRecord((0,), (0,), "overlap", shear(FieldMatrix.from_rows(f, [[1]])))
-        duplicate = OpRecord((2, 2), (), "duplicate", FieldMatrix.identity(f, 2))
+        t = transcript_of(P235, OpRecord((2,), (0,), "add", shear(FieldMatrix(f, [[1]]))))
+        overlap = OpRecord((0,), (0,), "overlap", shear(FieldMatrix(f, [[1]])))
+        duplicate = OpRecord((2, 2), (), "duplicate", FieldMatrix(f, [[1, 0], [0, 1]]))
         for bad in (overlap, duplicate):
             with pytest.raises(ValueError, match="twice"):
                 dataclasses.replace(t, operations=t.operations + (bad,))
         assert len(t.operations) == 1
 
+    def test_sources_stay_controls(self):
+        # Register 0 is this op's source, yet its row [2, 0] would double it.
+        f = P235.field
+        rewrites = OpRecord((2,), (0,), "x", FieldMatrix(f, [[2, 0], [1, 1]]))
+        with pytest.raises(ValueError, match=r"rewrites its sources \[0\]"):
+            transcript_of(P235, rewrites)
+
     def test_program_is_square_ops_over_one_field(self):
         # program() composes over one F_q, so it has no field to reduce an
         # op over another into, and no field at all without ops.
         t = recovery_session(P235, "recover-d", [1, 2, 3])
-        seven = OpRecord((0,), (), "over F_7", FieldMatrix.identity(PrimeField(7), 1))
-        wide = OpRecord((0,), (), "1x2", FieldMatrix.zeros(P235.field, 1, 2))
+        seven = OpRecord((0,), (), "over F_7", FieldMatrix(PrimeField(7), [[1]]))
+        wide = OpRecord((0,), (), "1x2", FieldMatrix(P235.field, [[0, 0]]))
         with pytest.raises(ValueError, match=r"one field F_q, got q in \[5, 7\]"):
             dataclasses.replace(t, operations=t.operations + (seven,))
         with pytest.raises(ValueError, match=r"one field F_q, got q in \[\]"):
@@ -527,7 +534,7 @@ class TestProgram:
             first = ops[0].matrix
             entries = first.array.copy()
             entries[0, 0] += 1
-            bumped = FieldMatrix(first.field, first.rows, first.cols, entries)
+            bumped = FieldMatrix(first.field, entries)
             ops[0] = dataclasses.replace(ops[0], matrix=bumped)
         else:
             ops = ops[:1]
@@ -608,6 +615,20 @@ class TestSecrecy:
             secrecy_check(P235, [1], [])
         with pytest.raises(ValueError, match="authorized"):
             secrecy_check(P235, [1, 2], [])
+
+    def test_no_distinct_pair_rejected(self, monkeypatch):
+        # One secret against itself, or against an equal copy, would report
+        # a distance of 0 and pass; nothing is dealt.
+        monkeypatch.setattr(protocol, "deal", None)
+        s = basis_secret(P235, (1, 0))
+        for pairs in ([(s, s)], [(s, basis_secret(P235, (1, 0)))], [(s, s), (s, basis_secret(P235, (1, 0)))]):
+            with pytest.raises(ValueError, match="no secret pairs compare two different states"):
+                secrecy_check(P235, [1], pairs)
+        # Equal as states, though built in another branch order.
+        a = superpose([(basis_secret(P235, (1, 0)), 0.6), (basis_secret(P235, (0, 3)), 0.8)])
+        b = superpose([(basis_secret(P235, (0, 3)), 0.8), (basis_secret(P235, (1, 0)), 0.6)])
+        with pytest.raises(ValueError, match="no secret pairs compare"):
+            secrecy_check(P235, [1], [(a, b)])
 
     def test_each_secret_dealt_once(self, monkeypatch):
         dealt = []

@@ -193,7 +193,7 @@ class TestConstruction:
         # Digits above 2**15 must survive the label dtype unchanged.
         st = SparseState.basis(40009, (40000,))
         assert densities.branch_dict(st) == {(40000,): 1.0}
-        out = st.apply_affine([0], FieldMatrix(PrimeField(40009), 1, 1, (2,)))
+        out = st.apply_affine([0], FieldMatrix(PrimeField(40009), [[2]]))
         assert densities.branch_dict(out) == {(39991,): 1.0}  # 80000 mod 40009
         with pytest.raises(ValueError, match="lie in"):
             SparseState.basis(40009, (40009,))
@@ -283,18 +283,18 @@ class TestSuperpose:
 class TestAffine:
     def test_identity_noop(self):
         st = random_state(5, 3, np.random.default_rng(0), support=6)
-        out = st.apply_affine([0, 1, 2], FieldMatrix.identity(F5, 3))
+        out = st.apply_affine([0, 1, 2], FieldMatrix(F5, np.eye(3, dtype=np.int64)))
         assert densities.states_allclose(out, st)
 
     def test_single_register_scale(self):
         st = SparseState.basis(5, (3,))
-        out = st.apply_affine([0], FieldMatrix(F5, 1, 1, (2,)))
+        out = st.apply_affine([0], FieldMatrix(F5, [[2]]))
         assert densities.branch_dict(out) == {(1,): 1.0}  # 2*3 = 6 = 1 mod 5
 
     def test_round_trip(self):
         rng = np.random.default_rng(42)
         st = random_state(5, 3, rng, support=10)
-        a = FieldMatrix.from_rows(F5, [[2, 1], [1, 1]])
+        a = FieldMatrix(F5, [[2, 1], [1, 1]])
         fwd = st.apply_affine([0, 2], a)
         assert not densities.states_allclose(fwd, st)
         assert densities.states_allclose(fwd.apply_affine([0, 2], a.inverse()), st)
@@ -302,25 +302,31 @@ class TestAffine:
     def test_singular_rejected(self):
         st = SparseState.basis(5, (0, 0))
         with pytest.raises(SingularMatrixError):
-            st.apply_affine([0, 1], FieldMatrix.from_rows(F5, [[1, 1], [2, 2]]))
+            st.apply_affine([0, 1], FieldMatrix(F5, [[1, 1], [2, 2]]))
 
     def test_norm_preserved_exactly(self):
         rng = np.random.default_rng(3)
         st = random_state(5, 2, rng, support=9)
-        out = st.apply_affine([0, 1], FieldMatrix.from_rows(F5, [[1, 2], [0, 1]]))
+        out = st.apply_affine([0, 1], FieldMatrix(F5, [[1, 2], [0, 1]]))
         assert sorted(np.abs(st.amps)) == pytest.approx(sorted(np.abs(out.amps)), abs=0)
         assert out.num_branches == st.num_branches
 
     def test_register_out_of_range(self):
         st = SparseState.basis(5, (0,))
         with pytest.raises(IndexError):
-            st.apply_affine([1], FieldMatrix.identity(F5, 1))
+            st.apply_affine([1], FieldMatrix(F5, [[1]]))
 
     def test_non_integral_matrix_rejected(self):
         # 1.7 used to be relabeled as 1.
         st = SparseState.basis(5, (1, 2))
         with pytest.raises(TypeError, match="integers"):
             st.apply_affine([0, 1], [[1.7, 0], [0, 1]])
+
+    def test_raw_matrix_must_be_two_dimensional(self):
+        st = SparseState.basis(5, (1, 2))
+        with pytest.raises(ValueError, match="two-dimensional"):
+            st.apply_affine([0], [2])
+        assert densities.branch_dict(st.apply_affine([0], [[2]])) == {(2, 2): 1.0}
 
     @pytest.mark.parametrize("q", [11, 65521])
     def test_row_blocks_match_int64_oracle(self, q):
@@ -390,26 +396,26 @@ class TestModMatmul:
 class TestControlledAdd:
     def test_zero_coeff_noop(self):
         st = random_state(3, 3, np.random.default_rng(1), support=5)
-        out = st.apply_controlled_add([0], [1, 2], FieldMatrix.zeros(PrimeField(3), 2, 1))
+        out = st.apply_controlled_add([0], [1, 2], FieldMatrix(PrimeField(3), [[0], [0]]))
         assert densities.states_allclose(out, st)
 
     def test_copy_classical_digits(self):
         st = SparseState.basis(5, (3, 2, 0, 0))
-        out = st.apply_controlled_add([0, 1], [2, 3], FieldMatrix.identity(F5, 2))
+        out = st.apply_controlled_add([0, 1], [2, 3], FieldMatrix(F5, [[1, 0], [0, 1]]))
         assert set(densities.branch_dict(out)) == {(3, 2, 3, 2)}
 
     def test_add_then_subtract(self):
         rng = np.random.default_rng(9)
         st = random_state(5, 3, rng, support=8)
-        coeff = FieldMatrix.from_rows(F5, [[2], [3]])
+        coeff = FieldMatrix(F5, [[2], [3]])
         fwd = st.apply_controlled_add([0], [1, 2], coeff)
-        back = fwd.apply_controlled_add([0], [1, 2], FieldMatrix.from_rows(F5, [[-2], [-3]]))
+        back = fwd.apply_controlled_add([0], [1, 2], FieldMatrix(F5, [[-2], [-3]]))
         assert densities.states_allclose(back, st)
 
     def test_overlap_rejected(self):
         st = SparseState.basis(5, (0, 0))
         with pytest.raises(ValueError, match="overlap"):
-            st.apply_controlled_add([0], [0, 1], FieldMatrix.zeros(F5, 2, 1))
+            st.apply_controlled_add([0], [0, 1], FieldMatrix(F5, [[0], [0]]))
 
 
 def full_rank_generator(q: int, rows: int, cols: int, seed: int) -> FieldMatrix:
@@ -417,7 +423,7 @@ def full_rank_generator(q: int, rows: int, cols: int, seed: int) -> FieldMatrix:
     it has full column rank."""
     rng = np.random.default_rng(seed)
     while True:
-        g = FieldMatrix(PrimeField(q), rows, cols, rng.integers(0, q, size=(rows, cols)))
+        g = FieldMatrix(PrimeField(q), rng.integers(0, q, size=(rows, cols)))
         if g.rank() == cols:
             return g
 
@@ -459,7 +465,7 @@ class TestEncode:
         g = full_rank_generator(5, 5, 3, seed=3).array.copy()
         g[:, 2] = g[:, 1]
         with pytest.raises(SingularMatrixError, match="rank 2 over F_5, below its 3 columns"):
-            SparseState.basis(5, (1,)).encode(FieldMatrix(F5, 5, 3, g))
+            SparseState.basis(5, (1,)).encode(FieldMatrix(F5, g))
 
     def test_table_cached_by_entries(self):
         # The same generator as an array, or as another FieldMatrix object,
@@ -470,7 +476,7 @@ class TestEncode:
         dealt = deal(secret, p).state
         assert qsim._codeword_table.cache_info().misses == 1
         g = p.generator
-        for generator in (g.array, g.array.tolist(), FieldMatrix(g.field, g.rows, g.cols, g.array)):
+        for generator in (g.array, g.array.tolist(), FieldMatrix(g.field, g.array)):
             out = secret.encode(generator)
             assert np.array_equal(out.labels, dealt.labels)
         deal(secret, p)
@@ -493,9 +499,11 @@ class TestEncode:
     def test_shape_and_field_checked(self):
         st = SparseState.basis(5, (1, 2))
         with pytest.raises(ValueError, match="fewer than the 2 registers"):
-            st.encode(FieldMatrix.identity(F5, 1))
+            st.encode(FieldMatrix(F5, [[1]]))
         with pytest.raises(ValueError, match="over F_7"):
-            st.encode(FieldMatrix.identity(PrimeField(7), 2))
+            st.encode(FieldMatrix(PrimeField(7), [[1, 0], [0, 1]]))
+        with pytest.raises(ValueError, match="two-dimensional"):
+            st.encode([1, 0, 0, 1])
 
 
 # Fields at the edges of the label widths: byte labels whose sums fit a byte
@@ -535,7 +543,7 @@ class TestLabelWidths:
         seed = q
         while True:
             g = full_rank_generator(q, 4, 3, seed)
-            if FieldMatrix(PrimeField(q), 3, 3, g.array[1:]).rank() == 3:
+            if FieldMatrix(PrimeField(q), g.array[1:]).rank() == 3:
                 break
             seed += 1
         secret = SparseState.from_branches(q, [((3,), 0.6), ((q - 1,), 0.8j)])
