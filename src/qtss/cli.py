@@ -610,8 +610,7 @@ def demo(secret_spec: str = "10", stream: TextIO | None = None) -> int:
         w(title)
         w(f"  registers received: {sorted(t.accessed.items())}")
         for idx, op in enumerate(t.operations, start=1):
-            loc = f"targets {op.targets}" + (f", controls {op.sources}" if op.sources else "")
-            w(f"  {idx}. {op.kind} on {loc}")
+            w(f"  {idx}. on targets {op.targets}" + (f", controls {op.sources}" if op.sources else ""))
             w(f"     {op.note}")
         rho = result.state.partial_trace(result.secret_registers)
         fid = fidelity(rho, secret)

@@ -11,12 +11,12 @@ one qudit each (the first register of every contacted share), and
 ``m*k`` qudits.  Both follow one rule (:func:`recovery_session`).  The
 received registers carry ``A x``, with A a square block of G's rows and x
 the secret digits then the randomness digits they depend on.  The combiner
-applies ``A^-1``, then overwrites each randomness register that has a
-counterpart (the same register position on an uncontacted share) with that
-counterpart's digit.  Every leftover register then mirrors an uncontacted
-share, which disentangles the secret.  For the d-share combiner A is the
-d-row Vandermonde block ``V_D``, and the steps are the paper's: invert
-``V_D``, then remix the randomness head.
+runs two ops: decode, ``A^-1``; then mirror, which overwrites each
+randomness register that has a counterpart (the same register position on
+an uncontacted share) with that counterpart's digit.  Every leftover
+register then mirrors an uncontacted share, which disentangles the secret.
+For the d-share combiner A is the d-row Vandermonde block ``V_D``, and the
+steps are the paper's: invert ``V_D``, then remix the randomness head.
 
 Every combiner operation is recorded in a transcript as one invertible
 square matrix over F_q on the registers it names, and is mechanically
@@ -58,7 +58,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gf import FieldMatrix, shear
+from .gf import FieldMatrix
 from .qsim import (
     DEFAULT_DIM_CAP,
     MATCH_TOL,
@@ -169,17 +169,14 @@ class OpRecord:
 
     ``matrix`` maps the digits x of ``sources + targets`` to ``matrix @ x``.
     The sources only control: their rows of ``matrix`` are the identity, so
-    a controlled add of ``C @ sources`` into the targets is ``[[I, 0], [C, I]]``.
+    the matrix is ``[[I, 0], [C, D]]``, and each target becomes its row of
+    ``C`` on the sources plus its row of ``D`` on the targets.
     """
 
     targets: tuple[int, ...]
     sources: tuple[int, ...]
     note: str
     matrix: FieldMatrix
-
-    @property
-    def kind(self) -> str:
-        return "controlled-add" if self.sources else "affine"
 
 
 @dataclass(frozen=True)
@@ -281,9 +278,10 @@ def recover_from_d(dealt: DealtState, participants: Iterable[int]) -> RecoveryRe
     :func:`recovery_session`) is the paper's procedure, op for op:
 
     1. Invert ``V_D``; the registers now hold those digits.
-    2. Remix the head block: scale it by the uncontacted rows' head-column
-       block, then add the matching combination of the secret and tail
-       digits.  The head registers then carry exactly the digits of the
+    2. Remix the head block in one op: each head register becomes the
+       uncontacted rows' head-column block on the head digits, plus the
+       matching combination of the secret and tail digits, which only
+       control.  The head registers then carry exactly the digits of the
        uncontacted shares' first qudits, so summing over the head
        randomness yields a perfectly correlated pair, independent of the
        secret.  The tail registers keep their randomness digits.
@@ -332,8 +330,9 @@ def recovery_session(p: SchemeParams, mode: str, participants: Iterable[int]) ->
     """The combiner's session on ``participants``, from the parameters alone.
 
     ``recover-d`` contacts d participants, each sending its first register;
-    ``recover-k`` contacts k, each sending all m.  Raises ``ValueError`` for
-    any other mode, a set of the wrong size, or a participant outside 1..n.
+    ``recover-k`` contacts k, each sending all m (:func:`_recovery_shapes`).
+    Raises ``ValueError`` for any other mode, a set of the wrong size, or a
+    participant outside 1..n.
 
     The received registers, in received order (the first register of every
     contacted share, then the first register of each later column, then
@@ -343,25 +342,26 @@ def recovery_session(p: SchemeParams, mode: str, participants: Iterable[int]) ->
     name.  A is square for d shares sending one register each and for k
     shares sending all m; :meth:`FieldMatrix.inverse` rejects a singular A.
 
-    1. Apply ``A^-1``: received register t now holds digit t of x.
-    2. Pair the randomness registers, in received order, with their
-       counterparts: the uncontacted shares' first ``per_share`` registers,
-       column by column.  Scale the paired registers by the counterparts'
-       rows of G on their own digits, then add the counterparts' rows on
-       every other digit, controlled on the other registers.  Each paired
-       register now holds its counterpart's digit ``G[counterpart] x``;
-       unpaired randomness registers keep their digits.
+    1. Decode: apply ``A^-1``, so received register t holds digit t of x.
+    2. Mirror: pair the randomness registers, in received order, with their
+       counterparts, the uncontacted shares' first ``per_share`` registers,
+       column by column.  One op T targets the paired registers, with every
+       other received register as a source; its target rows are the
+       counterparts' rows of G.  Each paired register now holds its
+       counterpart's digit ``G[counterpart] x``; unpaired randomness
+       registers keep their digits.  A session that contacts every share
+       has no counterparts and runs the decode alone.
 
-    The composed program is therefore ``T A^-1``, with T built from rows of
-    G, and the secret sits in the first m registers in received order.
+    The composed program is therefore ``T A^-1``, and the secret sits in
+    the first m registers in received order.
     """
-    shapes = {"recover-d": ("d", p.d, 1), "recover-k": ("k", p.k, p.m)}
+    shapes = _recovery_shapes(p)
     if mode not in shapes:
         raise ValueError(f"no recovery session for mode {mode!r}; valid: {sorted(shapes)}")
-    what, size, per_share = shapes[mode]
+    size, per_share = shapes[mode]
     chosen = sorted(set(participants))
     if len(chosen) != size:
-        raise ValueError(f"need exactly {what}={size} distinct participants, got {len(chosen)}")
+        raise ValueError(f"need exactly {mode[-1]}={size} distinct participants, got {len(chosen)}")
     outside = [i for i in chosen if not 1 <= i <= p.n]
     if outside:
         raise ValueError(f"participants {outside} are not part of this scheme")
@@ -381,30 +381,23 @@ def recovery_session(p: SchemeParams, mode: str, participants: Iterable[int]) ->
         )
     ]
     others = sorted(set(range(1, p.n + 1)) - set(chosen))
-    counterparts = [(i - 1) * m + j for j in range(per_share) for i in others]
+    counterparts = [p.registers_of(i)[j] for j in range(per_share) for i in others]
     if counterparts:
         stop = m + len(counterparts)
-        targets = tuple(received[m:stop])
         unpaired = [*range(m), *range(stop, width)]
-        mirror = g[counterparts, :width]
-        ops += [
-            OpRecord(
-                targets,
-                (),
-                "scale the paired randomness registers by their uncontacted "
-                "counterparts' rows of G on those digits",
-                FieldMatrix._wrap(field, mirror[:, m:stop]),
-            ),
-            OpRecord(
-                targets,
-                tuple(received[t] for t in unpaired),
-                "add the other registers' contribution so each paired register "
-                "mirrors its uncontacted counterpart",
-                shear(FieldMatrix._wrap(field, mirror[:, unpaired])),
-            ),
-        ]
+        mirror = np.eye(width, dtype=np.int64)
+        mirror[len(unpaired) :] = g[np.ix_(counterparts, [*unpaired, *range(m, stop)])]
+        sources = tuple(received[t] for t in unpaired)
+        note = "mirror: each paired randomness register now holds its uncontacted counterpart's digit"
+        ops.append(OpRecord(tuple(received[m:stop]), sources, note, FieldMatrix._wrap(field, mirror)))
     cost = len(received)
     return RecoveryTranscript(p, dict(zip(chosen, shares)), tuple(ops), cost, p.q**cost, tuple(received[:m]))
+
+
+def _recovery_shapes(p: SchemeParams) -> dict[str, tuple[int, int]]:
+    """Each recovery mode, k-shares first: the shares it contacts, and the
+    registers each sends."""
+    return {"recover-k": (p.k, p.m), "recover-d": (p.d, 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +430,9 @@ def secrecy_check(
     The subset must have at most k-1 participants; a scheme is leak-free on
     it iff every pair of secrets induces identical reduced states there.
     Some pair must compare two different states (not one object, nor equal
-    labels and amplitudes), else ``ValueError``: a check that compares each
-    secret only with itself would pass vacuously.  Each distinct secret (by
-    identity) is dealt and traced once.
+    labels and amplitudes up to a global phase), else ``ValueError``: a
+    check that compares each secret only with itself would pass vacuously.
+    Each distinct secret (by identity) is dealt and traced once.
     """
     members = sorted(set(subset))
     if len(members) > p.k - 1:
@@ -464,12 +457,13 @@ def secrecy_check(
 
 
 def _same_state(a: SparseState, b: SparseState) -> bool:
-    """Whether two secrets are one state: the same object, or equal labels
-    and amplitudes once their branches are sorted."""
+    """Whether two secrets are one state: the same object, or, once their
+    branches are sorted, equal labels and amplitudes equal up to a global
+    phase (``|<a|b>|`` within ``MATCH_TOL`` of 1)."""
     if a is b:
         return True
     a, b = a.canonical(), b.canonical()
-    return np.array_equal(a.labels, b.labels) and np.array_equal(a.amps, b.amps)
+    return np.array_equal(a.labels, b.labels) and 1 - abs(np.vdot(a.amps, b.amps)) <= MATCH_TOL
 
 
 def participant_sets(
@@ -483,12 +477,13 @@ def participant_sets(
     in :func:`itertools.combinations` order, size by size.  Raises
     ``ValueError`` for any other mode.
     """
-    sizes = {"recover-d": [p.d], "recover-k": [p.k], "secrecy": range(1, p.k)}
-    if mode not in sizes:
-        raise ValueError(f"no participant sets for mode {mode!r}; valid: {sorted(sizes)}")
-    fit = [size for size in sizes[mode] if mode != "secrecy" or p.q ** (p.m * size) <= dim_cap]
+    shapes = _recovery_shapes(p)
+    if mode not in (*shapes, "secrecy"):
+        raise ValueError(f"no participant sets for mode {mode!r}; valid: {sorted([*shapes, 'secrecy'])}")
+    sizes = range(1, p.k) if mode == "secrecy" else [shapes[mode][0]]
+    fit = [size for size in sizes if mode != "secrecy" or p.q ** (p.m * size) <= dim_cap]
     sets = [s for size in fit for s in itertools.combinations(retained, size)]
-    skipped = sum(math.comb(len(retained), size) for size in sizes[mode]) - len(sets)
+    skipped = sum(math.comb(len(retained), size) for size in sizes) - len(sets)
     return sets, skipped
 
 
@@ -587,11 +582,9 @@ def cost_table(p: SchemeParams) -> list[CostRow]:
     digits = int(p.m * p.k * np.log10(p.q)) + 1
     if digits > _MAX_COST_DIGITS:
         raise DimensionCapError(f"cost figure {p.q}**{p.m * p.k} has {digits} digits, over {_MAX_COST_DIGITS}")
-    shapes = [("recover-k", p.k, p.m * p.k)]
-    if p.d != p.k:
-        shapes.append(("recover-d", p.d, p.d))
     rows = []
-    for mode, participants, qudits in shapes:
+    for mode, (participants, per_share) in list(_recovery_shapes(p).items())[: 1 + (p.d != p.k)]:
+        qudits = participants * per_share
         dim = p.q**qudits
         bound = lower_bound(p.q**p.m, p.k, participants)
         rows.append(CostRow(mode, participants, qudits, qudits / p.m, dim, bound, dim == bound))

@@ -638,7 +638,7 @@ class TestDemoFunction:
         assert demo("10", stream=buf) == 0
         text = buf.getvalue()
         assert "Dealer output: 25 branches" in text
-        assert "controlled-add" in text
+        assert "controls (" in text
 
 
 def test_import_loads_numpy_but_no_scipy():

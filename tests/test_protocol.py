@@ -8,6 +8,7 @@ confirming full disentanglement.
 
 import ast
 import dataclasses
+import hashlib
 import itertools
 import math
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 from broken_schemes import Collapsed, Leaky
 
 from qtss import protocol
+from qtss.cli import DEFAULT_GRID
 from qtss.gf import FieldMatrix, PrimeField, SingularMatrixError, shear
 from qtss.protocol import (
     CombinerLocalityError,
@@ -338,6 +340,7 @@ class TestProgramsWithoutState:
         # As G[received] has full rank on the columns it depends on, this
         # fixes P.  Every op is one invertible square matrix on sources +
         # targets whose source rows are the identity: sources only control.
+        # A session decodes, then mirrors unless it contacted every share.
         p = make_params(6, 9, 13)
         g = p.generator.array
         exact = np.eye(p.m, p.m + p.randomness_len, dtype=np.int64)
@@ -346,6 +349,7 @@ class TestProgramsWithoutState:
             subsets = list(itertools.combinations(range(1, p.n + 1), size))
             for subset in subsets:
                 t = recovery_session(p, mode, subset)
+                assert len(t.operations) == (1 if size == p.n else 2), subset
                 for op in t.operations:
                     side, s = len(op.sources) + len(op.targets), len(op.sources)
                     assert op.matrix.array.shape == (side, side), op.note
@@ -362,6 +366,22 @@ class TestProgramsWithoutState:
                     assert np.array_equal(out[i], expected[reg]), (subset, reg)
             checked[size] = len(subsets)
         assert checked == {p.k: 462, p.d: 55}
+
+    def test_every_program_is_pinned(self):
+        # Each session's registers, costs and composed program, hashed over
+        # every k- and d-set of the grid and two schemes past simulation.
+        digest, count = hashlib.sha256(), 0
+        for triple in (*DEFAULT_GRID, (5, 9, 11), (6, 9, 13)):
+            p = make_params(*triple)
+            for mode, size in (("recover-k", p.k), ("recover-d", p.d)):
+                for subset in itertools.combinations(range(1, p.n + 1), size):
+                    t = recovery_session(p, mode, subset)
+                    fields = (triple, mode, subset, t.registers, t.output_registers, t.qudit_cost, t.channel_dim)
+                    digest.update(repr(fields).encode())
+                    digest.update(t.program().array.astype("<i8").tobytes())
+                    count += 1
+        assert count == 792
+        assert digest.hexdigest() == "757cf219a04b7fa9194205a003889a2297900673e5d968f244f52d7bd72c53b7"
 
     def test_session_rejects_bad_requests(self):
         with pytest.raises(ValueError, match="no recovery session for mode 'secrecy'"):
@@ -629,6 +649,12 @@ class TestSecrecy:
         b = superpose([(basis_secret(P235, (0, 3)), 0.8), (basis_secret(P235, (1, 0)), 0.6)])
         with pytest.raises(ValueError, match="no secret pairs compare"):
             secrecy_check(P235, [1], [(a, b)])
+        # Equal as states up to a global phase: every reduced state agrees.
+        for phase in (-1, 1j):
+            with pytest.raises(ValueError, match="no secret pairs compare"):
+                secrecy_check(P235, [1], [(s, SparseState(5, s.labels, phase * s.amps))])
+            with pytest.raises(ValueError, match="no secret pairs compare"):
+                secrecy_check(P235, [1], [(a, SparseState(5, a.labels, phase * a.amps))])
 
     def test_each_secret_dealt_once(self, monkeypatch):
         dealt = []
