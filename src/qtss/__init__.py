@@ -14,6 +14,7 @@ from .staircase import (
     ParameterError,
     SchemeParams,
     build_message_matrix,
+    codeword_rows,
     encode_classical,
     enumerate_codewords,
     make_params,
@@ -65,6 +66,7 @@ __all__ = [
     "EnumerationCapError",
     "make_params",
     "build_message_matrix",
+    "codeword_rows",
     "encode_classical",
     "enumerate_codewords",
     # qsim

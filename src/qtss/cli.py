@@ -70,7 +70,7 @@ from .staircase import (
     EnumerationCapError,
     ParameterError,
     SchemeParams,
-    enumerate_codewords,
+    codeword_rows,
     make_params,
 )
 
@@ -430,7 +430,17 @@ def _secrecy_sweep(
 # ---------------------------------------------------------------------------
 
 
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` in lexicographic order, in their own dtype."""
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
+    """Deal every secret and check its branch count and norm; where cheap,
+    cross-check the dealer against the classical encoding: the dealt labels
+    of one basis secret, sorted, must equal its :func:`codeword_rows`,
+    sorted, which checks them as a multiset.  The codewords are compared in
+    the labels' dtype, which holds every residue."""
     secrets = _pick_secrets(cfg, p, "encode")
     worst_norm = 0.0
     for secret in secrets:
@@ -446,13 +456,9 @@ def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     if p.branch_count <= 50_000:
         digits = (0,) * (p.m - 1) + (1,)
         basis = basis_secret(p, digits)
-        dealt = deal(basis, p, cfg.cap_branches)
-        labels = {tuple(int(x) for x in row) for row in dealt.state.labels}
-        expected_labels = {
-            tuple(codeword.array.ravel().tolist())
-            for _, codeword in enumerate_codewords(digits, p, cfg.cap_branches)
-        }
-        if labels != expected_labels:
+        labels = deal(basis, p, cfg.cap_branches).state.labels
+        codewords = codeword_rows(digits, p, cfg.cap_branches).astype(labels.dtype)
+        if not np.array_equal(_sorted_rows(labels), _sorted_rows(codewords)):
             rec.fail("dealt branches disagree with codeword enumeration")
     rec.metrics["max_norm_error"] = worst_norm
     if worst_norm > 1e-12:

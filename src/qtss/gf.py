@@ -12,7 +12,8 @@ With q < 2**16 every product of two residues is below 2**32, so a product
 Gauss-Jordan elimination (:func:`_row_reduce`) that updates whole rows per
 pivot and pivots on the first nonzero entry at or below the current rank;
 it is exact over a field, so pivot choice never affects correctness.
-Matrices are immutable values that can be shared freely between threads.
+Matrices are immutable values that can be shared freely between threads; a
+matrix keeps its rank once computed, which is why it must stay immutable.
 """
 
 from __future__ import annotations
@@ -97,10 +98,11 @@ class FieldMatrix:
 
     ``entries`` is any two-dimensional array-like (nested rows or an array);
     it is reduced mod q once here, and every derived matrix is built from
-    residues directly.  Any other shape raises ``ValueError``.
+    residues directly.  Any other shape raises ``ValueError``.  The rank is
+    computed on the first :meth:`rank` call and kept (``_rank``).
     """
 
-    __slots__ = ("field", "array")
+    __slots__ = ("field", "array", "_rank")
 
     def __init__(self, field: PrimeField, entries) -> None:
         arr = _residues(entries, field.q)
@@ -108,15 +110,21 @@ class FieldMatrix:
             raise ValueError(f"matrix entries must be two-dimensional, got shape {arr.shape}")
         self.field = field
         self.array = arr
+        self._rank = None
         arr.setflags(write=False)
 
     @classmethod
     def _wrap(cls, field: PrimeField, array: np.ndarray) -> FieldMatrix:
         """Adopt a 2-D int64 array that already holds residues mod q; it
-        becomes read-only and must not be written through another name."""
+        becomes read-only and must not be written through another name.
+
+        :meth:`rank` relies on this: the matrix keeps the rank it computed
+        once, which stays its rank only while no name writes the array.
+        """
         self = object.__new__(cls)
         self.field = field
         self.array = array
+        self._rank = None
         array.setflags(write=False)
         return self
 
@@ -147,8 +155,16 @@ class FieldMatrix:
         return FieldMatrix._wrap(self.field, self.array @ other.array % self.field.q)
 
     def rank(self) -> int:
-        """Rank over F_q, by the same elimination as :meth:`inverse`."""
-        return _row_reduce(self.array.copy(), self.cols, self.field.q)
+        """Rank over F_q, by the same elimination as :meth:`inverse`.
+
+        Computed on the first call and kept: a matrix is immutable (its
+        array is read-only, and :meth:`_wrap` forbids writing it through
+        another name), so the kept rank is the certificate each later call
+        would recompute.
+        """
+        if self._rank is None:
+            self._rank = _row_reduce(self.array.copy(), self.cols, self.field.q)
+        return self._rank
 
     def inverse(self) -> FieldMatrix:
         """Gauss-Jordan inverse; raises :class:`SingularMatrixError` if rank-deficient."""

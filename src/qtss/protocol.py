@@ -28,19 +28,20 @@ session's program, and :func:`recovery_session` builds it from the
 parameters and the contacted participants alone, so its program can be
 checked over F_q for schemes whose states are far too large to simulate, and
 one transcript serves every state dealt with the same parameters.
-:func:`run_session` refuses a state dealt with other parameters, then
-composes the ops into one invertible matrix over F_q on the received
-registers and applies it to the shared state in a single relabeling.
+The transcript composes its ops once, when it is built, into one matrix
+over F_q on the received registers; :func:`run_session` refuses a state
+dealt with other parameters, then applies that matrix to the shared state
+in a single relabeling.
 
 This module builds matrices and never touches labels: the dealer hands the
 generator matrix to :meth:`SparseState.encode`, and a session hands its
 composed matrix to :meth:`SparseState.apply_affine`.  ``qsim`` owns both
 label maps and their rank certificates over F_q (full column rank m*k for
 the generator, checked once per matrix; invertibility for each session's
-program, checked on each call), so labels stay distinct at every state size
-with no scan.  Secrecy of small participant subsets is checked
-operationally: reduced density matrices of a subset must be identical (zero
-trace distance) across secrets.
+program, checked on each call against the rank the matrix computed once),
+so labels stay distinct at every state size with no scan.  Secrecy of small
+participant subsets is checked operationally: reduced density matrices of a
+subset must be identical (zero trace distance) across secrets.
 
 :func:`participant_sets` is the one rule for which sets a claim is checked
 on: every d-set or k-set of the retained participants for recovery, and
@@ -198,6 +199,11 @@ class RecoveryTranscript:
     names a register twice, has a non-square matrix, or rewrites a source
     (its source rows must be the identity).  Costs are not checked against
     the registers.
+
+    Once the checks pass, construction composes the ops into the session's
+    program (:meth:`program`), so one transcript run on many states composes
+    it once; ``dataclasses.replace`` builds a new transcript, which composes
+    its own.
     """
 
     params: SchemeParams
@@ -237,6 +243,7 @@ class RecoveryTranscript:
                 raise ValueError(f"a {op.matrix.array.shape} matrix cannot map {len(registers)} registers")
             if not np.array_equal(op.matrix.array[: len(op.sources)], np.eye(len(op.sources), len(registers))):
                 raise ValueError(f"operation rewrites its sources {list(op.sources)}; their rows must be the identity")
+        object.__setattr__(self, "_program", self._compose())
 
     @property
     def registers(self) -> tuple[int, ...]:
@@ -244,12 +251,15 @@ class RecoveryTranscript:
         return tuple(r for regs in self.accessed.values() for r in regs)
 
     def program(self) -> FieldMatrix:
-        """The ops composed into one matrix on :attr:`registers`.
+        """The ops composed into one matrix on :attr:`registers`, the same
+        matrix on every call: it is composed once, when the transcript is
+        built, and its rank, once checked, stays with it."""
+        return self._program
 
-        Row i of the running product gives received register i's digit as a
-        combination of the digits the combiner received, so each op acts on
-        the rows of its registers exactly as it would on label digits.
-        """
+    def _compose(self) -> FieldMatrix:
+        """Row i of the running product gives received register i's digit as
+        a combination of the digits the combiner received, so each op acts on
+        the rows of its registers exactly as it would on label digits."""
         field = self.operations[0].matrix.field
         pos = {r: i for i, r in enumerate(self.registers)}
         prog = np.eye(len(pos), dtype=np.int64)

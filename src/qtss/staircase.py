@@ -59,6 +59,7 @@ __all__ = [
     "make_params",
     "build_message_matrix",
     "encode_classical",
+    "codeword_rows",
     "enumerate_codewords",
     "DEFAULT_BRANCH_CAP",
 ]
@@ -172,23 +173,31 @@ def _digits(values: Sequence[int], length: int, what: str, q: int) -> np.ndarray
     return arr
 
 
-def build_message_matrix(
-    secret: Sequence[int], randomness: Sequence[int], p: SchemeParams
-) -> FieldMatrix:
-    """Assemble the d x m message matrix from the secret and randomness digits.
+def _message_matrices(secret: np.ndarray, randomness: np.ndarray, p: SchemeParams) -> np.ndarray:
+    """The ``(R, d, m)`` stack of message matrices of one secret, one per row
+    of the ``(R, m*(k-1))`` randomness residues.
 
     Column 1 is ``(s, first block)``; column ``j >= 2`` is
     ``(0^(m-1), v_{j-1}, j-th block)``, where the tail ``v`` is
     ``randomness[k-m : k-1]``.
     """
     m, w = p.m, p.k - 1
-    s = _digits(secret, m, "secret", p.q)
+    msg = np.zeros((len(randomness), p.d, m), dtype=np.int64)
+    msg[:, :m, 0] = secret
+    # block j of each row fills rows m..d-1 of column j
+    msg[:, m:] = randomness.reshape(len(randomness), m, w).transpose(0, 2, 1)
+    msg[:, m - 1, 1:] = randomness[:, p.k - m : w]  # the tail of block 1, one digit per column
+    return msg
+
+
+def build_message_matrix(
+    secret: Sequence[int], randomness: Sequence[int], p: SchemeParams
+) -> FieldMatrix:
+    """Assemble the d x m message matrix from the secret and randomness digits:
+    the one-row case of the stack :func:`codeword_rows` multiplies."""
+    s = _digits(secret, p.m, "secret", p.q)
     r = _digits(randomness, p.randomness_len, "randomness", p.q)
-    msg = np.zeros((p.d, m), dtype=np.int64)
-    msg[:m, 0] = s
-    msg[m:] = r.reshape(m, w).T  # block j fills rows m..d-1 of column j
-    msg[m - 1, 1:] = r[p.k - m : w]  # the tail of block 1, one digit per column
-    return FieldMatrix._wrap(p.field, msg)
+    return FieldMatrix._wrap(p.field, _message_matrices(s, r[None], p)[0])
 
 
 def encode_classical(
@@ -201,14 +210,15 @@ def encode_classical(
     return p.vandermonde @ build_message_matrix(secret, randomness, p)
 
 
-def enumerate_codewords(
-    secret: Sequence[int], p: SchemeParams, cap: int = DEFAULT_BRANCH_CAP
-) -> Iterator[tuple[tuple[int, ...], FieldMatrix]]:
-    """Yield ``(randomness, codeword)`` for every randomness assignment.
+def codeword_rows(secret: Sequence[int], p: SchemeParams, cap: int = DEFAULT_BRANCH_CAP) -> np.ndarray:
+    """Every codeword of ``secret`` as a read-only ``(q**e, n*m)`` int64
+    array, e = m*(k-1): row j is the flattened codeword table (share-major,
+    as :func:`encode_classical` gives it) of the j-th randomness assignment
+    in ``itertools.product`` order (last digit fastest).
 
-    Iterates the full q**(m*(k-1)) space in lexicographic order (last digit
-    fastest).  Raises :class:`EnumerationCapError` before yielding anything
-    if the space exceeds ``cap``.
+    One product: the Vandermonde matrix times the stack of every message
+    matrix.  Raises :class:`EnumerationCapError` if q**e exceeds ``cap``,
+    before reading the secret.
     """
     total = p.branch_count
     if total > cap:
@@ -216,5 +226,26 @@ def enumerate_codewords(
             f"enumeration of {total} codewords exceeds the cap of {cap}"
         )
     s = _digits(secret, p.m, "secret", p.q)
-    for r in itertools.product(range(p.q), repeat=p.randomness_len):
-        yield r, encode_classical(s, r, p)
+    e = p.randomness_len
+    powers = np.array([p.q**j for j in reversed(range(e))], dtype=np.int64)
+    randomness = np.arange(total, dtype=np.int64)[:, None] // powers % p.q
+    rows = (p.vandermonde.array @ _message_matrices(s, randomness, p) % p.q).reshape(total, p.n * p.m)
+    rows.setflags(write=False)
+    return rows
+
+
+def enumerate_codewords(
+    secret: Sequence[int], p: SchemeParams, cap: int = DEFAULT_BRANCH_CAP
+) -> Iterator[tuple[tuple[int, ...], FieldMatrix]]:
+    """Yield ``(randomness, codeword)`` for every randomness assignment.
+
+    Iterates the full q**(m*(k-1)) space in lexicographic order (last digit
+    fastest), each codeword a row of :func:`codeword_rows`, which holds them
+    all at once.  Raises :class:`EnumerationCapError` before yielding
+    anything if the space exceeds ``cap``, and ``TypeError`` for a
+    non-integral secret digit, both at the first ``next``.
+    """
+    rows = codeword_rows(secret, p, cap)
+    randomness = itertools.product(range(p.q), repeat=p.randomness_len)
+    for r, row in zip(randomness, rows):
+        yield r, FieldMatrix._wrap(p.field, row.reshape(p.n, p.m))

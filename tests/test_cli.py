@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import qtss
+from broken_schemes import Leaky
 from qtss import cli, protocol
 from qtss.cli import (
     ALL_MODES,
@@ -184,6 +185,21 @@ class TestRun:
         assert report.overall_pass
         assert [r.q for r in report.records] == [127] * 3 + [131] * 3 + [251] * 3 + [257] * 3
         assert all(r.status == "pass" for r in report.records)
+
+    def test_report_config_matches_golden(self):
+        # The benchmark's report workload: every recovery session of six
+        # schemes on every basis secret, byte for byte.
+        golden = Path(__file__).parent / "golden"
+        report = run(parse_config((golden / "report.cfg").read_text()))
+        assert report.to_json_bytes() == (golden / "report.json").read_bytes()
+
+    def test_encode_cross_check_catches_a_leaky_dealer(self):
+        # The dealer deals Leaky's G, the classical encoding is the staircase's.
+        p = Leaky(2, 3, 5)
+        rec = cli.RunRecord(k=p.k, n=p.n, d=p.d, q=p.q, m=p.m, mode="encode")
+        cli._run_encode(parse_config("params = 2,3,5\nmodes = encode\nsecrets = random:2"), p, rec)
+        assert rec.status == "fail"
+        assert rec.detail == "dealt branches disagree with codeword enumeration"
 
     def test_cap_exceeded_reported_not_failed(self):
         cfg = parse_config("params = 3,4,7\nmodes = recover-k\nsecrets = random:1\ncap_branches = 100")

@@ -23,6 +23,7 @@ from qtss.gf import (
     SingularMatrixError,
     vandermonde,
 )
+from qtss.qsim import SparseState
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -257,6 +258,19 @@ class TestRank:
         assert FieldMatrix(F5, np.zeros((0, 3), dtype=np.int64)).rank() == 0
         assert vandermonde(F7, (1, 2, 3, 4), 6).rank() == 4
         assert FieldMatrix._wrap(F7, vandermonde(F7, (1, 2, 3, 4), 6).array.T).rank() == 4
+
+    def test_rank_kept_and_checked_on_every_call(self):
+        # The rank is computed once per matrix value and kept; apply_affine
+        # still asks for it on every call, so a singular map raises each time.
+        singular = FieldMatrix(F5, [[1, 2], [2, 4]])
+        state = SparseState.basis(5, (1, 3))
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError, match="singular"):
+                state.apply_affine([0, 1], singular)
+        assert [singular.rank() for _ in range(3)] == [1, 1, 1]
+        full = vandermonde(F7, (1, 2, 3), 3)
+        assert [full.rank() for _ in range(3)] == [3, 3, 3]
+        assert full.rank() == FieldMatrix(F7, full.array).rank()
 
     @settings(max_examples=200, deadline=None)
     @given(m=small_matrices())

@@ -383,6 +383,24 @@ class TestProgramsWithoutState:
         assert count == 792
         assert digest.hexdigest() == "757cf219a04b7fa9194205a003889a2297900673e5d968f244f52d7bd72c53b7"
 
+    def test_program_composed_once_per_transcript(self):
+        # program() is the matrix composed when the transcript was built;
+        # dataclasses.replace builds a new transcript, which composes its own.
+        t = recovery_session(P347, "recover-k", [1, 2, 4])
+        assert t.program() is t.program()
+        decode_only = t.operations[:1]
+        u = dataclasses.replace(t, operations=decode_only)
+        pos = {r: i for i, r in enumerate(u.registers)}
+        fresh = FieldMatrix(P347.field, np.eye(len(pos), dtype=np.int64))
+        for op in decode_only:
+            rows = [pos[r] for r in op.sources + op.targets]
+            embedded = np.eye(len(pos), dtype=np.int64)
+            embedded[np.ix_(rows, rows)] = op.matrix.array
+            fresh = FieldMatrix(P347.field, embedded) @ fresh
+        assert u.program() is u.program()
+        assert np.array_equal(u.program().array, fresh.array)
+        assert not np.array_equal(u.program().array, t.program().array)
+
     def test_session_rejects_bad_requests(self):
         with pytest.raises(ValueError, match="no recovery session for mode 'secrecy'"):
             recovery_session(P235, "secrecy", [1])

@@ -20,6 +20,7 @@ from qtss.staircase import (
     EnumerationCapError,
     ParameterError,
     build_message_matrix,
+    codeword_rows,
     encode_classical,
     enumerate_codewords,
     make_params,
@@ -212,6 +213,30 @@ class TestEnumerateCodewords:
         p = make_params(3, 4, 7)
         with pytest.raises(EnumerationCapError):
             list(enumerate_codewords((0, 0), p, cap=100))
+
+
+class TestCodewordRows:
+    @pytest.mark.parametrize("k,d,q", [(2, 2, 5), (2, 3, 5), (3, 3, 7), (3, 4, 7)])
+    def test_rows_are_the_encodings_in_product_order(self, k, d, q):
+        p = make_params(k, d, q)
+        secret = [(3 * i + 2) % q for i in range(p.m)]
+        rows = codeword_rows(secret, p)
+        want = [
+            encode_classical(secret, r, p).array.ravel()
+            for r in itertools.product(range(q), repeat=p.randomness_len)
+        ]
+        assert rows.shape == (p.branch_count, p.n * p.m)
+        assert np.array_equal(rows, np.array(want))
+        assert not rows.flags.writeable
+
+    def test_checks(self):
+        p = make_params(3, 4, 7)
+        with pytest.raises(EnumerationCapError, match="2401 codewords exceeds the cap of 100"):
+            codeword_rows((0, 0), p, cap=100)
+        with pytest.raises(TypeError, match="integers"):
+            codeword_rows((1, 0.5), p)
+        with pytest.raises(ValueError, match="secret must have 2 digits"):
+            codeword_rows((1,), p)
 
 
 class TestClassicalShadows:
