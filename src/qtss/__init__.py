@@ -16,7 +16,6 @@ from .staircase import (
     build_message_matrix,
     codeword_rows,
     encode_classical,
-    enumerate_codewords,
     make_params,
 )
 from .qsim import (
@@ -68,7 +67,6 @@ __all__ = [
     "build_message_matrix",
     "codeword_rows",
     "encode_classical",
-    "enumerate_codewords",
     # qsim
     "SparseState",
     "DensityMatrix",

@@ -37,7 +37,14 @@ labels (and amplitudes) and one write of its output:
 - ``apply_affine``: one float product and reduction per block;
 - ``partial_trace``: kept indices, packed discarded keys and the diagonal
   (:func:`_branch_keys`), then one in-place sort of the packed keys and one
-  streamed comparison of sorted neighbours (:func:`_branch_order`).
+  streamed comparison of sorted neighbours (:func:`_branch_order`);
+- the encoded trace (:meth:`EncodedState.partial_trace`): the same key pass
+  and sort on the branches of an encoded state that is never stored.  Each
+  block's labels are the table's rows plus their components' codewords, mod
+  q, written into one reused buffer and keyed there, and the weights are
+  split once per component.  So the trace reads the table, not an (N, R)
+  label array and N amplitudes: a (4,5,11) share's trace peaks at about
+  36 MB, where the stored state alone takes 107 MB.
 
 The key pass packs each branch's key and index into one uint64, so one
 in-place sort gives both the branch order and the group boundaries; keys too
@@ -79,7 +86,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,6 +96,7 @@ __all__ = [
     "EmptyStateError",
     "DimensionCapError",
     "SparseState",
+    "EncodedState",
     "DensityMatrix",
     "superpose",
     "fidelity",
@@ -417,31 +425,22 @@ class SparseState:
 
     def encode(self, generator) -> SparseState:
         """``sum_x psi(x) q**(-e/2) sum_{r in F_q^e} |G [x; r]>`` on G's rows,
-        for this state on t registers and G over F_q with t + e columns.
+        for this state on t registers and G over F_q with t + e columns:
+        :attr:`EncodedState.state`, written out branch by branch.
 
         G must have full column rank, else :class:`SingularMatrixError`; that
-        rank certifies the new labels distinct, q**e per component.  Each
-        component's block is the cached randomness table
-        (:func:`_codeword_table`) shifted by that component's codeword, in
-        component order; the labels are not re-sorted.
+        rank certifies the new labels distinct, q**e per component.  The
+        labels are not re-sorted.
         """
-        g = _coerce_matrix(generator, self.q)
-        t = self.num_registers
-        if g.cols < t:
-            raise ValueError(f"generator has {g.cols} columns, fewer than the {t} registers")
-        entries = g.array.astype(np.int64, copy=False).tobytes()
-        table = _codeword_table(self.q, g.array.shape, entries, t)
-        per_basis = len(table)
-        total = self.num_branches * per_basis
-        labels = np.empty((total, g.rows), dtype=table.dtype)
-        amps = np.empty(total, dtype=np.complex128)
-        weight = 1.0 / np.sqrt(per_basis)
-        coeff = g.array[:, :t]
-        for lo, digits, amp in zip(range(0, total, per_basis), self.labels, self.amps):
-            block = slice(lo, lo + per_basis)
-            _mod_add(table, (coeff @ digits.astype(np.int64)) % self.q, self.q, out=labels[block])
-            amps[block] = amp * weight
-        return SparseState._wrap(self.q, labels, amps)
+        return EncodedState(self, generator).state
+
+    def encoded_partial_trace(
+        self, generator, keep: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
+    ) -> DensityMatrix:
+        """``self.encode(generator).partial_trace(keep, dim_cap)``, equal to
+        it bit for bit, without writing the encoded state out
+        (:meth:`EncodedState.partial_trace`)."""
+        return EncodedState(self, generator).partial_trace(keep, dim_cap)
 
     def apply_affine(self, targets: Sequence[int], matrix) -> SparseState:
         """Relabel the target registers by ``x -> A x (mod q)``.
@@ -451,7 +450,7 @@ class SparseState:
         untouched, so the 2-norm is preserved exactly.  That check is the
         certificate that the new labels are distinct; they are not re-sorted.
         """
-        targets = self._check_registers(targets, "target")
+        targets = _registers(targets, self.num_registers, "target")
         a = _coerce_matrix(matrix, self.q)
         t = len(targets)
         if a.array.shape != (t, t):
@@ -474,8 +473,8 @@ class SparseState:
     ) -> SparseState:
         """Add ``coeff @ source-digits`` into the target digits (mod q): the
         invertible map ``shear(coeff)`` on disjoint ``sources + targets``."""
-        sources = self._check_registers(sources, "source")
-        targets = self._check_registers(targets, "target")
+        sources = _registers(sources, self.num_registers, "source")
+        targets = _registers(targets, self.num_registers, "target")
         if set(sources) & set(targets):
             raise ValueError("source and target registers overlap")
         c = _coerce_matrix(coeff, self.q)
@@ -485,15 +484,6 @@ class SparseState:
                 f"coefficient shape {c.array.shape} does not map {s} sources to {t} targets"
             )
         return self.apply_affine(sources + targets, shear(c))
-
-    def _check_registers(self, regs: Sequence[int], what: str) -> list[int]:
-        regs = [int(r) for r in regs]
-        for r in regs:
-            if not 0 <= r < self.num_registers:
-                raise IndexError(f"{what} register {r} out of range 0..{self.num_registers - 1}")
-        if len(set(regs)) != len(regs):
-            raise ValueError(f"duplicate {what} registers: {regs}")
-        return regs
 
     # -- measurement-side quantities --------------------------------------
 
@@ -527,39 +517,175 @@ class SparseState:
         occupies the same u indices, so u is the group size.  No dim x dim
         array is built.
         """
-        keep = self._check_registers(keep, "kept")
-        dim = self.q ** len(keep)
-        if dim > dim_cap:
-            raise DimensionCapError(
-                f"reduced dimension {self.q}**{len(keep)} = {dim} exceeds the cap {dim_cap}"
-            )
-        rest = [r for r in range(self.num_registers) if r not in keep]
-        kept_idx, rest_keys, diagonal = _branch_keys(self.labels, self.q, keep, rest, self.amps)
-        order, same = _branch_order(rest_keys)
-        if not same.any():
-            return DensityMatrix._reduced(self.q, len(keep), diagonal)
-        # The groups' sum P lives on the kept indices they occupy.  Its
-        # off-diagonal part, symmetrized as (P + P^H) / 2, is exactly
-        # Hermitian; its diagonal repeats weights the streamed diagonal holds.
-        multi, bounds = _multi_groups(order, same)
-        occupied, prod = _group_outer_sum(self.amps, kept_idx, multi, bounds, dim)
-        coherences = (prod + prod.conj().T) * 0.5
-        np.fill_diagonal(coherences, 0.0)
-        return DensityMatrix._reduced(self.q, len(keep), diagonal, occupied, coherences)
+        keep = _registers(keep, self.num_registers, "kept")
+        blocks = _stored_blocks(self.labels, self.amps)
+        return _trace(self.q, self.num_registers, keep, dim_cap, blocks, self.num_branches, lambda: self.amps)
+
+
+class EncodedState:
+    """The state ``secret.encode(G)`` before its branches are written out.
+
+    It holds the secret, G over F_q and G's randomness table
+    (:func:`_codeword_table`), fetched when it is built.  So a generator
+    without full column rank raises :class:`SingularMatrixError` here, and
+    one over another field or with fewer columns than the secret has
+    registers raises ``ValueError``.  Component c of the secret owns q**e
+    consecutive branches: the table plus the component's codeword
+    ``G[:, :t] x`` (mod q), each with the component's amplitude over
+    ``sqrt(q**e)``.  :attr:`state` writes them all out, once;
+    :meth:`partial_trace` reduces them with no state written out.
+    """
+
+    __slots__ = ("secret", "generator", "table", "_state")
+
+    def __init__(self, secret: SparseState, generator) -> None:
+        g = _coerce_matrix(generator, secret.q)
+        t = secret.num_registers
+        if g.cols < t:
+            raise ValueError(f"generator has {g.cols} columns, fewer than the {t} registers")
+        entries = g.array.astype(np.int64, copy=False).tobytes()
+        self.secret = secret
+        self.generator = g
+        self.table = _codeword_table(secret.q, g.array.shape, entries, t)
+        self._state = None
+
+    @property
+    def num_branches(self) -> int:
+        return self.secret.num_branches * len(self.table)
+
+    def _shifts(self) -> np.ndarray:
+        """Each component's codeword ``G[:, :t] x`` (mod q), one int64 row each."""
+        coeff = self.generator.array[:, : self.secret.num_registers]
+        return self.secret.labels.astype(np.int64) @ coeff.T % self.secret.q
+
+    def _amps(self) -> np.ndarray:
+        """Each component's branch amplitude."""
+        return self.secret.amps * (1.0 / math.sqrt(len(self.table)))
+
+    def _branch_amps(self) -> np.ndarray:
+        """Every branch's amplitude, in branch order."""
+        return np.repeat(self._amps(), len(self.table))
+
+    @property
+    def state(self) -> SparseState:
+        """The encoded state, in component order, written out on the first
+        read; its labels are not re-sorted."""
+        if self._state is None:
+            table, q = self.table, self.secret.q
+            per_basis = len(table)
+            labels = np.empty((self.num_branches, self.generator.rows), dtype=table.dtype)
+            for lo, shift in zip(range(0, len(labels), per_basis), self._shifts()):
+                _mod_add(table, shift, q, out=labels[lo : lo + per_basis])
+            self._state = SparseState._wrap(q, labels, self._branch_amps())
+        return self._state
+
+    def partial_trace(self, keep: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
+        """``self.state.partial_trace(keep, dim_cap)``, equal to it bit for
+        bit, with no state written out.
+
+        The same passes as :meth:`SparseState.partial_trace`, on the same
+        ``_CHUNK_ROWS`` blocks of branches: each block's labels are written
+        from the table into one reused buffer and keyed there
+        (:meth:`_blocks`).  Amplitudes are constant within a component, so
+        the weights are split once per component.  The N branch amplitudes
+        are expanded only if some group of discarded digits holds two
+        branches, as on an authorized set.
+        """
+        keep = _registers(keep, self.generator.rows, "kept")
+        blocks = self._blocks()
+        return _trace(self.secret.q, self.generator.rows, keep, dim_cap, blocks, self.num_branches, self._branch_amps)
+
+    def _blocks(self) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+        """The blocks of :attr:`state`'s labels, ``_CHUNK_ROWS`` rows each,
+        written one after another into one buffer, with their split weights
+        (:func:`_stored_blocks`).  A block may span components."""
+        table, q = self.table, self.secret.q
+        per_basis, n = len(table), self.num_branches
+        shifts = self._shifts()
+        amps = self._amps()
+        coarse, remainder = _split_weights(amps.real**2 + amps.imag**2)
+        buffer = np.empty((min(n, _CHUNK_ROWS), self.generator.rows), dtype=table.dtype)
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            comps = range(lo // per_basis, (hi - 1) // per_basis + 1)
+            cuts = [max(lo, c * per_basis) for c in comps] + [hi]
+            for c, a, b in zip(comps, cuts, cuts[1:]):
+                base = c * per_basis
+                _mod_add(table[a - base : b - base], shifts[c], q, out=buffer[a - lo : b - lo])
+            lengths = np.diff(cuts)
+            weights = (np.repeat(part[comps.start : comps.stop], lengths) for part in (coarse, remainder))
+            yield buffer[: hi - lo], tuple(weights)
+
+
+def _registers(regs: Sequence[int], count: int, what: str) -> list[int]:
+    """``regs`` as ints, each one of ``count`` registers and none twice."""
+    regs = [int(r) for r in regs]
+    for r in regs:
+        if not 0 <= r < count:
+            raise IndexError(f"{what} register {r} out of range 0..{count - 1}")
+    if len(set(regs)) != len(regs):
+        raise ValueError(f"duplicate {what} registers: {regs}")
+    return regs
+
+
+def _trace(q: int, width: int, keep: list[int], dim_cap: int, blocks, n: int, amps) -> DensityMatrix:
+    """The reduced state on ``keep`` of a state of n branches on ``width``
+    registers, given as its label blocks in branch order (the blocks of
+    :func:`_branch_keys`).  ``amps()`` gives its n amplitudes, read only if
+    some group of discarded digits holds two branches."""
+    dim = q ** len(keep)
+    if dim > dim_cap:
+        raise DimensionCapError(f"reduced dimension {q}**{len(keep)} = {dim} exceeds the cap {dim_cap}")
+    rest = [r for r in range(width) if r not in keep]
+    kept_idx, rest_keys, sums = _branch_keys(blocks, n, q, keep, rest)
+    diagonal = sums[0] / _WEIGHT_GRID + sums[1]
+    order, same = _branch_order(rest_keys)
+    if not same.any():
+        return DensityMatrix._reduced(q, len(keep), diagonal)
+    # The groups' sum P lives on the kept indices they occupy.  Its
+    # off-diagonal part, symmetrized as (P + P^H) / 2, is exactly
+    # Hermitian; its diagonal repeats weights the streamed diagonal holds.
+    multi, bounds = _multi_groups(order, same)
+    occupied, prod = _group_outer_sum(amps(), kept_idx, multi, bounds, dim)
+    coherences = (prod + prod.conj().T) * 0.5
+    np.fill_diagonal(coherences, 0.0)
+    return DensityMatrix._reduced(q, len(keep), diagonal, occupied, coherences)
+
+
+def _split_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each weight as its coarse part, the nearest integer multiple of
+    1 / _WEIGHT_GRID counted as that integer, and the remainder, written
+    over ``weights`` (see :func:`_branch_keys`)."""
+    coarse = np.rint(weights * _WEIGHT_GRID)
+    weights -= coarse / _WEIGHT_GRID
+    return coarse, weights
+
+
+def _stored_blocks(labels: np.ndarray, amps: np.ndarray | None = None) -> Iterator:
+    """The label blocks of a stored state, ``_CHUNK_ROWS`` rows each, with
+    their split weights ``|amp|**2`` (None without ``amps``)."""
+    for lo in range(0, len(labels), _CHUNK_ROWS):
+        block = None if amps is None else amps[lo : lo + _CHUNK_ROWS]
+        weights = None if block is None else _split_weights(block.real**2 + block.imag**2)
+        yield labels[lo : lo + _CHUNK_ROWS], weights
 
 
 def _branch_keys(
-    labels: np.ndarray, q: int, keep: list[int], rest: list[int], amps: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Kept-block index and discarded-register sort key of every branch, and
-    the diagonal of the reduced state on the kept registers if ``amps`` is given.
+    blocks: Iterable, n: int, q: int, keep: list[int], rest: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kept-block index and discarded-register sort key of each of n
+    branches, and the two parts of the diagonal of the reduced state on the
+    kept registers, the coarse sums then the remainders' sums.
 
-    All three come from one chunked pass over the labels and amplitudes, in
-    branch order; the keys are float dot products (exact below 2**53), and
-    the discarded one is packed with the branch index (:func:`_pack`).
-    Where key and index do not fit 64 bits together (:func:`_packs`), the
-    discarded label columns take the packed key's place.  With no kept
-    registers and all discarded, the key orders whole labels.
+    ``blocks`` yields the branches' labels in order, in blocks of at most
+    ``_CHUNK_ROWS`` rows, each with its weights ``|amp|**2`` split in two
+    (:func:`_split_weights`), or None, which leaves the diagonal zero.  All
+    three come from one pass over the blocks; the keys are float dot
+    products (exact below 2**53), and the discarded one is packed with the
+    branch index (:func:`_pack`).  Where key and index do not fit 64 bits
+    together (:func:`_packs`), the discarded label columns take the packed
+    key's place.  With no kept registers and all discarded, the key orders
+    whole labels.
 
     The diagonal entry of a kept index is the sum of ``|amp|**2`` over its
     branches, kept in two parts that each block's ``bincount`` adds to in
@@ -572,32 +698,33 @@ def _branch_keys(
     coarse sum scaled back plus the remainders' sum, lies within about one
     ulp of the correctly rounded sum of the weights, whatever their number.
     """
-    n, width = labels.shape
     dim = q ** len(keep)
     packs = _packs(q, len(rest), n)
-    powers = np.zeros((width, 2 if packs else 1))
+    powers = np.zeros((len(keep) + len(rest), 2 if packs else 1))
     powers[keep, 0] = _powers(q, len(keep))
     if packs:
         powers[rest, 1] = _powers(q, len(rest))
     bits = _index_bits(n)
     kept_idx = np.empty(n, dtype=np.min_scalar_type(dim - 1))
-    rest_keys = np.empty(n, dtype=np.uint64) if packs else labels[:, rest]
-    sums = None if amps is None else np.zeros((2, dim))
-    for lo in range(0, n, _CHUNK_ROWS):
-        hi = lo + _CHUNK_ROWS
-        keys = labels[lo:hi].astype(np.float64) @ powers
+    if packs:
+        rest_keys = np.empty(n, dtype=np.uint64)
+    else:
+        rest_keys = np.empty((n, len(rest)), dtype=_label_dtype(q))
+    sums = np.zeros((2, dim))
+    lo = 0
+    for labels, weights in blocks:
+        hi = lo + len(labels)
+        keys = labels.astype(np.float64) @ powers
         kept_idx[lo:hi] = keys[:, 0]
         if packs:
             _pack(keys[:, 1], lo, bits, rest_keys[lo:hi])
-        if sums is not None:
-            block = amps[lo:hi]
-            weights = block.real**2 + block.imag**2
-            coarse = np.rint(weights * _WEIGHT_GRID)
-            weights -= coarse / _WEIGHT_GRID
-            sums[0] += np.bincount(kept_idx[lo:hi], weights=coarse, minlength=dim)
-            sums[1] += np.bincount(kept_idx[lo:hi], weights=weights, minlength=dim)
-    diagonal = None if sums is None else sums[0] / _WEIGHT_GRID + sums[1]
-    return kept_idx, rest_keys, diagonal
+        else:
+            rest_keys[lo:hi] = labels[:, rest]
+        if weights is not None:
+            for total, part in zip(sums, weights):
+                total += np.bincount(kept_idx[lo:hi], weights=part, minlength=dim)
+        lo = hi
+    return kept_idx, rest_keys, sums
 
 
 def _multi_groups(order: np.ndarray, same: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -677,7 +804,7 @@ def _freeze(state: SparseState) -> None:
 
 def _combine(labels: np.ndarray, amps: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Sort rows and sum amplitudes of duplicate labels."""
-    _, keys, _ = _branch_keys(labels, q, [], list(range(labels.shape[1])))
+    _, keys, _ = _branch_keys(_stored_blocks(labels), len(labels), q, [], list(range(labels.shape[1])))
     order, dup = _branch_order(keys)
     labels, amps = labels[order], amps[order]
     if not dup.any():

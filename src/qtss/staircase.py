@@ -43,10 +43,9 @@ non-integral digit raises ``TypeError``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,7 +59,6 @@ __all__ = [
     "build_message_matrix",
     "encode_classical",
     "codeword_rows",
-    "enumerate_codewords",
     "DEFAULT_BRANCH_CAP",
 ]
 
@@ -232,20 +230,3 @@ def codeword_rows(secret: Sequence[int], p: SchemeParams, cap: int = DEFAULT_BRA
     rows = (p.vandermonde.array @ _message_matrices(s, randomness, p) % p.q).reshape(total, p.n * p.m)
     rows.setflags(write=False)
     return rows
-
-
-def enumerate_codewords(
-    secret: Sequence[int], p: SchemeParams, cap: int = DEFAULT_BRANCH_CAP
-) -> Iterator[tuple[tuple[int, ...], FieldMatrix]]:
-    """Yield ``(randomness, codeword)`` for every randomness assignment.
-
-    Iterates the full q**(m*(k-1)) space in lexicographic order (last digit
-    fastest), each codeword a row of :func:`codeword_rows`, which holds them
-    all at once.  Raises :class:`EnumerationCapError` before yielding
-    anything if the space exceeds ``cap``, and ``TypeError`` for a
-    non-integral secret digit, both at the first ``next``.
-    """
-    rows = codeword_rows(secret, p, cap)
-    randomness = itertools.product(range(p.q), repeat=p.randomness_len)
-    for r, row in zip(randomness, rows):
-        yield r, FieldMatrix._wrap(p.field, row.reshape(p.n, p.m))

@@ -36,7 +36,7 @@ from qtss.qsim import (
     fidelity,
     random_state,
 )
-from qtss.staircase import DEFAULT_BRANCH_CAP, enumerate_codewords, make_params
+from qtss.staircase import DEFAULT_BRANCH_CAP, codeword_rows, make_params
 
 ACCEPT_SEED = 20240817
 FID_TOL = 1e-10
@@ -152,14 +152,15 @@ def test_criterion_1_intro_example_golden():
                 label.append((s1 + x * s2 + x * x * r1) % 5)
                 label.append((x * r1 + x * x * r2) % 5)
             expected.add(tuple(label))
-        # codeword table oracle, row by row
-        for (r_vec, codeword), (r1, r2) in zip(
-            enumerate_codewords((s1, s2), p),
+        # codeword table oracle, row by row: row j of codeword_rows is the
+        # j-th randomness assignment in product order
+        for row, (r1, r2) in zip(
+            codeword_rows((s1, s2), p).tolist(),
             itertools.product(range(5), repeat=2),
+            strict=True,
         ):
-            assert r_vec == (r1, r2)
             for i, x in enumerate((1, 2, 3)):
-                assert codeword.row_tuples()[i] == (
+                assert tuple(row[i * p.m : (i + 1) * p.m]) == (
                     (s1 + x * s2 + x * x * r1) % 5,
                     (x * r1 + x * x * r2) % 5,
                 )

@@ -26,6 +26,7 @@ from qtss.cli import (
     run,
 )
 from qtss.gf import FieldMatrix
+from qtss.qsim import EncodedState
 from qtss.staircase import make_params
 
 SMALL_CONFIG = """
@@ -193,6 +194,13 @@ class TestRun:
         report = run(parse_config((golden / "report.cfg").read_text()))
         assert report.to_json_bytes() == (golden / "report.json").read_bytes()
 
+    def test_secrecy_config_matches_golden(self):
+        # The secrecy workload's schemes: every unauthorized set within the
+        # dimension cap, alone and in the mixed scheme, byte for byte.
+        golden = Path(__file__).parent / "golden"
+        report = run(parse_config((golden / "secrecy.cfg").read_text()))
+        assert report.to_json_bytes() == (golden / "secrecy.json").read_bytes()
+
     def test_encode_cross_check_catches_a_leaky_dealer(self):
         # The dealer deals Leaky's G, the classical encoding is the staircase's.
         p = Leaky(2, 3, 5)
@@ -316,20 +324,20 @@ class TestRun:
 
     def test_odd_secret_count_deals_every_secret(self, monkeypatch):
         # Three secrets: one consecutive pair, then the last secret against
-        # the first, so all three reach the dealer on every subset.
-        dealt = []
-        honest = protocol.deal
+        # the first, so all three are reduced on every subset.
+        reduced = []
+        streamed = EncodedState.partial_trace
 
-        def counted(secret, p, cap_branches=protocol.DEFAULT_BRANCH_CAP):
-            dealt.append(id(secret))
-            return honest(secret, p, cap_branches)
+        def counted(self, keep, dim_cap):
+            reduced.append(id(self.secret))
+            return streamed(self, keep, dim_cap)
 
-        monkeypatch.setattr(protocol, "deal", counted)
+        monkeypatch.setattr(EncodedState, "partial_trace", counted)
         cfg = parse_config("params = 2,3,5\nmodes = secrecy\nsecrets = random:3\nseed = 11")
         (record,) = run(cfg).records
         assert record.status == "pass" and record.secrets_tested == 3
         assert record.subsets_tested == 3
-        assert len(set(dealt)) == 3 and len(dealt) == 3 * record.subsets_tested
+        assert len(set(reduced)) == 3 and len(reduced) == 3 * record.subsets_tested
 
     def test_random_secrets_deterministic(self):
         cfg = parse_config("params = 2,3,5\nmodes = recover-d\nsecrets = random:2\nseed = 3")

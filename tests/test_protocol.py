@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import densities
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from broken_schemes import Collapsed, Leaky
 
-from qtss import protocol
+from qtss import protocol, qsim
 from qtss.cli import DEFAULT_GRID
 from qtss.gf import FieldMatrix, PrimeField, SingularMatrixError, shear
 from qtss.protocol import (
@@ -40,13 +41,14 @@ from qtss.protocol import (
 from qtss.qsim import (
     DensityMatrix,
     DimensionCapError,
+    EncodedState,
     SparseState,
     factor_check,
     fidelity,
     random_state,
     superpose,
 )
-from qtss.staircase import EnumerationCapError, enumerate_codewords, make_params
+from qtss.staircase import EnumerationCapError, codeword_rows, make_params
 
 P235 = make_params(2, 3, 5)
 P225 = make_params(2, 2, 5)
@@ -71,10 +73,7 @@ class TestDeal:
         dealt = deal(secret, P235)
         assert dealt.state.num_branches == 25
         got = {tuple(int(x) for x in row) for row in dealt.state.labels}
-        expected = {
-            tuple(c.array.ravel().tolist())
-            for _, c in enumerate_codewords((1, 0), P235)
-        }
+        expected = {tuple(row) for row in codeword_rows((1, 0), P235).tolist()}
         assert got == expected
         assert np.allclose(np.abs(dealt.state.amps), 0.2)
 
@@ -675,17 +674,56 @@ class TestSecrecy:
                 secrecy_check(P235, [1], [(a, SparseState(5, a.labels, phase * a.amps))])
 
     def test_each_secret_dealt_once(self, monkeypatch):
-        dealt = []
+        # Each distinct secret's reduced state is streamed once per call.
+        reduced = []
+        streamed = EncodedState.partial_trace
 
-        def counted(secret, p, cap_branches=protocol.DEFAULT_BRANCH_CAP):
-            dealt.append(id(secret))
-            return deal(secret, p, cap_branches)
+        def counted(self, keep, dim_cap):
+            reduced.append(id(self.secret))
+            return streamed(self, keep, dim_cap)
 
-        monkeypatch.setattr(protocol, "deal", counted)
+        monkeypatch.setattr(EncodedState, "partial_trace", counted)
         a, b, c = (basis_secret(P235, d) for d in ((0, 0), (1, 1), (2, 3)))
         report = secrecy_check(P235, [1], [(a, a), (a, b), (c, b)])
-        assert sorted(dealt) == sorted(map(id, (a, b, c)))
+        assert sorted(reduced) == sorted(map(id, (a, b, c)))
         assert report.secrets_tested == 3 and report.passed
+
+    def test_secrets_checked_before_any_table(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("a codeword table was built")
+
+        monkeypatch.setattr(qsim, "_codeword_table", no_table)
+        # Each secret is checked as it is dealt, before its table is fetched.
+        s = basis_secret(P235, (1, 0))
+        with pytest.raises(ValueError, match="secret is over F_7, scheme over F_5"):
+            secrecy_check(P235, [1], [(SparseState.basis(7, (6, 0)), s)])
+        with pytest.raises(ValueError, match="secret must occupy 2 registers, has 1"):
+            secrecy_check(P235, [1], [(SparseState.basis(5, (1,)), s)])
+        with pytest.raises(EnumerationCapError, match="25 branches, above the cap of 24"):
+            secrecy_check(P235, [1], default_secret_pairs(P235)[:1], cap_branches=24)
+        with pytest.raises(EnumerationCapError, match="625 branches, above the cap of 624"):
+            secrecy_check(P235, [1], default_secret_pairs(P235)[1:], cap_branches=624)
+
+    def test_collapsed_dealer_rejected(self):
+        p = Collapsed(2, 3, 5)
+        with pytest.raises(SingularMatrixError, match="codewords would collide"):
+            secrecy_check(p, [1], default_secret_pairs(p))
+
+    def test_4_5_11_share_streams_within_60_mb(self):
+        # Each 3.54 M-branch dealt state is reduced block by block, never
+        # written out (labels and amplitudes: 107 MB); a written-out check
+        # peaked at 135 MB.  The codeword table is cached; it is built first.
+        p = make_params(4, 5, 11)
+        pairs = default_secret_pairs(p)
+        deal(pairs[0][0], p)
+        tracemalloc.start()
+        try:
+            report = secrecy_check(p, [3], pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.secrets_tested == 4
+        assert peak < 60e6
 
     def test_pair_subset_builds_no_dense_matrix(self, monkeypatch):
         # (3,4,7) shares {1, 2}: dimension 2401, compared on diagonals alone.

@@ -8,11 +8,13 @@ operations are checked for exact norm preservation and round-trip identity.
 
 import itertools
 import math
+from unittest import mock
 
 import densities
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from broken_schemes import Collapsed, Leaky
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from qtss import qsim
@@ -504,6 +506,93 @@ class TestEncode:
             st.encode(FieldMatrix(PrimeField(7), [[1, 0], [0, 1]]))
         with pytest.raises(ValueError, match="two-dimensional"):
             st.encode([1, 0, 0, 1])
+
+
+def assert_same_reduction(got: DensityMatrix, want: DensityMatrix) -> None:
+    """The two reduced states' parts are equal, bit for bit."""
+    assert (got.q, got.num_registers) == (want.q, want.num_registers)
+    for mine, theirs in (
+        (got.diagonal, want.diagonal),
+        (got.occupied, want.occupied),
+        (got.coherences, want.coherences),
+    ):
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+
+
+class TestEncodedTrace:
+    """``encoded_partial_trace`` against the trace of the written-out state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=hst.sampled_from([5, 11, 257, Q_WIDE]),
+        t=hst.integers(1, 2),
+        e=hst.integers(0, 2),
+        extra_rows=hst.integers(0, 4),
+        components=hst.integers(1, 4),
+        kept=hst.integers(0, 3),
+        chunk=hst.sampled_from([3, 64, qsim._CHUNK_ROWS]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    # Every register kept: one group of all branches, so coherences.
+    @example(q=5, t=2, e=1, extra_rows=0, components=3, kept=3, chunk=3, seed=1)
+    # uint16 labels, four components of 257 branches in one block.
+    @example(q=257, t=1, e=1, extra_rows=2, components=4, kept=1, chunk=qsim._CHUNK_ROWS, seed=2)
+    # Five discarded registers of F_2039 need 55 bits, too wide to pack;
+    # components of 2039 branches end inside blocks of 64.
+    @example(q=Q_WIDE, t=1, e=1, extra_rows=4, components=3, kept=1, chunk=64, seed=3)
+    def test_bit_identical_to_the_written_state(self, q, t, e, extra_rows, components, kept, chunk, seed):
+        e = e if q <= 11 else min(e, 1)
+        g = full_rank_generator(q, t + e + extra_rows, t + e, seed)
+        rng = np.random.default_rng(seed + 1)
+        picks = rng.choice(q**t, size=min(components, q**t), replace=False)
+        amps = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
+        secret = SparseState(q, qsim._digit_rows(picks, q, t), amps)
+        kept = min(kept, g.rows)
+        while q**kept > qsim.DEFAULT_DIM_CAP:
+            kept -= 1
+        keep = rng.permutation(g.rows)[:kept].tolist()
+        with mock.patch.object(qsim, "_CHUNK_ROWS", chunk):
+            want = secret.encode(g).partial_trace(keep)
+            got = secret.encoded_partial_trace(g, keep)
+        assert_same_reduction(got, want)
+
+    @pytest.mark.parametrize(
+        "scheme, shares, pairs",
+        [
+            (make_params(2, 3, 5), [1], slice(None)),
+            (make_params(2, 3, 5), [2, 3], slice(None)),
+            (Leaky(2, 3, 5), [1], slice(None)),
+            (make_params(2, 2, 257), [2], slice(None)),
+            (make_params(4, 5, 11), [3], slice(1, None)),
+        ],
+        ids=["unauthorized", "authorized", "leaky", "uint16", "4-5-11-superposition"],
+    )
+    def test_dealt_bit_identical(self, scheme, shares, pairs):
+        # Basis and superposition secrets; on an authorized set and on the
+        # leaky share the superposition's reduced state has coherences.
+        # (4,5,11) has 1,771,561 = 216 * 8192 + 2089 branches per component,
+        # so its second component starts inside a block.
+        regs = [r for i in shares for r in scheme.registers_of(i)]
+        coherent = 0
+        for secret in itertools.chain.from_iterable(default_secret_pairs(scheme)[pairs]):
+            want = secret.encode(scheme.generator).partial_trace(regs)
+            assert_same_reduction(secret.encoded_partial_trace(scheme.generator, regs), want)
+            coherent += want.coherences.size > 0
+        assert coherent == (2 if shares == [2, 3] or isinstance(scheme, Leaky) else 0)
+
+    def test_checks(self):
+        p = make_params(2, 3, 5)
+        secret = basis_secret(p, (1, 0))
+        with pytest.raises(ValueError, match="over F_7"):
+            secret.encoded_partial_trace(FieldMatrix(PrimeField(7), np.eye(4, dtype=np.int64)), [0])
+        with pytest.raises(ValueError, match="fewer than the 2 registers"):
+            secret.encoded_partial_trace(FieldMatrix(F5, [[1]]), [0])
+        with pytest.raises(IndexError, match="out of range 0..5"):
+            secret.encoded_partial_trace(p.generator, [6])
+        with pytest.raises(DimensionCapError, match="exceeds the cap 24"):
+            secret.encoded_partial_trace(p.generator, [0, 1], dim_cap=24)
+        with pytest.raises(SingularMatrixError, match="codewords would collide"):
+            secret.encoded_partial_trace(Collapsed(2, 3, 5).generator, [0])
 
 
 # Fields at the edges of the label widths: byte labels whose sums fit a byte

@@ -22,7 +22,6 @@ from qtss.staircase import (
     build_message_matrix,
     codeword_rows,
     encode_classical,
-    enumerate_codewords,
     make_params,
 )
 
@@ -152,7 +151,7 @@ class TestMessageMatrix:
         with pytest.raises(TypeError, match="integers"):
             encode_classical((1, 0), (0, 2.5), p)
         with pytest.raises(TypeError, match="integers"):
-            next(enumerate_codewords((1, 0.5), p))
+            codeword_rows((1, 0.5), p)
 
 
 class TestEncodeClassical:
@@ -186,35 +185,6 @@ class TestEncodeClassical:
                 )
 
 
-class TestEnumerateCodewords:
-    def test_counts(self):
-        p = make_params(2, 3, 5)
-        assert sum(1 for _ in enumerate_codewords((0, 0), p)) == 25
-        p2 = make_params(3, 4, 7)
-        assert p2.branch_count == 7**4 == 2401
-        assert sum(1 for _ in enumerate_codewords((0, 0), p2)) == 2401
-
-    def test_injective_in_randomness(self):
-        p = make_params(2, 3, 5)
-        seen = set()
-        for _, c in enumerate_codewords((1, 3), p):
-            seen.add(c.row_tuples())
-        assert len(seen) == 25
-
-    def test_injective_across_secrets(self):
-        p = make_params(2, 2, 5)
-        seen = set()
-        for s in range(5):
-            for _, c in enumerate_codewords((s,), p):
-                seen.add(c.row_tuples())
-        assert len(seen) == 25  # 5 secrets * 5 randomness values, no collisions
-
-    def test_cap(self):
-        p = make_params(3, 4, 7)
-        with pytest.raises(EnumerationCapError):
-            list(enumerate_codewords((0, 0), p, cap=100))
-
-
 class TestCodewordRows:
     @pytest.mark.parametrize("k,d,q", [(2, 2, 5), (2, 3, 5), (3, 3, 7), (3, 4, 7)])
     def test_rows_are_the_encodings_in_product_order(self, k, d, q):
@@ -237,6 +207,25 @@ class TestCodewordRows:
             codeword_rows((1, 0.5), p)
         with pytest.raises(ValueError, match="secret must have 2 digits"):
             codeword_rows((1,), p)
+
+    def test_counts(self):
+        p = make_params(2, 3, 5)
+        assert len(codeword_rows((0, 0), p)) == 25
+        p2 = make_params(3, 4, 7)
+        assert p2.branch_count == 7**4 == 2401
+        assert len(codeword_rows((0, 0), p2)) == 2401
+
+    def test_injective_in_randomness(self):
+        p = make_params(2, 3, 5)
+        seen = {tuple(row) for row in codeword_rows((1, 3), p).tolist()}
+        assert len(seen) == 25
+
+    def test_injective_across_secrets(self):
+        p = make_params(2, 2, 5)
+        seen = set()
+        for s in range(5):
+            seen.update(tuple(row) for row in codeword_rows((s,), p).tolist())
+        assert len(seen) == 25  # 5 secrets * 5 randomness values, no collisions
 
 
 class TestClassicalShadows:
@@ -264,11 +253,9 @@ class TestClassicalShadows:
         for rows in itertools.combinations(range(p.n), p.k - 1):
             dists = []
             for s in secrets:
-                counts = Counter()
-                for _, c in enumerate_codewords(s, p):
-                    key = tuple(c.array[list(rows)].ravel().tolist())
-                    counts[key] += 1
-                dists.append(counts)
+                # Row i of a codeword's n x m table is columns i*m..(i+1)*m-1.
+                cols = [i * p.m + j for i in rows for j in range(p.m)]
+                dists.append(Counter(map(tuple, codeword_rows(s, p)[:, cols].tolist())))
             assert dists[0] == dists[1]
             assert len(set(dists[0].values())) == 1  # uniform over support
 
