@@ -208,6 +208,12 @@ class TestCodewordRows:
         with pytest.raises(ValueError, match="secret must have 2 digits"):
             codeword_rows((1,), p)
 
+    def test_cap(self):
+        p = make_params(3, 4, 7)
+        with pytest.raises(EnumerationCapError):
+            codeword_rows((0, 0), p, cap=100)
+        assert len(codeword_rows((0, 0), p, cap=p.branch_count)) == p.branch_count
+
     def test_counts(self):
         p = make_params(2, 3, 5)
         assert len(codeword_rows((0, 0), p)) == 25
