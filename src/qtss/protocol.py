@@ -1,14 +1,15 @@
 """Dealer, combiners, secrecy verifier and communication-cost accounting.
 
 The dealer is the scheme's generator matrix G over F_q
-(:attr:`SchemeParams.generator`): it turns an
-``m``-qudit secret into the global shared state, each basis component |s>
-mapping to the uniform superposition, over all randomness assignments r, of
-the share digit labels ``G [s; r]``.  Two combiner procedures undo the
-encoding: :func:`recover_from_d` contacts ``d`` participants and receives
-one qudit each (the first register of every contacted share), and
-:func:`recover_from_k` contacts ``k`` participants and receives all their
-``m*k`` qudits.  Both follow one rule (:func:`recovery_session`).  The
+(:attr:`SchemeParams.generator`), applied by :class:`EncodedState`: it
+turns an ``m``-qudit secret into the global shared state, each basis
+component |s> mapping to the uniform superposition, over all randomness
+assignments r, of the share digit labels ``G [s; r]``.  Two combiner
+procedures undo the encoding: :func:`recover_from_d` contacts ``d``
+participants and receives one qudit each (the first register of every
+contacted share), and :func:`recover_from_k` contacts ``k`` participants and
+receives all their ``m*k`` qudits.  Both follow one rule
+(:func:`recovery_session`).  The
 received registers carry ``A x``, with A a square block of G's rows and x
 the secret digits then the randomness digits they depend on.  The combiner
 runs two ops: decode, ``A^-1``; then mirror, which overwrites each
@@ -119,8 +120,9 @@ class CombinerLocalityError(RuntimeError):
 class DealtState:
     """The global shared state plus the bookkeeping needed to act on it.
 
-    ``encoded`` holds the secret and the codeword table of the scheme's
-    generator; :attr:`state` is written out from them on its first read, and
+    ``encoded`` is ``EncodedState(secret, p.generator)``, which holds the
+    secret and the codeword table of the scheme's generator;
+    :attr:`state` is written out from them on its first read, and
     a secrecy check reduces them without writing it out
     (:meth:`EncodedState.partial_trace`).  ``active`` lists the participants
     still holding their shares; a mixed scheme (see :func:`convert_to_mixed`)
@@ -150,8 +152,8 @@ def deal(
 ) -> DealtState:
     """Encode an m-qudit secret into the n*m-register shared state.
 
-    The state is ``secret.encode(p.generator)``: each basis component
-    |s> of the secret becomes the uniform superposition of its
+    The state is ``EncodedState(secret, p.generator).state``: each basis
+    component |s> of the secret becomes the uniform superposition of its
     q**(m*(k-1)) codeword labels ``G [s; r]``, and superpositions follow by
     linearity.  Every check runs here, before the state is written out on
     the first read of :attr:`DealtState.state`.  A secret over another field
@@ -486,11 +488,14 @@ def secrecy_check(
 
 
 def _same_state(a: SparseState, b: SparseState) -> bool:
-    """Whether two secrets are one state: the same object, or, once their
-    branches are sorted, equal labels and amplitudes equal up to a global
-    phase (``|<a|b>|`` within ``MATCH_TOL`` of 1)."""
+    """Whether two secrets are one state: the same object, or, over one field
+    and on as many registers, once their branches are sorted, equal labels
+    and amplitudes equal up to a global phase (``|<a|b>|`` within
+    ``MATCH_TOL`` of 1)."""
     if a is b:
         return True
+    if (a.q, a.num_registers) != (b.q, b.num_registers):
+        return False
     a, b = a.canonical(), b.canonical()
     return np.array_equal(a.labels, b.labels) and 1 - abs(np.vdot(a.amps, b.amps)) <= MATCH_TOL
 

@@ -16,35 +16,37 @@ into base-q integers internally for sorting and grouping.  Rows are always
 unique, at every state size and with no scan for collisions: the array
 constructor merges duplicate rows, and this module owns both label maps,
 each with its rank certificate over F_q.
-:meth:`SparseState.encode` (the dealer) needs a generator of full column
-rank, checked once per matrix; :meth:`SparseState.apply_affine` needs an
+:class:`EncodedState` (the dealer) needs a generator of full column rank,
+checked once per matrix; :meth:`SparseState.apply_affine` needs an
 invertible square map, checked on each call.  The label maps leave rows
 unsorted; the constructor and :meth:`SparseState.canonical` sort them.
 
-Label passes.  The passes over large label arrays -- the encoder's codeword
-table and modular add, the relabeling of ``apply_affine`` and the key pass of
-``partial_trace`` -- work through blocks of ``_CHUNK_ROWS`` rows in one
-stream, so none builds a wide (int32, int64, float or complex) copy of the
-whole label array, and none divides integers.  Residues mod q come from
+Label passes.  The passes over large label arrays -- the encoder's row sums,
+the relabeling of ``apply_affine`` and the key pass of ``partial_trace`` --
+work through blocks of ``_CHUNK_ROWS`` rows in one stream, so none builds a
+wide (int32, int64, float or complex) copy of the whole label array, and
+none divides integers.  Residues mod q come from
 float BLAS products reduced as ``x - floor(x / q) * q``, which is exact for
 the products' range (:func:`_mod_matmul`).  Each pass costs one read of the
 labels (and amplitudes) and one write of its output:
 
-- the codeword table of a generator: one block per row of its high
-  randomness digits, each the low digits' table plus that row, mod q,
-  written straight into the cached table of label rows;
-- ``encode``: one modular add of the table per secret component;
+- the encoder's row sums (:func:`_sum_rows`): every row of an outer array
+  plus every row of an inner one, mod q, outer-major, written into a given
+  slice of the result.  One writer builds G's cached codeword table (its
+  high randomness digits' rows plus the low digits' table), the written-out
+  encoded state (each component's codeword plus the table) and each block
+  of the encoded trace below;
 - ``apply_affine``: one float product and reduction per block;
 - ``partial_trace``: kept indices, packed discarded keys and the diagonal
   (:func:`_branch_keys`), then one in-place sort of the packed keys and one
   streamed comparison of sorted neighbours (:func:`_branch_order`);
 - the encoded trace (:meth:`EncodedState.partial_trace`): the same key pass
   and sort on the branches of an encoded state that is never stored.  Each
-  block's labels are the table's rows plus their components' codewords, mod
-  q, written into one reused buffer and keyed there, and the weights are
-  split once per component.  So the trace reads the table, not an (N, R)
-  label array and N amplitudes: a (4,5,11) share's trace peaks at about
-  36 MB, where the stored state alone takes 107 MB.
+  block's labels are written by the row-sum writer into one reused buffer
+  and keyed there, and the weights are split once per component.  So the
+  trace reads the table, not an (N, R) label array and N amplitudes: a
+  (4,5,11) share's trace peaks at about 36 MB, where the stored state alone
+  takes 107 MB.
 
 The key pass packs each branch's key and index into one uint64, so one
 in-place sort gives both the branch order and the group boundaries; keys too
@@ -85,6 +87,7 @@ all three.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -247,6 +250,24 @@ def _mod_add(labels: np.ndarray, digits: np.ndarray, q: int, out: np.ndarray) ->
         np.minimum(x, x - modulus, out=out[lo : lo + _CHUNK_ROWS], casting="unsafe")
 
 
+def _sum_rows(
+    outer: np.ndarray, inner: np.ndarray, q: int, out: np.ndarray, start: int = 0
+) -> tuple[int, list[int]]:
+    """Write rows ``start .. start + len(out)`` of every ``outer`` row plus
+    every ``inner`` row (mod q), outer-major, into ``out`` (:func:`_mod_add`).
+
+    Returns the first outer row used and how many rows each outer row gave.
+    """
+    width, stop = len(inner), start + len(out)
+    first, counts = start // width, []
+    for o in range(first, -(-stop // width)):
+        base = o * width - start
+        a, b = max(-base, 0), min(len(out) - base, width)
+        _mod_add(inner[a:b], outer[o], q, out=out[base + a : base + b])
+        counts.append(b - a)
+    return first, counts
+
+
 @lru_cache(maxsize=2)
 def _codeword_table(q: int, shape: tuple[int, int], entries: bytes, t: int) -> np.ndarray:
     """The randomness part ``G[:, t:] @ r`` of every codeword of G, as
@@ -280,8 +301,7 @@ def _codeword_table(q: int, shape: tuple[int, int], entries: bytes, t: int) -> n
     inner = inner.astype(_label_dtype(q))
     outer = _mod_matmul(_digit_rows(np.arange(q**split), q, split), coeff_t[:split], q)
     table = np.empty((q**e, generator.rows), dtype=inner.dtype)
-    for lo, row in zip(range(0, len(table), len(inner)), outer):
-        _mod_add(inner, row, q, out=table[lo : lo + len(inner)])
+    _sum_rows(outer, inner, q, table)
     table.setflags(write=False)
     return table
 
@@ -423,25 +443,6 @@ class SparseState:
 
     # -- evolution --------------------------------------------------------
 
-    def encode(self, generator) -> SparseState:
-        """``sum_x psi(x) q**(-e/2) sum_{r in F_q^e} |G [x; r]>`` on G's rows,
-        for this state on t registers and G over F_q with t + e columns:
-        :attr:`EncodedState.state`, written out branch by branch.
-
-        G must have full column rank, else :class:`SingularMatrixError`; that
-        rank certifies the new labels distinct, q**e per component.  The
-        labels are not re-sorted.
-        """
-        return EncodedState(self, generator).state
-
-    def encoded_partial_trace(
-        self, generator, keep: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP
-    ) -> DensityMatrix:
-        """``self.encode(generator).partial_trace(keep, dim_cap)``, equal to
-        it bit for bit, without writing the encoded state out
-        (:meth:`EncodedState.partial_trace`)."""
-        return EncodedState(self, generator).partial_trace(keep, dim_cap)
-
     def apply_affine(self, targets: Sequence[int], matrix) -> SparseState:
         """Relabel the target registers by ``x -> A x (mod q)``.
 
@@ -517,23 +518,25 @@ class SparseState:
         occupies the same u indices, so u is the group size.  No dim x dim
         array is built.
         """
-        keep = _registers(keep, self.num_registers, "kept")
         blocks = _stored_blocks(self.labels, self.amps)
         return _trace(self.q, self.num_registers, keep, dim_cap, blocks, self.num_branches, lambda: self.amps)
 
 
 class EncodedState:
-    """The state ``secret.encode(G)`` before its branches are written out.
+    """The encoded state ``sum_x psi(x) q**(-e/2) sum_{r in F_q^e} |G [x; r]>``
+    of a secret psi on t registers, on the rows of G over F_q with t + e
+    columns; the one way to encode (the dealer).
 
-    It holds the secret, G over F_q and G's randomness table
+    It holds the secret, G and G's randomness table
     (:func:`_codeword_table`), fetched when it is built.  So a generator
     without full column rank raises :class:`SingularMatrixError` here, and
     one over another field or with fewer columns than the secret has
-    registers raises ``ValueError``.  Component c of the secret owns q**e
-    consecutive branches: the table plus the component's codeword
-    ``G[:, :t] x`` (mod q), each with the component's amplitude over
-    ``sqrt(q**e)``.  :attr:`state` writes them all out, once;
-    :meth:`partial_trace` reduces them with no state written out.
+    registers raises ``ValueError``; that rank certifies the labels
+    distinct.  Component c of the secret owns q**e consecutive branches: its
+    codeword ``G[:, :t] x`` plus each table row (mod q, :func:`_sum_rows`),
+    each with the component's amplitude over ``sqrt(q**e)``.  :attr:`state`
+    writes them all out, once; :meth:`partial_trace` reduces them with no
+    state written out.
     """
 
     __slots__ = ("secret", "generator", "table", "_state")
@@ -554,9 +557,9 @@ class EncodedState:
         return self.secret.num_branches * len(self.table)
 
     def _shifts(self) -> np.ndarray:
-        """Each component's codeword ``G[:, :t] x`` (mod q), one int64 row each."""
+        """Each component's codeword ``G[:, :t] x`` (mod q), one row each."""
         coeff = self.generator.array[:, : self.secret.num_registers]
-        return self.secret.labels.astype(np.int64) @ coeff.T % self.secret.q
+        return _mod_matmul(self.secret.labels, coeff.T, self.secret.q)
 
     def _amps(self) -> np.ndarray:
         """Each component's branch amplitude."""
@@ -571,12 +574,9 @@ class EncodedState:
         """The encoded state, in component order, written out on the first
         read; its labels are not re-sorted."""
         if self._state is None:
-            table, q = self.table, self.secret.q
-            per_basis = len(table)
-            labels = np.empty((self.num_branches, self.generator.rows), dtype=table.dtype)
-            for lo, shift in zip(range(0, len(labels), per_basis), self._shifts()):
-                _mod_add(table, shift, q, out=labels[lo : lo + per_basis])
-            self._state = SparseState._wrap(q, labels, self._branch_amps())
+            labels = np.empty((self.num_branches, self.generator.rows), dtype=self.table.dtype)
+            _sum_rows(self._shifts(), self.table, self.secret.q, labels)
+            self._state = SparseState._wrap(self.secret.q, labels, self._branch_amps())
         return self._state
 
     def partial_trace(self, keep: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
@@ -591,35 +591,30 @@ class EncodedState:
         are expanded only if some group of discarded digits holds two
         branches, as on an authorized set.
         """
-        keep = _registers(keep, self.generator.rows, "kept")
         blocks = self._blocks()
         return _trace(self.secret.q, self.generator.rows, keep, dim_cap, blocks, self.num_branches, self._branch_amps)
 
     def _blocks(self) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
         """The blocks of :attr:`state`'s labels, ``_CHUNK_ROWS`` rows each,
         written one after another into one buffer, with their split weights
-        (:func:`_stored_blocks`).  A block may span components."""
-        table, q = self.table, self.secret.q
-        per_basis, n = len(table), self.num_branches
-        shifts = self._shifts()
-        amps = self._amps()
-        coarse, remainder = _split_weights(amps.real**2 + amps.imag**2)
-        buffer = np.empty((min(n, _CHUNK_ROWS), self.generator.rows), dtype=table.dtype)
+        (:func:`_stored_blocks`).  A block may span components: each
+        component's split weight repeats over the rows it gave the block."""
+        n, shifts, amps = self.num_branches, self._shifts(), self._amps()
+        parts = _split_weights(amps.real**2 + amps.imag**2)
+        buffer = np.empty((min(n, _CHUNK_ROWS), self.generator.rows), dtype=self.table.dtype)
         for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n)
-            comps = range(lo // per_basis, (hi - 1) // per_basis + 1)
-            cuts = [max(lo, c * per_basis) for c in comps] + [hi]
-            for c, a, b in zip(comps, cuts, cuts[1:]):
-                base = c * per_basis
-                _mod_add(table[a - base : b - base], shifts[c], q, out=buffer[a - lo : b - lo])
-            lengths = np.diff(cuts)
-            weights = (np.repeat(part[comps.start : comps.stop], lengths) for part in (coarse, remainder))
-            yield buffer[: hi - lo], tuple(weights)
+            block = buffer[: min(_CHUNK_ROWS, n - lo)]
+            first, counts = _sum_rows(shifts, self.table, self.secret.q, block, start=lo)
+            yield block, tuple(np.repeat(part[first : first + len(counts)], counts) for part in parts)
 
 
 def _registers(regs: Sequence[int], count: int, what: str) -> list[int]:
-    """``regs`` as ints, each one of ``count`` registers and none twice."""
-    regs = [int(r) for r in regs]
+    """``regs`` as ints, each one of ``count`` registers and none twice.
+
+    Each index goes through ``operator.index``, so numpy integers pass and a
+    float raises ``TypeError`` instead of being truncated.
+    """
+    regs = [operator.index(r) for r in regs]
     for r in regs:
         if not 0 <= r < count:
             raise IndexError(f"{what} register {r} out of range 0..{count - 1}")
@@ -628,11 +623,12 @@ def _registers(regs: Sequence[int], count: int, what: str) -> list[int]:
     return regs
 
 
-def _trace(q: int, width: int, keep: list[int], dim_cap: int, blocks, n: int, amps) -> DensityMatrix:
+def _trace(q: int, width: int, keep: Sequence[int], dim_cap: int, blocks, n: int, amps) -> DensityMatrix:
     """The reduced state on ``keep`` of a state of n branches on ``width``
     registers, given as its label blocks in branch order (the blocks of
     :func:`_branch_keys`).  ``amps()`` gives its n amplitudes, read only if
     some group of discarded digits holds two branches."""
+    keep = _registers(keep, width, "kept")
     dim = q ** len(keep)
     if dim > dim_cap:
         raise DimensionCapError(f"reduced dimension {q}**{len(keep)} = {dim} exceeds the cap {dim_cap}")
@@ -956,7 +952,7 @@ def factor_check(state: SparseState, block: Sequence[int], reference: SparseStat
     the complement's purity is also computed directly when its dimension is
     small enough to be cheap.
     """
-    block = [int(b) for b in block]
+    block = _registers(block, state.num_registers, "block")
     if reference.num_registers != len(block) or reference.q != state.q:
         raise ValueError("reference does not match the block")
     rho = state.partial_trace(block)

@@ -699,6 +699,9 @@ class TestSecrecy:
             secrecy_check(P235, [1], [(SparseState.basis(7, (6, 0)), s)])
         with pytest.raises(ValueError, match="secret must occupy 2 registers, has 1"):
             secrecy_check(P235, [1], [(SparseState.basis(5, (1,)), s)])
+        # Over another field, equal digits are still a different state.
+        with pytest.raises(ValueError, match="secret is over F_7, scheme over F_5"):
+            secrecy_check(P235, [1], [(SparseState.basis(7, (1, 0)), s)])
         with pytest.raises(EnumerationCapError, match="25 branches, above the cap of 24"):
             secrecy_check(P235, [1], default_secret_pairs(P235)[:1], cap_branches=24)
         with pytest.raises(EnumerationCapError, match="625 branches, above the cap of 624"):

@@ -24,6 +24,7 @@ from qtss.qsim import (
     DensityMatrix,
     DimensionCapError,
     EmptyStateError,
+    EncodedState,
     SparseState,
     factor_check,
     fidelity,
@@ -447,7 +448,7 @@ class TestEncode:
         digits = [tuple(int(p) // q**i % q for i in reversed(range(t))) for p in picks]
         amps = rng.normal(size=len(digits)) + 1j * rng.normal(size=len(digits))
         secret = SparseState.from_branches(q, zip(digits, amps))
-        out = secret.encode(g)
+        out = EncodedState(secret, g).state
         # Oracle: G [x; r] in Python ints, for every component x and every r.
         rows = g.row_tuples()
         expected = {}
@@ -467,7 +468,7 @@ class TestEncode:
         g = full_rank_generator(5, 5, 3, seed=3).array.copy()
         g[:, 2] = g[:, 1]
         with pytest.raises(SingularMatrixError, match="rank 2 over F_5, below its 3 columns"):
-            SparseState.basis(5, (1,)).encode(FieldMatrix(F5, g))
+            EncodedState(SparseState.basis(5, (1,)), FieldMatrix(F5, g))
 
     def test_table_cached_by_entries(self):
         # The same generator as an array, or as another FieldMatrix object,
@@ -479,7 +480,7 @@ class TestEncode:
         assert qsim._codeword_table.cache_info().misses == 1
         g = p.generator
         for generator in (g.array, g.array.tolist(), FieldMatrix(g.field, g.array)):
-            out = secret.encode(generator)
+            out = EncodedState(secret, generator).state
             assert np.array_equal(out.labels, dealt.labels)
         deal(secret, p)
         info = qsim._codeword_table.cache_info()
@@ -498,14 +499,41 @@ class TestEncode:
         assert table.dtype == (np.uint8 if q <= 251 else np.uint16) and not table.flags.writeable
         assert np.array_equal(table, expected)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=hst.sampled_from([2, 5, 131, 257]),
+        outer_rows=hst.integers(1, 5),
+        inner_rows=hst.integers(1, 7),
+        width=hst.integers(0, 3),
+        start=hst.integers(0, 34),
+        length=hst.integers(1, 35),
+    )
+    # Starts inside outer row 1 and ends inside outer row 3.
+    @example(q=5, outer_rows=4, inner_rows=3, width=2, start=4, length=7)
+    def test_sum_rows_matches_int64(self, q, outer_rows, inner_rows, width, start, length):
+        rng = np.random.default_rng([q, outer_rows, inner_rows, width])
+        outer = rng.integers(0, q, size=(outer_rows, width))
+        inner = rng.integers(0, q, size=(inner_rows, width))
+        total = outer_rows * inner_rows
+        start %= total
+        stop = start + 1 + (length - 1) % (total - start)
+        # Callers pass outer rows as the floats of ``_mod_matmul``.
+        out = np.empty((stop - start, width), dtype=qsim._label_dtype(q))
+        first, counts = qsim._sum_rows(outer.astype(np.float32), inner.astype(out.dtype), q, out, start=start)
+        expected = (outer[:, None] + inner[None]).reshape(total, width)[start:stop] % q
+        assert np.array_equal(out, expected)
+        owners = np.arange(start, stop) // inner_rows
+        assert first == start // inner_rows
+        assert counts == np.bincount(owners - first).tolist()
+
     def test_shape_and_field_checked(self):
         st = SparseState.basis(5, (1, 2))
         with pytest.raises(ValueError, match="fewer than the 2 registers"):
-            st.encode(FieldMatrix(F5, [[1]]))
+            EncodedState(st, FieldMatrix(F5, [[1]]))
         with pytest.raises(ValueError, match="over F_7"):
-            st.encode(FieldMatrix(PrimeField(7), [[1, 0], [0, 1]]))
+            EncodedState(st, FieldMatrix(PrimeField(7), [[1, 0], [0, 1]]))
         with pytest.raises(ValueError, match="two-dimensional"):
-            st.encode([1, 0, 0, 1])
+            EncodedState(st, [1, 0, 0, 1])
 
 
 def assert_same_reduction(got: DensityMatrix, want: DensityMatrix) -> None:
@@ -520,7 +548,7 @@ def assert_same_reduction(got: DensityMatrix, want: DensityMatrix) -> None:
 
 
 class TestEncodedTrace:
-    """``encoded_partial_trace`` against the trace of the written-out state."""
+    """``EncodedState.partial_trace`` against the trace of the written-out state."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -552,8 +580,8 @@ class TestEncodedTrace:
             kept -= 1
         keep = rng.permutation(g.rows)[:kept].tolist()
         with mock.patch.object(qsim, "_CHUNK_ROWS", chunk):
-            want = secret.encode(g).partial_trace(keep)
-            got = secret.encoded_partial_trace(g, keep)
+            want = EncodedState(secret, g).state.partial_trace(keep)
+            got = EncodedState(secret, g).partial_trace(keep)
         assert_same_reduction(got, want)
 
     @pytest.mark.parametrize(
@@ -575,8 +603,8 @@ class TestEncodedTrace:
         regs = [r for i in shares for r in scheme.registers_of(i)]
         coherent = 0
         for secret in itertools.chain.from_iterable(default_secret_pairs(scheme)[pairs]):
-            want = secret.encode(scheme.generator).partial_trace(regs)
-            assert_same_reduction(secret.encoded_partial_trace(scheme.generator, regs), want)
+            want = EncodedState(secret, scheme.generator).state.partial_trace(regs)
+            assert_same_reduction(EncodedState(secret, scheme.generator).partial_trace(regs), want)
             coherent += want.coherences.size > 0
         assert coherent == (2 if shares == [2, 3] or isinstance(scheme, Leaky) else 0)
 
@@ -584,15 +612,15 @@ class TestEncodedTrace:
         p = make_params(2, 3, 5)
         secret = basis_secret(p, (1, 0))
         with pytest.raises(ValueError, match="over F_7"):
-            secret.encoded_partial_trace(FieldMatrix(PrimeField(7), np.eye(4, dtype=np.int64)), [0])
+            EncodedState(secret, FieldMatrix(PrimeField(7), np.eye(4, dtype=np.int64)))
         with pytest.raises(ValueError, match="fewer than the 2 registers"):
-            secret.encoded_partial_trace(FieldMatrix(F5, [[1]]), [0])
+            EncodedState(secret, FieldMatrix(F5, [[1]])).partial_trace([0])
         with pytest.raises(IndexError, match="out of range 0..5"):
-            secret.encoded_partial_trace(p.generator, [6])
+            EncodedState(secret, p.generator).partial_trace([6])
         with pytest.raises(DimensionCapError, match="exceeds the cap 24"):
-            secret.encoded_partial_trace(p.generator, [0, 1], dim_cap=24)
+            EncodedState(secret, p.generator).partial_trace([0, 1], dim_cap=24)
         with pytest.raises(SingularMatrixError, match="codewords would collide"):
-            secret.encoded_partial_trace(Collapsed(2, 3, 5).generator, [0])
+            EncodedState(secret, Collapsed(2, 3, 5).generator).partial_trace([0])
 
 
 # Fields at the edges of the label widths: byte labels whose sums fit a byte
@@ -610,7 +638,7 @@ class TestLabelWidths:
         g = full_rank_generator(q, 3, 2, seed=q)
         table = qsim._codeword_table(q, g.array.shape, g.array.tobytes(), 1)
         assert table.dtype == dtype
-        dealt = st.encode(g)
+        dealt = EncodedState(st, g).state
         assert dealt.labels.dtype == dtype
         assert dealt.apply_affine([0, 2], full_rank_generator(q, 2, 2, seed=q)).labels.dtype == dtype
 
@@ -636,7 +664,7 @@ class TestLabelWidths:
                 break
             seed += 1
         secret = SparseState.from_branches(q, [((3,), 0.6), ((q - 1,), 0.8j)])
-        dealt = secret.encode(g)
+        dealt = EncodedState(secret, g).state
         r = np.array(list(itertools.product(range(q), repeat=2)), dtype=np.int64)
         expected = np.concatenate([(x * g.array[:, 0] + r @ g.array[:, 1:].T) % q for x in (3, q - 1)])
         assert np.array_equal(dealt.labels, expected)
@@ -877,6 +905,31 @@ class TestPartialTrace:
         rho = st.partial_trace([])
         assert rho.matrix.shape == (1, 1)
         assert rho.diagonal.tolist() == pytest.approx([1.0])
+
+
+# Each entry point that takes register indices, called with a float index.
+FLOAT_INDEX_CALLS = {
+    "partial_trace": lambda st: st.partial_trace([1.5]),
+    "apply_affine": lambda st: st.apply_affine([0.7], [[2]]),
+    "apply_controlled_add": lambda st: st.apply_controlled_add([0.0], [1], [[1]]),
+    "factor_check": lambda st: factor_check(st, [1.0], SparseState.basis(5, (2,))),
+    "EncodedState.partial_trace": lambda st: EncodedState(st, [[1, 0], [0, 1], [1, 1]]).partial_trace([1.5]),
+}
+
+
+class TestRegisterIndices:
+    @pytest.mark.parametrize("call", FLOAT_INDEX_CALLS.values(), ids=FLOAT_INDEX_CALLS.keys())
+    def test_float_index_rejected_not_truncated(self, call):
+        # int(1.5) would trace register 1, and int(0.7) relabel register 0.
+        with pytest.raises(TypeError, match="integer"):
+            call(SparseState.basis(5, (1, 2)))
+
+    def test_numpy_integers_accepted(self):
+        st = random_state(5, 3, np.random.default_rng(5), support=6)
+        assert_same_reduction(st.partial_trace(np.array([2, 0])), st.partial_trace([2, 0]))
+        relabeled = st.apply_affine(np.array([1], dtype=np.uint8), [[2]])
+        assert np.array_equal(relabeled.labels, st.apply_affine([1], [[2]]).labels)
+        assert factor_check(st.apply_affine([0], [[1]]), [np.int64(0), np.int64(1), np.int64(2)], st)
 
 
 class TestDensityMatrix:
