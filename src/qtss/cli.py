@@ -58,6 +58,7 @@ from .protocol import (
 from .qsim import (
     DEFAULT_DIM_CAP,
     MATCH_TOL,
+    NORM_TOL,
     DimensionCapError,
     SparseState,
     factor_check,
@@ -132,6 +133,8 @@ class ScenarioConfig:
         if not self.params:
             raise ConfigError("config names no parameter sets")
         for triple in self.params:
+            if not isinstance(triple, (tuple, list)) or [type(x) for x in triple] != [int] * 3:
+                raise ConfigError(f"params entry {triple!r} is not three ints")
             try:
                 make_params(*triple)
             except ParameterError as exc:
@@ -149,6 +152,9 @@ class ScenarioConfig:
         if self.format not in ("json", "csv"):
             raise ConfigError(f"unknown format {self.format!r}")
         self.random_count  # raises ConfigError on a malformed ``secrets``
+        for name in ("seed", "cap_branches", "cap_dim"):
+            if type(getattr(self, name)) is not int:  # so neither a bool nor a float
+                raise ConfigError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("cap_branches", "cap_dim"):
@@ -445,11 +451,10 @@ def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
     worst_norm = 0.0
     for secret in secrets:
         dealt = deal(secret, p, cfg.cap_branches)
-        expected = secret.num_branches * p.branch_count
-        if dealt.state.num_branches != expected:
-            rec.fail(
-                f"expected {expected} branches, got {dealt.state.num_branches}"
-            )
+        # The branch count of the written-out arrays, not the encoding's formula.
+        expected, written = secret.num_branches * p.branch_count, len(dealt.state.amps)
+        if written != expected:
+            rec.fail(f"expected {expected} branches, got {written}")
         worst_norm = max(worst_norm, abs(dealt.state.norm_sq - 1.0))
         rec.secrets_tested += 1
     # Cross-check the dealer against per-codeword encoding where cheap.
@@ -461,8 +466,8 @@ def _run_encode(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:
         if not np.array_equal(_sorted_rows(labels), _sorted_rows(codewords)):
             rec.fail("dealt branches disagree with codeword enumeration")
     rec.metrics["max_norm_error"] = worst_norm
-    if worst_norm > 1e-12:
-        rec.fail(f"norm error {worst_norm} above 1e-12")
+    if worst_norm > NORM_TOL:
+        rec.fail(f"norm error {worst_norm} above {NORM_TOL}")
 
 
 def _run_recovery(cfg: ScenarioConfig, p: SchemeParams, rec: RunRecord) -> None:

@@ -1,7 +1,7 @@
 """Dealer, combiners, secrecy verifier and communication-cost accounting.
 
 The dealer is the scheme's generator matrix G over F_q
-(:attr:`SchemeParams.generator`), applied by :class:`EncodedState`: it
+(:attr:`SchemeParams.generator`), applied by :meth:`SparseState.encode`: it
 turns an ``m``-qudit secret into the global shared state, each basis
 component |s> mapping to the uniform superposition, over all randomness
 assignments r, of the share digit labels ``G [s; r]``.  Two combiner
@@ -35,17 +35,18 @@ dealt with other parameters, then applies that matrix to the shared state
 in a single relabeling.
 
 This module builds matrices and never touches labels: the dealer hands the
-generator matrix to :class:`EncodedState`, and a session hands its
+generator matrix to :meth:`SparseState.encode`, and a session hands its
 composed matrix to :meth:`SparseState.apply_affine`.  ``qsim`` owns both
 label maps and their rank certificates over F_q (full column rank m*k for
 the generator, checked once per matrix; invertibility for each session's
 program, checked on each call against the rank the matrix computed once),
 so labels stay distinct at every state size with no scan.  A dealt state is
-written out on the first read of :attr:`DealtState.state`, as a recovery
-needs it.  Secrecy of small participant subsets is checked operationally:
-reduced density matrices of a subset must be identical (zero trace
-distance) across secrets, and each is streamed from the codeword table with
-no dealt state written out.
+encoded: it is written out on the first read of its labels or amplitudes,
+as a recovery needs them, and its branch count never writes it out.
+Secrecy of small participant subsets is checked operationally: reduced
+density matrices of a subset must be identical (zero trace distance) across
+secrets, and each is streamed from the codeword table with no dealt state
+written out.
 
 :func:`participant_sets` is the one rule for which sets a claim is checked
 on: every d-set or k-set of the retained participants for recovery, and
@@ -69,7 +70,6 @@ from .qsim import (
     MATCH_TOL,
     DensityMatrix,
     DimensionCapError,
-    EncodedState,
     SparseState,
     random_state,
     trace_distance,
@@ -120,24 +120,20 @@ class CombinerLocalityError(RuntimeError):
 class DealtState:
     """The global shared state plus the bookkeeping needed to act on it.
 
-    ``encoded`` is ``EncodedState(secret, p.generator)``, which holds the
-    secret and the codeword table of the scheme's generator;
-    :attr:`state` is written out from them on its first read, and
-    a secrecy check reduces them without writing it out
-    (:meth:`EncodedState.partial_trace`).  ``active`` lists the participants
+    ``state`` is ``secret.encode(p.generator)``, the shared state on the n*m
+    registers, held as the secret and the codeword table of the scheme's
+    generator.  It is written out, unsorted, on the first read of its labels
+    or amplitudes, as a recovery reads them; its branch count never writes
+    it out, and a secrecy check reduces it without writing it out
+    (:meth:`SparseState.partial_trace`).  ``active`` lists the participants
     still holding their shares; a mixed scheme (see :func:`convert_to_mixed`)
     simply shrinks this set while the discarded registers stay in the state
     as environment.
     """
 
     params: SchemeParams
-    encoded: EncodedState
+    state: SparseState
     active: frozenset[int]
-
-    @property
-    def state(self) -> SparseState:
-        """The global shared state on the n*m registers, unsorted."""
-        return self.encoded.state
 
 
 def basis_secret(p: SchemeParams, digits: Sequence[int]) -> SparseState:
@@ -152,16 +148,16 @@ def deal(
 ) -> DealtState:
     """Encode an m-qudit secret into the n*m-register shared state.
 
-    The state is ``EncodedState(secret, p.generator).state``: each basis
-    component |s> of the secret becomes the uniform superposition of its
-    q**(m*(k-1)) codeword labels ``G [s; r]``, and superpositions follow by
-    linearity.  Every check runs here, before the state is written out on
-    the first read of :attr:`DealtState.state`.  A secret over another field
-    or on other than m registers raises ``ValueError``, and one whose
-    branch count, (secret support) * q**(m*(k-1)), exceeds ``cap_branches``
-    raises :class:`EnumerationCapError`, both before any work.  Then
-    :class:`EncodedState` certifies that G has full column rank, which makes
-    that count exact (else :class:`SingularMatrixError`).
+    The state is ``secret.encode(p.generator)``: each basis component |s>
+    of the secret becomes the uniform superposition of its q**(m*(k-1))
+    codeword labels ``G [s; r]``, and superpositions follow by linearity.
+    Every check runs here, and nothing is written out until a caller reads
+    the state's labels or amplitudes.  A secret over another field or on
+    other than m registers raises ``ValueError``, and one whose branch
+    count, (secret support) * q**(m*(k-1)), exceeds ``cap_branches`` raises
+    :class:`EnumerationCapError`, both before any work.  Then
+    :meth:`SparseState.encode` certifies that G has full column rank, which
+    makes that count exact (else :class:`SingularMatrixError`).
     """
     if secret.q != p.q:
         raise ValueError(f"secret is over F_{secret.q}, scheme over F_{p.q}")
@@ -172,7 +168,7 @@ def deal(
         raise EnumerationCapError(
             f"dealing would create {total} branches, above the cap of {cap_branches}"
         )
-    return DealtState(p, EncodedState(secret, p.generator), frozenset(range(1, p.n + 1)))
+    return DealtState(p, secret.encode(p.generator), frozenset(range(1, p.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +458,8 @@ def secrecy_check(
     check that compares each secret only with itself would pass vacuously.
     Each distinct secret (by identity) is dealt once, with :func:`deal`'s
     checks, and its reduced state is streamed from the scheme's codeword
-    table (:meth:`EncodedState.partial_trace`), so no dealt state is written
-    out.
+    table (:meth:`SparseState.partial_trace` of the dealt state, whose
+    labels nothing reads), so no dealt state is written out.
     """
     members = sorted(set(subset))
     if len(members) > p.k - 1:
@@ -482,7 +478,7 @@ def secrecy_check(
     reduced: dict[int, DensityMatrix] = {}
     for s in itertools.chain.from_iterable(secret_pairs):
         if id(s) not in reduced:
-            reduced[id(s)] = deal(s, p, cap_branches).encoded.partial_trace(regs, dim_cap)
+            reduced[id(s)] = deal(s, p, cap_branches).state.partial_trace(regs, dim_cap)
     max_td = max(trace_distance(reduced[id(a)], reduced[id(b)]) for a, b in secret_pairs)
     return SecrecyReport(frozenset(members), max_td, len(reduced))
 
@@ -544,12 +540,13 @@ def convert_to_mixed(dealt: DealtState, n_prime: int) -> DealtState:
 
     Discarded shares' registers stay in the (pure) global state as
     environment; recovery may only contact retained participants, so the
-    d-qudit procedure needs d <= n_prime.
+    d-qudit procedure needs d <= n_prime.  The view shares the dealt state
+    object, so both share its one write-out.
     """
     p = dealt.params
     if not p.k <= n_prime <= p.n:
         raise ValueError(f"retained share count must satisfy k <= n' <= 2k-1, got {n_prime}")
-    return DealtState(p, dealt.encoded, frozenset(range(1, n_prime + 1)))
+    return DealtState(p, dealt.state, frozenset(range(1, n_prime + 1)))
 
 
 def _int_nth_root(value: int, n: int) -> int:

@@ -7,19 +7,24 @@ on disjoint source registers is one -- so amplitudes are carried around
 unchanged and the only floating-point effect is ordinary rounding in the
 amplitudes themselves.
 
-Representation.  A state is a pair of parallel arrays: an ``(N, R)`` matrix
-of basis labels (one row per branch, one column per register), in the
-narrowest unsigned type that holds q - 1 (one byte per digit up to q = 251,
-two bytes above; :func:`_label_dtype`), and an ``(N,)`` complex vector of
-amplitudes.  This is a sparse map keyed by label rows; labels are packed
-into base-q integers internally for sorting and grouping.  Rows are always
-unique, at every state size and with no scan for collisions: the array
-constructor merges duplicate rows, and this module owns both label maps,
-each with its rank certificate over F_q.
-:class:`EncodedState` (the dealer) needs a generator of full column rank,
-checked once per matrix; :meth:`SparseState.apply_affine` needs an
-invertible square map, checked on each call.  The label maps leave rows
-unsorted; the constructor and :meth:`SparseState.canonical` sort them.
+Representation.  A state is held one of two ways.  Stored, it is a pair of
+parallel arrays: an ``(N, R)`` matrix of basis labels (one row per branch,
+one column per register), in the narrowest unsigned type that holds q - 1
+(one byte per digit up to q = 251, two bytes above; :func:`_label_dtype`),
+and an ``(N,)`` complex vector of amplitudes.  Encoded, as
+:meth:`SparseState.encode` (the dealer) returns it, it is a secret, a
+generator G and G's cached codeword table, and its branches are the
+secret's codewords; the first read of its labels or amplitudes writes them
+out, once, and from then on it is stored.  Its branch count, register count
+and repr never write it out.  A state is a sparse map keyed by label rows;
+labels are packed into base-q integers internally for sorting and grouping.
+Rows are always unique, at every state size and with no scan for
+collisions: the array constructor merges duplicate rows, and this module
+owns both label maps, each with its rank certificate over F_q.  The dealer
+needs a generator of full column rank, checked once per matrix;
+:meth:`SparseState.apply_affine` needs an invertible square map, checked on
+each call.  The label maps leave rows unsorted; the constructor and
+:meth:`SparseState.canonical` sort them.
 
 Label passes.  The passes over large label arrays -- the encoder's row sums,
 the relabeling of ``apply_affine`` and the key pass of ``partial_trace`` --
@@ -35,18 +40,18 @@ labels (and amplitudes) and one write of its output:
   slice of the result.  One writer builds G's cached codeword table (its
   high randomness digits' rows plus the low digits' table), the written-out
   encoded state (each component's codeword plus the table) and each block
-  of the encoded trace below;
+  of an encoded state's trace;
 - ``apply_affine``: one float product and reduction per block;
 - ``partial_trace``: kept indices, packed discarded keys and the diagonal
   (:func:`_branch_keys`), then one in-place sort of the packed keys and one
-  streamed comparison of sorted neighbours (:func:`_branch_order`);
-- the encoded trace (:meth:`EncodedState.partial_trace`): the same key pass
-  and sort on the branches of an encoded state that is never stored.  Each
-  block's labels are written by the row-sum writer into one reused buffer
-  and keyed there, and the weights are split once per component.  So the
-  trace reads the table, not an (N, R) label array and N amplitudes: a
-  (4,5,11) share's trace peaks at about 36 MB, where the stored state alone
-  takes 107 MB.
+  streamed comparison of sorted neighbours (:func:`_branch_order`).  On an
+  encoded state not yet written out, the same passes run on its branches
+  as they are written: each block's labels by the row-sum writer into one
+  reused buffer, keyed there, and the weights split once per component.
+  So the trace reads the table, not an (N, R) label array and N
+  amplitudes: a (4,5,11) share's trace peaks at about 36 MB, where the
+  stored state alone takes 107 MB.  Both paths give the same reduced
+  state, bit for bit.
 
 The key pass packs each branch's key and index into one uint64, so one
 in-place sort gives both the branch order and the group boundaries; keys too
@@ -99,7 +104,6 @@ __all__ = [
     "EmptyStateError",
     "DimensionCapError",
     "SparseState",
-    "EncodedState",
     "DensityMatrix",
     "superpose",
     "fidelity",
@@ -349,13 +353,16 @@ def _coerce_matrix(matrix, q: int) -> FieldMatrix:
 class SparseState:
     """A normalized pure state of ``num_registers`` qudits of dimension q.
 
-    Construct via :meth:`basis`, :meth:`from_branches` or the array
-    constructor (which always dedupes, prunes and normalizes).  Instances
-    are immutable: arrays are write-protected and operations return new
-    states.
+    Construct via :meth:`basis`, :meth:`from_branches`, the array
+    constructor (which always dedupes, prunes and normalizes) or
+    :meth:`encode`.  A state is stored (its label and amplitude arrays) or
+    encoded (a secret, a generator and its codeword table); an encoded
+    state is written out on the first read of :attr:`labels` or
+    :attr:`amps`, at most once, and stored from then on.  Instances are
+    immutable: arrays are write-protected and operations return new states.
     """
 
-    __slots__ = ("q", "num_registers", "labels", "amps")
+    __slots__ = ("q", "num_registers", "_labels", "_amps", "_encoding")
 
     def __init__(self, q: int, labels, amps) -> None:
         PrimeField(q)  # validates primality / size
@@ -364,12 +371,7 @@ class SparseState:
         if labels.shape[0] != amps.shape[0]:
             raise ValueError("labels and amplitudes disagree on branch count")
         labels, amps = _combine(labels, amps, q)
-        labels, amps = _prune_normalize(labels, amps)
-        self.q = q
-        self.num_registers = labels.shape[1]
-        self.labels = labels
-        self.amps = amps
-        _freeze(self)
+        self._store(q, *_prune_normalize(labels, amps))
 
     # -- constructors ---------------------------------------------------
 
@@ -377,12 +379,15 @@ class SparseState:
     def _wrap(cls, q: int, labels: np.ndarray, amps: np.ndarray) -> SparseState:
         """Internal: wrap arrays known to hold unique labels and unit norm."""
         self = object.__new__(cls)
-        self.q = q
-        self.num_registers = labels.shape[1]
-        self.labels = labels
-        self.amps = amps
-        _freeze(self)
+        self._store(q, labels, amps)
         return self
+
+    def _store(self, q: int, labels: np.ndarray, amps: np.ndarray) -> None:
+        """Hold the state as these arrays, write-protected, from now on."""
+        labels.setflags(write=False)
+        amps.setflags(write=False)
+        self.q, self.num_registers = q, labels.shape[1]
+        self._labels, self._amps, self._encoding = labels, amps, None
 
     @classmethod
     def basis(cls, q: int, digits: Sequence[int]) -> SparseState:
@@ -408,11 +413,55 @@ class SparseState:
         amps = np.array([w for _, w in pairs], dtype=np.complex128)
         return cls(q, labels, amps)
 
+    def encode(self, generator) -> SparseState:
+        """The encoded state ``sum_x psi(x) q**(-e/2) sum_{r in F_q^e} |G [x; r]>``
+        of this secret psi on t registers, on the rows of G over F_q with
+        t + e columns; the one way to encode (the dealer).
+
+        The result holds this secret, G and G's randomness table
+        (:func:`_codeword_table`), fetched here.  So a generator without
+        full column rank raises :class:`SingularMatrixError` here, and one
+        over another field or with fewer columns than the secret has
+        registers raises ``ValueError``; that rank certifies the labels
+        distinct.  Component c of the secret owns q**e consecutive branches:
+        its codeword ``G[:, :t] x`` plus each table row (mod q,
+        :func:`_sum_rows`), each with the component's amplitude over
+        ``sqrt(q**e)``.  Nothing is written out until the labels or
+        amplitudes are read; until then :meth:`partial_trace` streams the
+        branches from the table.
+        """
+        g, t = _coerce_matrix(generator, self.q), self.num_registers
+        if g.cols < t:
+            raise ValueError(f"generator has {g.cols} columns, fewer than the {t} registers")
+        table = _codeword_table(self.q, g.array.shape, g.array.astype(np.int64, copy=False).tobytes(), t)
+        state = object.__new__(SparseState)
+        state.q, state.num_registers, state._encoding = self.q, g.rows, (self, g, table)
+        state._labels = state._amps = None
+        return state
+
     # -- basic properties -----------------------------------------------
 
     @property
+    def labels(self) -> np.ndarray:
+        """The ``(N, R)`` label rows, read-only; an encoded state is written
+        out on the first read, in component order, not re-sorted."""
+        if self._encoding is not None:
+            self._write_out()
+        return self._labels
+
+    @property
+    def amps(self) -> np.ndarray:
+        """The ``(N,)`` amplitudes, read-only, in branch order; an encoded
+        state is written out on the first read."""
+        if self._encoding is not None:
+            self._write_out()
+        return self._amps
+
+    @property
     def num_branches(self) -> int:
-        return len(self.amps)
+        if self._encoding is None:
+            return len(self._amps)
+        return self._encoding[0].num_branches * len(self._encoding[2])
 
     @property
     def norm_sq(self) -> float:
@@ -517,94 +566,53 @@ class SparseState:
         secret block, the complement of a factored block) every group
         occupies the same u indices, so u is the group size.  No dim x dim
         array is built.
+
+        An encoded state not yet written out is reduced with none of it
+        written out, equal bit for bit to the reduction of the written-out
+        state: the same passes on the same ``_CHUNK_ROWS`` blocks of
+        branches, each block's labels written from the codeword table into
+        one reused buffer and keyed there (:meth:`_encoded_blocks`).  Its N
+        branch amplitudes are expanded only if some group of discarded
+        digits holds two branches, as on an authorized set.
         """
-        blocks = _stored_blocks(self.labels, self.amps)
-        return _trace(self.q, self.num_registers, keep, dim_cap, blocks, self.num_branches, lambda: self.amps)
+        stored = self._encoding is None
+        blocks = _stored_blocks(self._labels, self._amps) if stored else self._encoded_blocks()
+        amps = (lambda: self._amps) if stored else self._branch_amps
+        return _trace(self.q, self.num_registers, keep, dim_cap, blocks, self.num_branches, amps)
 
-
-class EncodedState:
-    """The encoded state ``sum_x psi(x) q**(-e/2) sum_{r in F_q^e} |G [x; r]>``
-    of a secret psi on t registers, on the rows of G over F_q with t + e
-    columns; the one way to encode (the dealer).
-
-    It holds the secret, G and G's randomness table
-    (:func:`_codeword_table`), fetched when it is built.  So a generator
-    without full column rank raises :class:`SingularMatrixError` here, and
-    one over another field or with fewer columns than the secret has
-    registers raises ``ValueError``; that rank certifies the labels
-    distinct.  Component c of the secret owns q**e consecutive branches: its
-    codeword ``G[:, :t] x`` plus each table row (mod q, :func:`_sum_rows`),
-    each with the component's amplitude over ``sqrt(q**e)``.  :attr:`state`
-    writes them all out, once; :meth:`partial_trace` reduces them with no
-    state written out.
-    """
-
-    __slots__ = ("secret", "generator", "table", "_state")
-
-    def __init__(self, secret: SparseState, generator) -> None:
-        g = _coerce_matrix(generator, secret.q)
-        t = secret.num_registers
-        if g.cols < t:
-            raise ValueError(f"generator has {g.cols} columns, fewer than the {t} registers")
-        entries = g.array.astype(np.int64, copy=False).tobytes()
-        self.secret = secret
-        self.generator = g
-        self.table = _codeword_table(secret.q, g.array.shape, entries, t)
-        self._state = None
-
-    @property
-    def num_branches(self) -> int:
-        return self.secret.num_branches * len(self.table)
+    # -- the encoded form -------------------------------------------------
 
     def _shifts(self) -> np.ndarray:
-        """Each component's codeword ``G[:, :t] x`` (mod q), one row each."""
-        coeff = self.generator.array[:, : self.secret.num_registers]
-        return _mod_matmul(self.secret.labels, coeff.T, self.secret.q)
+        """Each secret component's codeword ``G[:, :t] x`` (mod q), one row each."""
+        secret, g, _ = self._encoding
+        return _mod_matmul(secret.labels, g.array[:, : secret.num_registers].T, self.q)
 
-    def _amps(self) -> np.ndarray:
-        """Each component's branch amplitude."""
-        return self.secret.amps * (1.0 / math.sqrt(len(self.table)))
+    def _component_amps(self) -> np.ndarray:
+        """Each secret component's branch amplitude."""
+        secret, _, table = self._encoding
+        return secret.amps * (1.0 / math.sqrt(len(table)))
 
     def _branch_amps(self) -> np.ndarray:
         """Every branch's amplitude, in branch order."""
-        return np.repeat(self._amps(), len(self.table))
+        return np.repeat(self._component_amps(), len(self._encoding[2]))
 
-    @property
-    def state(self) -> SparseState:
-        """The encoded state, in component order, written out on the first
-        read; its labels are not re-sorted."""
-        if self._state is None:
-            labels = np.empty((self.num_branches, self.generator.rows), dtype=self.table.dtype)
-            _sum_rows(self._shifts(), self.table, self.secret.q, labels)
-            self._state = SparseState._wrap(self.secret.q, labels, self._branch_amps())
-        return self._state
+    def _write_out(self) -> None:
+        """Write every branch of the encoded state out and store it."""
+        labels = np.empty((self.num_branches, self.num_registers), dtype=self._encoding[2].dtype)
+        _sum_rows(self._shifts(), self._encoding[2], self.q, labels)
+        self._store(self.q, labels, self._branch_amps())
 
-    def partial_trace(self, keep: Sequence[int], dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
-        """``self.state.partial_trace(keep, dim_cap)``, equal to it bit for
-        bit, with no state written out.
-
-        The same passes as :meth:`SparseState.partial_trace`, on the same
-        ``_CHUNK_ROWS`` blocks of branches: each block's labels are written
-        from the table into one reused buffer and keyed there
-        (:meth:`_blocks`).  Amplitudes are constant within a component, so
-        the weights are split once per component.  The N branch amplitudes
-        are expanded only if some group of discarded digits holds two
-        branches, as on an authorized set.
-        """
-        blocks = self._blocks()
-        return _trace(self.secret.q, self.generator.rows, keep, dim_cap, blocks, self.num_branches, self._branch_amps)
-
-    def _blocks(self) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
-        """The blocks of :attr:`state`'s labels, ``_CHUNK_ROWS`` rows each,
+    def _encoded_blocks(self) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
+        """The blocks of the written-out labels, ``_CHUNK_ROWS`` rows each,
         written one after another into one buffer, with their split weights
         (:func:`_stored_blocks`).  A block may span components: each
         component's split weight repeats over the rows it gave the block."""
-        n, shifts, amps = self.num_branches, self._shifts(), self._amps()
+        table, n, shifts, amps = self._encoding[2], self.num_branches, self._shifts(), self._component_amps()
         parts = _split_weights(amps.real**2 + amps.imag**2)
-        buffer = np.empty((min(n, _CHUNK_ROWS), self.generator.rows), dtype=self.table.dtype)
+        buffer = np.empty((min(n, _CHUNK_ROWS), self.num_registers), dtype=table.dtype)
         for lo in range(0, n, _CHUNK_ROWS):
             block = buffer[: min(_CHUNK_ROWS, n - lo)]
-            first, counts = _sum_rows(shifts, self.table, self.secret.q, block, start=lo)
+            first, counts = _sum_rows(shifts, table, self.q, block, start=lo)
             yield block, tuple(np.repeat(part[first : first + len(counts)], counts) for part in parts)
 
 
@@ -793,11 +801,6 @@ def _group_outer_sum(
     return occupied, total
 
 
-def _freeze(state: SparseState) -> None:
-    state.labels.setflags(write=False)
-    state.amps.setflags(write=False)
-
-
 def _combine(labels: np.ndarray, amps: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Sort rows and sum amplitudes of duplicate labels."""
     _, keys, _ = _branch_keys(_stored_blocks(labels), len(labels), q, [], list(range(labels.shape[1])))
@@ -978,10 +981,15 @@ def random_state(
 
     With ``support=None`` the state covers all ``q**num_registers`` basis
     labels; otherwise that many distinct labels are drawn at random.
-    ``q**num_registers`` must stay below 2**63.
+    ``num_registers`` goes through ``operator.index`` (a float raises
+    ``TypeError``) and must not be negative (``ValueError``), both checked
+    before any draw; ``q**num_registers`` must stay below 2**63.
     Complex-Gaussian amplitudes normalized to the sphere give the rotation-
     invariant distribution on the chosen support.
     """
+    num_registers = operator.index(num_registers)
+    if num_registers < 0:
+        raise ValueError(f"register count must be non-negative, got {num_registers}")
     dim = q**num_registers
     if dim >= 1 << 63:  # label indices are drawn and decoded as int64
         raise ValueError(f"{q}**{num_registers} basis labels reach the limit of 2**63")

@@ -26,7 +26,7 @@ from qtss.cli import (
     run,
 )
 from qtss.gf import FieldMatrix
-from qtss.qsim import EncodedState
+from qtss.qsim import SparseState
 from qtss.staircase import make_params
 
 SMALL_CONFIG = """
@@ -116,6 +116,27 @@ class TestParseConfig:
     def test_bad_line(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_config("params = 2,2,5\nnonsense here")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"seed": 1.5}, "seed must be an int, got 1.5"),
+            ({"seed": True}, "seed must be an int, got True"),
+            ({"cap_branches": 10.0}, "cap_branches must be an int, got 10.0"),
+            ({"cap_dim": 25.5}, "cap_dim must be an int, got 25.5"),
+            ({"params": ("2,3,5",)}, "params entry '2,3,5' is not three ints"),
+            ({"params": ((2, 3, 5.0),)}, "params entry (2, 3, 5.0) is not three ints"),
+            ({"params": ((2, 3),)}, "params entry (2, 3) is not three ints"),
+            ({"params": ((True, 3, 5),)}, "params entry (True, 3, 5) is not three ints"),
+        ],
+        ids=["float-seed", "bool-seed", "float-cap-branches", "float-cap-dim", "text-params", "float-q", "pair", "bool-k"],
+    )
+    def test_field_types_checked_at_construction(self, change, message):
+        # parse_config converts every value; a config built directly is
+        # checked here, before a sweep could fail midway or report a float.
+        ScenarioConfig(params=((2, 3, 5),), modes=("recover-d",))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioConfig(**{"params": ((2, 3, 5),), "modes": ("recover-d",), **change})
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -326,13 +347,14 @@ class TestRun:
         # Three secrets: one consecutive pair, then the last secret against
         # the first, so all three are reduced on every subset.
         reduced = []
-        streamed = EncodedState.partial_trace
+        trace = SparseState.partial_trace
 
         def counted(self, keep, dim_cap):
-            reduced.append(id(self.secret))
-            return streamed(self, keep, dim_cap)
+            assert self._encoding is not None, "a dealt state was written out"
+            reduced.append(id(self._encoding[0]))
+            return trace(self, keep, dim_cap)
 
-        monkeypatch.setattr(EncodedState, "partial_trace", counted)
+        monkeypatch.setattr(SparseState, "partial_trace", counted)
         cfg = parse_config("params = 2,3,5\nmodes = secrecy\nsecrets = random:3\nseed = 11")
         (record,) = run(cfg).records
         assert record.status == "pass" and record.secrets_tested == 3

@@ -41,7 +41,6 @@ from qtss.protocol import (
 from qtss.qsim import (
     DensityMatrix,
     DimensionCapError,
-    EncodedState,
     SparseState,
     factor_check,
     fidelity,
@@ -154,6 +153,26 @@ class TestDeal:
         assert np.array_equal(state.canonical().labels, expected[order])
         amps = np.repeat([0.6, 0.8j], p.q) / math.sqrt(p.q)
         assert np.allclose(state.canonical().amps, amps[order], rtol=0, atol=1e-15)
+
+    def test_branch_count_writes_nothing_out(self):
+        # A two-term (4,5,11) secret deals 3.54 M branches, 107 MB written
+        # out.  The branch count and repr come from the encoding; the first
+        # read of the labels writes the state out, once, and it is kept.
+        p = make_params(4, 5, 11)
+        secret = default_secret_pairs(p)[1][0]
+        deal(secret, p)  # the codeword table is cached; it is built first
+        tracemalloc.start()
+        try:
+            state = deal(secret, p).state
+            count, text = state.num_branches, repr(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2 * 11**6 and f"branches={count}" in text
+        assert peak < 1e6
+        labels = state.labels
+        assert labels.shape == (count, p.n * p.m) and state.labels is labels
+        assert len(state.amps) == state.num_branches == count
 
 
 class TestRecoverFromD:
@@ -676,13 +695,14 @@ class TestSecrecy:
     def test_each_secret_dealt_once(self, monkeypatch):
         # Each distinct secret's reduced state is streamed once per call.
         reduced = []
-        streamed = EncodedState.partial_trace
+        trace = SparseState.partial_trace
 
         def counted(self, keep, dim_cap):
-            reduced.append(id(self.secret))
-            return streamed(self, keep, dim_cap)
+            assert self._encoding is not None, "a dealt state was written out"
+            reduced.append(id(self._encoding[0]))
+            return trace(self, keep, dim_cap)
 
-        monkeypatch.setattr(EncodedState, "partial_trace", counted)
+        monkeypatch.setattr(SparseState, "partial_trace", counted)
         a, b, c = (basis_secret(P235, d) for d in ((0, 0), (1, 1), (2, 3)))
         report = secrecy_check(P235, [1], [(a, a), (a, b), (c, b)])
         assert sorted(reduced) == sorted(map(id, (a, b, c)))

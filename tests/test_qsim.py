@@ -24,7 +24,6 @@ from qtss.qsim import (
     DensityMatrix,
     DimensionCapError,
     EmptyStateError,
-    EncodedState,
     SparseState,
     factor_check,
     fidelity,
@@ -448,7 +447,7 @@ class TestEncode:
         digits = [tuple(int(p) // q**i % q for i in reversed(range(t))) for p in picks]
         amps = rng.normal(size=len(digits)) + 1j * rng.normal(size=len(digits))
         secret = SparseState.from_branches(q, zip(digits, amps))
-        out = EncodedState(secret, g).state
+        out = secret.encode(g)
         # Oracle: G [x; r] in Python ints, for every component x and every r.
         rows = g.row_tuples()
         expected = {}
@@ -457,9 +456,10 @@ class TestEncode:
                 col = x + r
                 label = tuple(sum(a * b for a, b in zip(row, col)) % q for row in rows)
                 expected[label] = amp / np.sqrt(q**e)
+        # Read first, so the branch count below is the written arrays' own.
+        got = densities.branch_dict(out)
         assert out.num_registers == g.rows
         assert out.num_branches == len(expected) == secret.num_branches * q**e
-        got = densities.branch_dict(out)
         assert got.keys() == expected.keys()
         assert all(abs(got[k] - expected[k]) <= 1e-15 for k in expected)
 
@@ -468,7 +468,7 @@ class TestEncode:
         g = full_rank_generator(5, 5, 3, seed=3).array.copy()
         g[:, 2] = g[:, 1]
         with pytest.raises(SingularMatrixError, match="rank 2 over F_5, below its 3 columns"):
-            EncodedState(SparseState.basis(5, (1,)), FieldMatrix(F5, g))
+            SparseState.basis(5, (1,)).encode(FieldMatrix(F5, g))
 
     def test_table_cached_by_entries(self):
         # The same generator as an array, or as another FieldMatrix object,
@@ -480,8 +480,7 @@ class TestEncode:
         assert qsim._codeword_table.cache_info().misses == 1
         g = p.generator
         for generator in (g.array, g.array.tolist(), FieldMatrix(g.field, g.array)):
-            out = EncodedState(secret, generator).state
-            assert np.array_equal(out.labels, dealt.labels)
+            assert np.array_equal(secret.encode(generator).labels, dealt.labels)
         deal(secret, p)
         info = qsim._codeword_table.cache_info()
         assert (info.hits, info.misses) == (4, 1)
@@ -529,11 +528,11 @@ class TestEncode:
     def test_shape_and_field_checked(self):
         st = SparseState.basis(5, (1, 2))
         with pytest.raises(ValueError, match="fewer than the 2 registers"):
-            EncodedState(st, FieldMatrix(F5, [[1]]))
+            st.encode(FieldMatrix(F5, [[1]]))
         with pytest.raises(ValueError, match="over F_7"):
-            EncodedState(st, FieldMatrix(PrimeField(7), [[1, 0], [0, 1]]))
+            st.encode(FieldMatrix(PrimeField(7), [[1, 0], [0, 1]]))
         with pytest.raises(ValueError, match="two-dimensional"):
-            EncodedState(st, [1, 0, 0, 1])
+            st.encode([1, 0, 0, 1])
 
 
 def assert_same_reduction(got: DensityMatrix, want: DensityMatrix) -> None:
@@ -547,8 +546,16 @@ def assert_same_reduction(got: DensityMatrix, want: DensityMatrix) -> None:
         assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
 
 
+def written_out(state: SparseState) -> SparseState:
+    """``state`` after a read of its labels, which writes an encoded state
+    out; its traces then take the stored path."""
+    assert state.labels is state.labels
+    return state
+
+
 class TestEncodedTrace:
-    """``EncodedState.partial_trace`` against the trace of the written-out state."""
+    """The streamed ``partial_trace`` of an encoded state, never written out,
+    against the trace of the same state written out."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -580,8 +587,8 @@ class TestEncodedTrace:
             kept -= 1
         keep = rng.permutation(g.rows)[:kept].tolist()
         with mock.patch.object(qsim, "_CHUNK_ROWS", chunk):
-            want = EncodedState(secret, g).state.partial_trace(keep)
-            got = EncodedState(secret, g).partial_trace(keep)
+            want = written_out(secret.encode(g)).partial_trace(keep)
+            got = secret.encode(g).partial_trace(keep)
         assert_same_reduction(got, want)
 
     @pytest.mark.parametrize(
@@ -603,8 +610,8 @@ class TestEncodedTrace:
         regs = [r for i in shares for r in scheme.registers_of(i)]
         coherent = 0
         for secret in itertools.chain.from_iterable(default_secret_pairs(scheme)[pairs]):
-            want = EncodedState(secret, scheme.generator).state.partial_trace(regs)
-            assert_same_reduction(EncodedState(secret, scheme.generator).partial_trace(regs), want)
+            want = written_out(secret.encode(scheme.generator)).partial_trace(regs)
+            assert_same_reduction(secret.encode(scheme.generator).partial_trace(regs), want)
             coherent += want.coherences.size > 0
         assert coherent == (2 if shares == [2, 3] or isinstance(scheme, Leaky) else 0)
 
@@ -612,15 +619,15 @@ class TestEncodedTrace:
         p = make_params(2, 3, 5)
         secret = basis_secret(p, (1, 0))
         with pytest.raises(ValueError, match="over F_7"):
-            EncodedState(secret, FieldMatrix(PrimeField(7), np.eye(4, dtype=np.int64)))
+            secret.encode(FieldMatrix(PrimeField(7), np.eye(4, dtype=np.int64)))
         with pytest.raises(ValueError, match="fewer than the 2 registers"):
-            EncodedState(secret, FieldMatrix(F5, [[1]])).partial_trace([0])
+            secret.encode(FieldMatrix(F5, [[1]])).partial_trace([0])
         with pytest.raises(IndexError, match="out of range 0..5"):
-            EncodedState(secret, p.generator).partial_trace([6])
+            secret.encode(p.generator).partial_trace([6])
         with pytest.raises(DimensionCapError, match="exceeds the cap 24"):
-            EncodedState(secret, p.generator).partial_trace([0, 1], dim_cap=24)
+            secret.encode(p.generator).partial_trace([0, 1], dim_cap=24)
         with pytest.raises(SingularMatrixError, match="codewords would collide"):
-            EncodedState(secret, Collapsed(2, 3, 5).generator).partial_trace([0])
+            secret.encode(Collapsed(2, 3, 5).generator).partial_trace([0])
 
 
 # Fields at the edges of the label widths: byte labels whose sums fit a byte
@@ -638,7 +645,7 @@ class TestLabelWidths:
         g = full_rank_generator(q, 3, 2, seed=q)
         table = qsim._codeword_table(q, g.array.shape, g.array.tobytes(), 1)
         assert table.dtype == dtype
-        dealt = EncodedState(st, g).state
+        dealt = st.encode(g)
         assert dealt.labels.dtype == dtype
         assert dealt.apply_affine([0, 2], full_rank_generator(q, 2, 2, seed=q)).labels.dtype == dtype
 
@@ -664,7 +671,7 @@ class TestLabelWidths:
                 break
             seed += 1
         secret = SparseState.from_branches(q, [((3,), 0.6), ((q - 1,), 0.8j)])
-        dealt = EncodedState(secret, g).state
+        dealt = secret.encode(g)
         r = np.array(list(itertools.product(range(q), repeat=2)), dtype=np.int64)
         expected = np.concatenate([(x * g.array[:, 0] + r @ g.array[:, 1:].T) % q for x in (3, q - 1)])
         assert np.array_equal(dealt.labels, expected)
@@ -913,7 +920,7 @@ FLOAT_INDEX_CALLS = {
     "apply_affine": lambda st: st.apply_affine([0.7], [[2]]),
     "apply_controlled_add": lambda st: st.apply_controlled_add([0.0], [1], [[1]]),
     "factor_check": lambda st: factor_check(st, [1.0], SparseState.basis(5, (2,))),
-    "EncodedState.partial_trace": lambda st: EncodedState(st, [[1, 0], [0, 1], [1, 1]]).partial_trace([1.5]),
+    "encoded.partial_trace": lambda st: st.encode([[1, 0], [0, 1], [1, 1]]).partial_trace([1.5]),
 }
 
 
@@ -1139,3 +1146,14 @@ class TestRandomState:
         with pytest.raises(ValueError, match="2\\*\\*63"):
             random_state(65521, 6, rng, support=24581)
         assert random_state(65521, 3, rng, support=3).num_branches == 3
+
+    def test_register_count_checked_before_any_draw(self):
+        # 5**-1 is the float 0.2, which numpy would reject with an unrelated error.
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="register count must be non-negative, got -1"):
+            random_state(5, -1, rng)
+        with pytest.raises(TypeError, match="integer"):
+            random_state(5, 1.5, rng)
+        assert rng.bit_generator.state == before
+        assert random_state(5, np.int64(2), rng).num_registers == 2

@@ -6,6 +6,7 @@ holds for a name that an ``__all__`` still exports after its deletion.
 
 import importlib
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,29 @@ def test_tracer_installs_and_uninstalls():
         assert owner.__dict__[name] is original
     assert protocol.deal is deal
     assert staircase.encode_classical is encode
+
+
+def test_traced_secrecy_check_writes_no_dealt_state_out():
+    # The tracer reads each dealt state's branch count; that read must not
+    # write the 3.54 M-branch (4,5,11) state out, so a traced single-share
+    # check stays within the 60 MB of an untraced one (test_protocol.py).
+    p = staircase.make_params(4, 5, 11)
+    pairs = protocol.default_secret_pairs(p)
+    protocol.deal(pairs[0][0], p)  # the codeword table is cached; it is built first
+    tracer = Tracer()
+    try:
+        worker.install_tracer(tracer, set())
+        tracemalloc.start()
+        with tracer.span("bench.check"):
+            report = protocol.secrecy_check(p, [3], pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        tracer.uninstall()
+    assert report.passed and report.secrets_tested == 4
+    assert peak < 60e6
+    assert tracer.calls["protocol.deal"] == 4 and tracer.calls["qsim.partial_trace"] == 4
+    assert tracer.counts["protocol.deal.branches"] == tracer.counts["qsim.partial_trace.branches"]
 
 
 @pytest.mark.parametrize(
