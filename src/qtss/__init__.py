@@ -6,94 +6,17 @@ each, any k shares recover it by communicating all m*k of their qudits, and
 any d >= k shares recover it by communicating just one qudit per share.
 Secrecy of k-1 or fewer shares and optimality of the communication cost are
 checked numerically against exact sparse state simulation.
+
+Each module's ``__all__`` is the one declaration of its public names; the
+package re-exports those of ``gf``, ``staircase``, ``qsim`` and ``protocol``.
 """
 
-from .gf import FieldMatrix, PrimeField, SingularMatrixError, vandermonde
-from .staircase import (
-    EnumerationCapError,
-    ParameterError,
-    SchemeParams,
-    build_message_matrix,
-    codeword_rows,
-    encode_classical,
-    make_params,
-)
-from .qsim import (
-    DensityMatrix,
-    DimensionCapError,
-    EmptyStateError,
-    SparseState,
-    factor_check,
-    fidelity,
-    random_state,
-    superpose,
-    trace_distance,
-)
-from .protocol import (
-    CombinerLocalityError,
-    CostRow,
-    DealtState,
-    OpRecord,
-    RecoveryResult,
-    RecoveryTranscript,
-    SecrecyReport,
-    basis_secret,
-    convert_to_mixed,
-    cost_table,
-    deal,
-    default_secret_pairs,
-    lower_bound,
-    recover_from_d,
-    recover_from_k,
-    recovery_session,
-    run_session,
-    secrecy_check,
-)
+from .gf import *
+from .staircase import *
+from .qsim import *
+from .protocol import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # gf
-    "PrimeField",
-    "FieldMatrix",
-    "SingularMatrixError",
-    "vandermonde",
-    # staircase
-    "SchemeParams",
-    "ParameterError",
-    "EnumerationCapError",
-    "make_params",
-    "build_message_matrix",
-    "codeword_rows",
-    "encode_classical",
-    # qsim
-    "SparseState",
-    "DensityMatrix",
-    "EmptyStateError",
-    "DimensionCapError",
-    "superpose",
-    "fidelity",
-    "trace_distance",
-    "factor_check",
-    "random_state",
-    # protocol
-    "DealtState",
-    "OpRecord",
-    "RecoveryTranscript",
-    "RecoveryResult",
-    "SecrecyReport",
-    "CostRow",
-    "CombinerLocalityError",
-    "deal",
-    "basis_secret",
-    "recover_from_d",
-    "recover_from_k",
-    "recovery_session",
-    "run_session",
-    "secrecy_check",
-    "convert_to_mixed",
-    "lower_bound",
-    "cost_table",
-    "default_secret_pairs",
-]
+# Importing a submodule binds it here too, so its own __all__ is read below.
+__all__ = ["__version__", *gf.__all__, *staircase.__all__, *qsim.__all__, *protocol.__all__]

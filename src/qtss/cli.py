@@ -395,7 +395,7 @@ def _recovery_sweep(
             fid = fidelity(rho, secret)
             min_fid = min(min_fid, fid)
             if fid < 1.0 - MATCH_TOL:
-                rec.fail(f"subset {subset}: fidelity {fid} below 1 - 1e-10")
+                rec.fail(f"subset {subset}: fidelity {fid} below 1 - {MATCH_TOL}")
             if abs(rho.purity() - 1.0) > MATCH_TOL:
                 rec.fail(f"subset {subset}: secret block not disentangled")
     return min_fid, len(sessions)
@@ -425,7 +425,7 @@ def _secrecy_sweep(
         report = secrecy_check(p, subset, pairs, cfg.cap_dim, cfg.cap_branches)
         max_td = max(max_td, report.max_trace_distance)
         if not report.passed:
-            rec.fail(f"subset {subset}: trace distance {report.max_trace_distance} above 1e-10")
+            rec.fail(f"subset {subset}: trace distance {report.max_trace_distance} above {MATCH_TOL}")
     if skipped:
         rec.metrics["subsets_over_dim_cap"] = skipped
     return max_td, len(subsets), skipped

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -505,11 +506,18 @@ def participant_sets(
     ``secrecy`` gives every set of 1..k-1 of them whose reduced dimension
     q**(m*size) fits ``dim_cap``, and counts the others as skipped.  Sets come
     in :func:`itertools.combinations` order, size by size.  Raises
-    ``ValueError`` for any other mode.
+    ``ValueError`` for any other mode, and for a retained participant outside
+    1..n or named twice; each goes through ``operator.index``, so a float
+    raises ``TypeError``.  Every check runs before any set is built.
     """
     shapes = _recovery_shapes(p)
     if mode not in (*shapes, "secrecy"):
         raise ValueError(f"no participant sets for mode {mode!r}; valid: {sorted([*shapes, 'secrecy'])}")
+    retained = [operator.index(i) for i in retained]
+    if any(not 1 <= i <= p.n for i in retained):
+        raise ValueError(f"retained participants {retained} not within participants 1..{p.n}")
+    if len(set(retained)) != len(retained):
+        raise ValueError(f"retained participants {retained} name a participant twice")
     sizes = range(1, p.k) if mode == "secrecy" else [shapes[mode][0]]
     fit = [size for size in sizes if mode != "secrecy" or p.q ** (p.m * size) <= dim_cap]
     sets = [s for size in fit for s in itertools.combinations(retained, size)]

@@ -83,7 +83,10 @@ products in group order.
 
 Tolerances.  Normalization and trace checks use ``NORM_TOL``
 (1e-12); state/fidelity comparisons use ``MATCH_TOL`` (1e-10); amplitudes
-below ``PRUNE_TOL`` (1e-14) are dropped.  Amplitudes in this problem domain
+below ``PRUNE_TOL`` (1e-14) are dropped.  The first two are exported;
+``PRUNE_TOL`` is a constant of this module alone.  A non-finite amplitude,
+or a norm too large for a float, raises ``ValueError`` when a state is
+built.  Amplitudes in this problem domain
 are of the form (small integer) / sqrt(branch count), and every sum over
 branches is blocked or split as above, so accumulated error sits far below
 all three.
@@ -110,7 +113,6 @@ __all__ = [
     "trace_distance",
     "factor_check",
     "random_state",
-    "PRUNE_TOL",
     "NORM_TOL",
     "MATCH_TOL",
     "DEFAULT_DIM_CAP",
@@ -354,7 +356,8 @@ class SparseState:
     """A normalized pure state of ``num_registers`` qudits of dimension q.
 
     Construct via :meth:`basis`, :meth:`from_branches`, the array
-    constructor (which always dedupes, prunes and normalizes) or
+    constructor (which always dedupes, prunes and normalizes, and raises
+    ``ValueError`` for a non-finite amplitude before any sort) or
     :meth:`encode`.  A state is stored (its label and amplitude arrays) or
     encoded (a secret, a generator and its codeword table); an encoded
     state is written out on the first read of :attr:`labels` or
@@ -368,6 +371,8 @@ class SparseState:
         PrimeField(q)  # validates primality / size
         labels = _as_labels(np.array(labels, ndmin=2), q)
         amps = np.asarray(amps, dtype=np.complex128).ravel().copy()
+        if not np.isfinite(amps).all():
+            raise ValueError(f"amplitude {amps[~np.isfinite(amps)][0]} is not finite")
         if labels.shape[0] != amps.shape[0]:
             raise ValueError("labels and amplitudes disagree on branch count")
         labels, amps = _combine(labels, amps, q)
@@ -575,10 +580,29 @@ class SparseState:
         branch amplitudes are expanded only if some group of discarded
         digits holds two branches, as on an authorized set.
         """
+        keep = _registers(keep, self.num_registers, "kept")
+        dim = self.q ** len(keep)
+        if dim > dim_cap:
+            raise DimensionCapError(
+                f"reduced dimension {self.q}**{len(keep)} = {dim} exceeds the cap {dim_cap}"
+            )
+        rest = [r for r in range(self.num_registers) if r not in keep]
         stored = self._encoding is None
         blocks = _stored_blocks(self._labels, self._amps) if stored else self._encoded_blocks()
-        amps = (lambda: self._amps) if stored else self._branch_amps
-        return _trace(self.q, self.num_registers, keep, dim_cap, blocks, self.num_branches, amps)
+        kept_idx, rest_keys, sums = _branch_keys(blocks, self.num_branches, self.q, keep, rest)
+        diagonal = sums[0] / _WEIGHT_GRID + sums[1]
+        order, same = _branch_order(rest_keys)
+        if not same.any():
+            return DensityMatrix._reduced(self.q, len(keep), diagonal)
+        # The groups' sum P lives on the kept indices they occupy.  Its
+        # off-diagonal part, symmetrized as (P + P^H) / 2, is exactly
+        # Hermitian; its diagonal repeats weights the streamed diagonal holds.
+        multi, bounds = _multi_groups(order, same)
+        amps = self._amps if stored else self._branch_amps()
+        occupied, prod = _group_outer_sum(amps, kept_idx, multi, bounds, dim)
+        coherences = (prod + prod.conj().T) * 0.5
+        np.fill_diagonal(coherences, 0.0)
+        return DensityMatrix._reduced(self.q, len(keep), diagonal, occupied, coherences)
 
     # -- the encoded form -------------------------------------------------
 
@@ -629,31 +653,6 @@ def _registers(regs: Sequence[int], count: int, what: str) -> list[int]:
     if len(set(regs)) != len(regs):
         raise ValueError(f"duplicate {what} registers: {regs}")
     return regs
-
-
-def _trace(q: int, width: int, keep: Sequence[int], dim_cap: int, blocks, n: int, amps) -> DensityMatrix:
-    """The reduced state on ``keep`` of a state of n branches on ``width``
-    registers, given as its label blocks in branch order (the blocks of
-    :func:`_branch_keys`).  ``amps()`` gives its n amplitudes, read only if
-    some group of discarded digits holds two branches."""
-    keep = _registers(keep, width, "kept")
-    dim = q ** len(keep)
-    if dim > dim_cap:
-        raise DimensionCapError(f"reduced dimension {q}**{len(keep)} = {dim} exceeds the cap {dim_cap}")
-    rest = [r for r in range(width) if r not in keep]
-    kept_idx, rest_keys, sums = _branch_keys(blocks, n, q, keep, rest)
-    diagonal = sums[0] / _WEIGHT_GRID + sums[1]
-    order, same = _branch_order(rest_keys)
-    if not same.any():
-        return DensityMatrix._reduced(q, len(keep), diagonal)
-    # The groups' sum P lives on the kept indices they occupy.  Its
-    # off-diagonal part, symmetrized as (P + P^H) / 2, is exactly
-    # Hermitian; its diagonal repeats weights the streamed diagonal holds.
-    multi, bounds = _multi_groups(order, same)
-    occupied, prod = _group_outer_sum(amps(), kept_idx, multi, bounds, dim)
-    coherences = (prod + prod.conj().T) * 0.5
-    np.fill_diagonal(coherences, 0.0)
-    return DensityMatrix._reduced(q, len(keep), diagonal, occupied, coherences)
 
 
 def _split_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -809,16 +808,21 @@ def _combine(labels: np.ndarray, amps: np.ndarray, q: int) -> tuple[np.ndarray, 
     if not dup.any():
         return labels, amps
     starts = np.flatnonzero(np.concatenate(([True], ~dup)))
-    summed = np.add.reduceat(amps, starts)
+    with np.errstate(over="ignore"):  # an infinite sum fails the norm check
+        summed = np.add.reduceat(amps, starts)
     return labels[starts], summed
 
 
 def _prune_normalize(labels: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop negligible branches and normalize."""
+    """Drop negligible branches and normalize; a norm too large to hold in a
+    float raises ``ValueError``."""
     keep = np.abs(amps) >= PRUNE_TOL
     if not keep.all():
         labels, amps = labels[keep], amps[keep]
-    norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    if not math.isfinite(norm):
+        raise ValueError(f"state norm {norm} is not finite: the amplitudes are too large")
     if norm < PRUNE_TOL:
         raise EmptyStateError("state vanished: all amplitudes cancelled or were pruned")
     return labels, amps / norm

@@ -821,6 +821,25 @@ class TestParticipantSets:
     def test_recovery_sets_never_skipped(self, mode):
         assert protocol.participant_sets(P347, mode, range(1, 6), dim_cap=1)[1] == 0
 
+    @pytest.mark.parametrize(
+        "mode, retained, error",
+        [
+            ("secrecy", [1, 1, 2], ValueError),
+            ("recover-k", [0, 1, 2], ValueError),
+            ("recover-d", [1, 2, 3, 6], ValueError),
+            ("secrecy", [-1, 1], ValueError),
+            ("secrecy", [1.0, 2], TypeError),
+        ],
+    )
+    def test_retained_checked(self, mode, retained, error):
+        with pytest.raises(error):
+            protocol.participant_sets(P347, mode, retained)
+
+    def test_numpy_retained_gives_the_same_sets(self):
+        for mode in ("recover-d", "recover-k", "secrecy"):
+            sets = protocol.participant_sets(P347, mode, np.arange(1, 6))
+            assert sets == protocol.participant_sets(P347, mode, range(1, 6))
+
     @pytest.mark.parametrize("mode", ["mixed", "encode", "costs", ""])
     def test_unknown_mode(self, mode):
         with pytest.raises(ValueError, match="no participant sets"):

@@ -163,6 +163,33 @@ class TestConstruction:
         with pytest.raises(EmptyStateError):
             SparseState.from_branches(3, [])
 
+    @pytest.mark.parametrize(
+        "labels, amps",
+        [
+            ([[0], [1]], [1.0, np.nan]),
+            ([[0], [1]], [1.0, np.inf]),
+            ([[0], [1]], [-np.inf, 1.0]),
+            ([[0]], [complex(1.0, np.nan)]),
+        ],
+    )
+    def test_non_finite_amplitude_rejected_before_any_sort(self, labels, amps):
+        with mock.patch.object(qsim, "_combine", side_effect=AssertionError("sorted")):
+            with pytest.raises(ValueError, match="is not finite"):
+                SparseState(5, labels, amps)
+
+    @pytest.mark.parametrize(
+        "labels, amps", [([[0], [1]], [1e200, 1e200]), ([[0], [0]], [1e308, 1e308])]
+    )
+    def test_overflowing_norm_rejected(self, labels, amps):
+        # Finite amplitudes whose norm (or duplicate sum) overflows: a
+        # ValueError, and no RuntimeWarning on the way.
+        with pytest.raises(ValueError, match="norm inf is not finite"):
+            SparseState(5, labels, amps)
+
+    def test_large_finite_norm_normalized(self):
+        st = SparseState(5, [[0], [1]], [1e150, 1e150])
+        assert np.allclose(st.amps, 1 / np.sqrt(2))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="differing lengths"):
             SparseState.from_branches(3, [((0,), 1.0), ((0, 1), 1.0)])
@@ -280,6 +307,11 @@ class TestSuperpose:
         a = SparseState.basis(3, (0,))
         with pytest.raises(EmptyStateError):
             superpose([(a, 1.0), (a, -1.0)])
+
+    def test_nan_coefficient_rejected(self):
+        a, b = SparseState.basis(3, (0,)), SparseState.basis(3, (1,))
+        with pytest.raises(ValueError, match="is not finite"):
+            superpose([(a, 1.0), (b, float("nan"))])
 
 
 class TestAffine:

@@ -79,3 +79,19 @@ def test_every_export_resolves(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_package_reexports_each_module_all():
+    import qtss
+
+    modules = (gf, staircase, qsim, protocol)
+    expected = ["__version__", *(name for mod in modules for name in mod.__all__)]
+    assert qtss.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(qtss, name) is getattr(mod, name), f"qtss.{name}"
+    namespace = {}
+    exec("from qtss import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(expected)
