@@ -41,8 +41,9 @@ label maps and their rank certificates over F_q (full column rank m*k for
 the generator, checked once per matrix; invertibility for each session's
 program, checked on each call against the rank the matrix computed once),
 so labels stay distinct at every state size with no scan.  A dealt state is
-encoded: it is written out on the first read of its labels or amplitudes,
-as a recovery needs them, and its branch count never writes it out.
+encoded, and stays so through a recovery of a secret with two or more
+components: the session maps its codeword table, and the recovered state
+is encoded too.  Its branch count never writes it out.
 Secrecy of small participant subsets is checked operationally: reduced
 density matrices of a subset must be identical (zero trace distance) across
 secrets, and each is streamed from the codeword table with no dealt state
@@ -122,11 +123,14 @@ class DealtState:
     """The global shared state plus the bookkeeping needed to act on it.
 
     ``state`` is ``secret.encode(p.generator)``, the shared state on the n*m
-    registers, held as the secret and the codeword table of the scheme's
-    generator.  It is written out, unsorted, on the first read of its labels
-    or amplitudes, as a recovery reads them; its branch count never writes
-    it out, and a secrecy check reduces it without writing it out
-    (:meth:`SparseState.partial_trace`).  ``active`` lists the participants
+    registers, held as the secret, its components' shifts and the codeword
+    table of the scheme's generator.  It is written out, unsorted, on the
+    first read of its labels or amplitudes.  Its branch count never writes
+    it out, a secrecy check reduces it without writing it out
+    (:meth:`SparseState.partial_trace`), and a recovery of a secret with two
+    or more components maps its table instead
+    (:meth:`SparseState.apply_affine`).  A recovery of a one-component
+    secret writes it out once, on the first session.  ``active`` lists the participants
     still holding their shares; a mixed scheme (see :func:`convert_to_mixed`)
     simply shrinks this set while the discarded registers stay in the state
     as environment.
@@ -341,7 +345,10 @@ def run_session(dealt: DealtState, transcript: RecoveryTranscript) -> RecoveryRe
     with, and every contacted participant must still hold its share (else
     ``ValueError``).  :meth:`SparseState.apply_affine` rejects a singular
     program: its invertibility is the certificate that the session permutes
-    basis states.
+    basis states.  For a secret of two or more components the program maps
+    the dealt state's component shifts and its q**e-row codeword table, and
+    neither the dealt nor the recovered state is written out; a
+    one-component dealt state is written out once and its labels mapped.
     """
     if transcript.params != dealt.params:
         raise ValueError(f"session built for {transcript.params} cannot run on a state dealt with {dealt.params}")

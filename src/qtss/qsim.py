@@ -12,12 +12,17 @@ parallel arrays: an ``(N, R)`` matrix of basis labels (one row per branch,
 one column per register), in the narrowest unsigned type that holds q - 1
 (one byte per digit up to q = 251, two bytes above; :func:`_label_dtype`),
 and an ``(N,)`` complex vector of amplitudes.  Encoded, as
-:meth:`SparseState.encode` (the dealer) returns it, it is a secret, a
-generator G and G's cached codeword table, and its branches are the
-secret's codewords; the first read of its labels or amplitudes writes them
-out, once, and from then on it is stored.  Its branch count, register count
-and repr never write it out.  A state is a sparse map keyed by label rows;
-labels are packed into base-q integers internally for sorting and grouping.
+:meth:`SparseState.encode` (the dealer) returns it, it is a secret, one
+shift row per secret component (its codeword ``G[:, :t] x``) and a table
+of q**e rows, at first G's cached codeword table; each branch is a shift
+plus a table row (mod q).  A label map is linear, so
+:meth:`SparseState.apply_affine` maps an encoded state of two or more
+components by mapping its shifts and its table, and the result, which owns
+its mapped table, is encoded too.  The first read of an encoded state's
+labels or amplitudes writes them out, once, and from then on it is stored.
+Its branch count, register count and repr never write it out.  A state is
+a sparse map keyed by label rows; labels are packed into base-q integers
+internally for sorting and grouping.
 Rows are always unique, at every state size and with no scan for
 collisions: the array constructor merges duplicate rows, and this module
 owns both label maps, each with its rank certificate over F_q.  The dealer
@@ -39,19 +44,26 @@ labels (and amplitudes) and one write of its output:
   plus every row of an inner one, mod q, outer-major, written into a given
   slice of the result.  One writer builds G's cached codeword table (its
   high randomness digits' rows plus the low digits' table), the written-out
-  encoded state (each component's codeword plus the table) and each block
+  encoded state (each component's shift plus the table) and each block
   of an encoded state's trace;
-- ``apply_affine``: one float product and reduction per block;
+- ``apply_affine`` (:func:`_relabel`): one float product and reduction per
+  block, over a stored state's labels, or over an encoded state's shifts
+  and table rows.  A (4,5,11) session on a two-term secret maps 1.77 M
+  table rows, not 3.54 M branches, and writes no branch out.  A
+  one-component encoded state is written out and relabeled: its table has
+  as many rows as it has branches, so mapping the table would save nothing
+  and every later trace would pay the row sums again;
 - ``partial_trace``: kept indices, packed discarded keys and the diagonal
   (:func:`_branch_keys`), then one in-place sort of the packed keys and one
   streamed comparison of sorted neighbours (:func:`_branch_order`).  On an
   encoded state not yet written out, the same passes run on its branches
   as they are written: each block's labels by the row-sum writer into one
-  reused buffer, keyed there, and the weights split once per component.
-  So the trace reads the table, not an (N, R) label array and N
-  amplitudes: a (4,5,11) share's trace peaks at about 36 MB, where the
-  stored state alone takes 107 MB.  Both paths give the same reduced
-  state, bit for bit.
+  reused buffer, keyed there, and the weights split once per component;
+  the groups of several branches gather each branch's amplitude from its
+  component's, at ``branch // len(table)``.  So the trace reads the table,
+  not an (N, R) label array and N amplitudes: a (4,5,11) share's trace
+  peaks at about 36 MB, where the stored state alone takes 107 MB.  Both
+  paths give the same reduced state, bit for bit.
 
 The key pass packs each branch's key and index into one uint64, so one
 in-place sort gives both the branch order and the group boundaries; keys too
@@ -94,6 +106,7 @@ all three.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from functools import lru_cache
@@ -274,6 +287,19 @@ def _sum_rows(
     return first, counts
 
 
+def _relabel(labels: np.ndarray, targets: list[int], a: np.ndarray, q: int) -> np.ndarray:
+    """A copy of ``labels`` with the target columns mapped by ``x -> a x``
+    (mod q), in one pass of ``_CHUNK_ROWS``-row blocks: each block is
+    copied, and its target columns mapped and written over the copy while
+    still in cache."""
+    out = np.empty_like(labels)
+    for lo in range(0, len(out), _CHUNK_ROWS):
+        rows = out[lo : lo + _CHUNK_ROWS]
+        rows[...] = labels[lo : lo + _CHUNK_ROWS]
+        rows[:, targets] = _mod_matmul(rows[:, targets], a.T, q)
+    return out
+
+
 @lru_cache(maxsize=2)
 def _codeword_table(q: int, shape: tuple[int, int], entries: bytes, t: int) -> np.ndarray:
     """The randomness part ``G[:, t:] @ r`` of every codeword of G, as
@@ -359,8 +385,9 @@ class SparseState:
     constructor (which always dedupes, prunes and normalizes, and raises
     ``ValueError`` for a non-finite amplitude before any sort) or
     :meth:`encode`.  A state is stored (its label and amplitude arrays) or
-    encoded (a secret, a generator and its codeword table); an encoded
-    state is written out on the first read of :attr:`labels` or
+    encoded (a secret, its components' shifts and a codeword table), which
+    :meth:`apply_affine` keeps encoded for two or more components; an
+    encoded state is written out on the first read of :attr:`labels` or
     :attr:`amps`, at most once, and stored from then on.  Instances are
     immutable: arrays are write-protected and operations return new states.
     """
@@ -423,7 +450,8 @@ class SparseState:
         of this secret psi on t registers, on the rows of G over F_q with
         t + e columns; the one way to encode (the dealer).
 
-        The result holds this secret, G and G's randomness table
+        The result holds this secret, each component's shift ``G[:, :t] x``
+        (mod q), computed here once, and G's randomness table
         (:func:`_codeword_table`), fetched here.  So a generator without
         full column rank raises :class:`SingularMatrixError` here, and one
         over another field or with fewer columns than the secret has
@@ -439,10 +467,20 @@ class SparseState:
         if g.cols < t:
             raise ValueError(f"generator has {g.cols} columns, fewer than the {t} registers")
         table = _codeword_table(self.q, g.array.shape, g.array.astype(np.int64, copy=False).tobytes(), t)
-        state = object.__new__(SparseState)
-        state.q, state.num_registers, state._encoding = self.q, g.rows, (self, g, table)
-        state._labels = state._amps = None
-        return state
+        shifts = _mod_matmul(self.labels, g.array[:, :t].T, self.q).astype(table.dtype)
+        return SparseState._encoded(self.q, self, shifts, table)
+
+    @classmethod
+    def _encoded(cls, q: int, secret: SparseState, shifts: np.ndarray, table: np.ndarray) -> SparseState:
+        """Internal: the encoded state whose component c owns the rows
+        ``shifts[c]`` plus each table row (mod q), with the amplitude of the
+        secret's component c over ``sqrt(len(table))``."""
+        for part in (shifts, table):
+            part.setflags(write=False)
+        self = object.__new__(cls)
+        self.q, self.num_registers, self._encoding = q, table.shape[1], (secret, shifts, table)
+        self._labels = self._amps = None
+        return self
 
     # -- basic properties -----------------------------------------------
 
@@ -504,6 +542,17 @@ class SparseState:
         permutation of basis states (hence unitary); amplitudes are reused
         untouched, so the 2-norm is preserved exactly.  That check is the
         certificate that the new labels are distinct; they are not re-sorted.
+        Registers, the matrix, its shape, then its rank are checked, in that
+        order, before anything is mapped.
+
+        An encoded state of two or more secret components, not yet written
+        out, stays encoded: the map is linear, so ``A (h + t) = A h + A t``
+        (mod q), and the result holds the same secret with its shifts and its
+        table mapped (:func:`_relabel`), a table of its own outside the
+        codeword-table cache.  Its labels, once written out, equal those of
+        the written-out state mapped, row for row.  Any other state, a
+        one-component encoded one included, is written out (once) and its
+        labels are mapped.
         """
         targets = _registers(targets, self.num_registers, "target")
         a = _coerce_matrix(matrix, self.q)
@@ -514,14 +563,11 @@ class SparseState:
             raise SingularMatrixError(
                 f"affine map matrix is singular over F_{self.q}; not a basis permutation"
             )
-        # One pass of row blocks over the labels: each block is copied, and its
-        # target columns mapped and written over the copy while still in cache.
-        new_labels = np.empty_like(self.labels)
-        for lo in range(0, len(new_labels), _CHUNK_ROWS):
-            rows = new_labels[lo : lo + _CHUNK_ROWS]
-            rows[...] = self.labels[lo : lo + _CHUNK_ROWS]
-            rows[:, targets] = _mod_matmul(rows[:, targets], a.array.T, self.q)
-        return SparseState._wrap(self.q, new_labels, self.amps)
+        if self._encoding is not None and self._encoding[0].num_branches > 1:
+            secret, shifts, table = self._encoding
+            shifts, table = (_relabel(x, targets, a.array, self.q) for x in (shifts, table))
+            return SparseState._encoded(self.q, secret, shifts, table)
+        return SparseState._wrap(self.q, _relabel(self.labels, targets, a.array, self.q), self.amps)
 
     def apply_controlled_add(
         self, sources: Sequence[int], targets: Sequence[int], coeff
@@ -575,10 +621,11 @@ class SparseState:
         An encoded state not yet written out is reduced with none of it
         written out, equal bit for bit to the reduction of the written-out
         state: the same passes on the same ``_CHUNK_ROWS`` blocks of
-        branches, each block's labels written from the codeword table into
+        branches, each block's labels written from its shifts and table into
         one reused buffer and keyed there (:meth:`_encoded_blocks`).  Its N
-        branch amplitudes are expanded only if some group of discarded
-        digits holds two branches, as on an authorized set.
+        branch amplitudes are never expanded: where some group of discarded
+        digits holds two branches, as on an authorized set or a recovered
+        state, each of their amplitudes is read from its component's.
         """
         keep = _registers(keep, self.num_registers, "kept")
         dim = self.q ** len(keep)
@@ -598,40 +645,32 @@ class SparseState:
         # off-diagonal part, symmetrized as (P + P^H) / 2, is exactly
         # Hermitian; its diagonal repeats weights the streamed diagonal holds.
         multi, bounds = _multi_groups(order, same)
-        amps = self._amps if stored else self._branch_amps()
-        occupied, prod = _group_outer_sum(amps, kept_idx, multi, bounds, dim)
+        amps, per = (self._amps, 1) if stored else (self._component_amps(), len(self._encoding[2]))
+        occupied, prod = _group_outer_sum(amps, per, kept_idx, multi, bounds, dim)
         coherences = (prod + prod.conj().T) * 0.5
         np.fill_diagonal(coherences, 0.0)
         return DensityMatrix._reduced(self.q, len(keep), diagonal, occupied, coherences)
 
     # -- the encoded form -------------------------------------------------
 
-    def _shifts(self) -> np.ndarray:
-        """Each secret component's codeword ``G[:, :t] x`` (mod q), one row each."""
-        secret, g, _ = self._encoding
-        return _mod_matmul(secret.labels, g.array[:, : secret.num_registers].T, self.q)
-
     def _component_amps(self) -> np.ndarray:
         """Each secret component's branch amplitude."""
         secret, _, table = self._encoding
         return secret.amps * (1.0 / math.sqrt(len(table)))
 
-    def _branch_amps(self) -> np.ndarray:
-        """Every branch's amplitude, in branch order."""
-        return np.repeat(self._component_amps(), len(self._encoding[2]))
-
     def _write_out(self) -> None:
         """Write every branch of the encoded state out and store it."""
         labels = np.empty((self.num_branches, self.num_registers), dtype=self._encoding[2].dtype)
-        _sum_rows(self._shifts(), self._encoding[2], self.q, labels)
-        self._store(self.q, labels, self._branch_amps())
+        _sum_rows(self._encoding[1], self._encoding[2], self.q, labels)
+        self._store(self.q, labels, np.repeat(self._component_amps(), len(self._encoding[2])))
 
     def _encoded_blocks(self) -> Iterator[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]]:
         """The blocks of the written-out labels, ``_CHUNK_ROWS`` rows each,
         written one after another into one buffer, with their split weights
         (:func:`_stored_blocks`).  A block may span components: each
         component's split weight repeats over the rows it gave the block."""
-        table, n, shifts, amps = self._encoding[2], self.num_branches, self._shifts(), self._component_amps()
+        _, shifts, table = self._encoding
+        n, amps = self.num_branches, self._component_amps()
         parts = _split_weights(amps.real**2 + amps.imag**2)
         buffer = np.empty((min(n, _CHUNK_ROWS), self.num_registers), dtype=table.dtype)
         for lo in range(0, n, _CHUNK_ROWS):
@@ -768,13 +807,15 @@ def _bounds(opens: np.ndarray) -> np.ndarray:
 
 
 def _group_outer_sum(
-    amps: np.ndarray, kept_idx: np.ndarray, multi: np.ndarray, bounds: np.ndarray, dim: int
+    amps: np.ndarray, per: int, kept_idx: np.ndarray, multi: np.ndarray, bounds: np.ndarray, dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The kept indices that the multi-branch groups occupy, and the groups'
     summed outer products ``sum_g v_g v_g^H`` on those u indices.
 
     ``multi`` lists the groups' branches in sorted order, group g at
-    ``bounds[g]:bounds[g + 1]``.  The groups fill dense ``(groups x u)``
+    ``bounds[g]:bounds[g + 1]``.  Branch i's amplitude is
+    ``amps[i // per]``: a stored state's amplitudes with ``per`` 1, or an
+    encoded state's component amplitudes with ``per`` its table length.  The groups fill dense ``(groups x u)``
     blocks of at most ``_BLOCK_ENTRIES`` amplitudes, and each block adds
     ``block.T @ block.conj()`` to the u x u sum.  Labels are unique, so no
     two branches of a group share a kept index.
@@ -795,7 +836,7 @@ def _group_outer_sum(
         lo, hi = edges[0], edges[-1]
         rows = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
         block = np.zeros((len(edges) - 1, u), dtype=np.complex128)
-        block[rows, column[kept[lo:hi]]] = amps[multi[lo:hi]]
+        block[rows, column[kept[lo:hi]]] = amps[multi[lo:hi] // per]
         total += block.T @ block.conj()
     return occupied, total
 
@@ -829,17 +870,20 @@ def _prune_normalize(labels: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, 
 
 
 def superpose(parts: Sequence[tuple[SparseState, complex]]) -> SparseState:
-    """Normalized linear combination of states on identical register sets."""
+    """Normalized linear combination of states on identical register sets;
+    a non-finite coefficient raises ``ValueError`` before any product."""
     parts = list(parts)
     if not parts:
         raise EmptyStateError("no states supplied")
     q = parts[0][0].q
     regs = parts[0][0].num_registers
-    for st, _ in parts:
+    for st, c in parts:
         if st.q != q:
             raise ValueError("states over different qudit dimensions")
         if st.num_registers != regs:
             raise ValueError("states have different register counts")
+        if not cmath.isfinite(complex(c)):
+            raise ValueError(f"coefficient {c} is not finite")
     labels = np.concatenate([st.labels for st, _ in parts], axis=0)
     amps = np.concatenate([st.amps * complex(c) for st, c in parts])
     return SparseState(q, labels, amps)

@@ -228,6 +228,41 @@ class TestRecoverFromD:
             recover_from_d(dealt, [1, 2, 4])
 
 
+class TestRecoveryOnTheEncodedState:
+    def test_two_term_4_5_11_sessions_write_nothing_out(self):
+        # The dealt state's 3.54 M branches take 107 MB written out.  A
+        # session maps its two shifts and its 1.77 M-row codeword table, and
+        # the secret-block trace streams from them.
+        p = make_params(4, 5, 11)
+        secret = SparseState.from_branches(11, [((1, 2), 0.6), ((7, 3), 0.8j)])
+        dealt = deal(secret, p)
+        tracemalloc.start()
+        try:
+            result = recover_from_k(dealt, [1, 2, 3, 4])
+            rho = result.state.partial_trace(result.secret_registers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        assert abs(fidelity(rho, secret) - 1.0) <= 1e-14 and abs(rho.purity() - 1.0) <= 1e-14
+        assert result.state._encoding is not None
+        recover_from_d(dealt, [1, 2, 3, 4, 5])
+        assert dealt.state._encoding is not None, "the dealt state was written out"
+
+    def test_one_component_dealt_state_written_out_once(self, monkeypatch):
+        # Its table has as many rows as the state has branches, so a session
+        # relabels the written-out state.
+        writes = []
+        write_out = SparseState._write_out
+        monkeypatch.setattr(SparseState, "_write_out", lambda self: writes.append(self) or write_out(self))
+        secret = basis_secret(P235, (1, 0))
+        dealt = deal(secret, P235)
+        for result in (recover_from_k(dealt, [1, 2]), recover_from_d(dealt, [1, 2, 3])):
+            assert result.state._encoding is None
+            assert_recovers(result, secret)
+        assert writes == [dealt.state] and dealt.state._encoding is None
+
+
 class TestRecoverFromK:
     def test_smallest_scheme_all_subsets(self):
         secret = superpose(

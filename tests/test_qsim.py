@@ -310,8 +310,15 @@ class TestSuperpose:
 
     def test_nan_coefficient_rejected(self):
         a, b = SparseState.basis(3, (0,)), SparseState.basis(3, (1,))
-        with pytest.raises(ValueError, match="is not finite"):
+        with pytest.raises(ValueError, match="coefficient nan is not finite"):
             superpose([(a, 1.0), (b, float("nan"))])
+
+    @pytest.mark.parametrize("coeff", [math.inf, complex(0, -math.inf)], ids=["real", "imaginary"])
+    def test_inf_coefficient_rejected_before_any_product(self, coeff):
+        # 0 * inf in the product would raise the suite's RuntimeWarning.
+        a, b = SparseState.basis(5, (0,)), SparseState.basis(5, (1,))
+        with pytest.raises(ValueError, match="coefficient .*inf.* is not finite"):
+            superpose([(a, 1.0), (b, coeff)])
 
 
 class TestAffine:
@@ -660,6 +667,68 @@ class TestEncodedTrace:
             secret.encode(p.generator).partial_trace([0, 1], dim_cap=24)
         with pytest.raises(SingularMatrixError, match="codewords would collide"):
             secret.encode(Collapsed(2, 3, 5).generator).partial_trace([0])
+
+
+class TestEncodedMap:
+    """``apply_affine`` on an encoded state of two or more components maps
+    its component shifts and its codeword table, not its branches, against
+    the same maps on the state written out."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        q=hst.sampled_from([5, 11, 257]),
+        t=hst.integers(1, 2),
+        e=hst.integers(0, 2),
+        extra_rows=hst.integers(0, 3),
+        components=hst.integers(2, 4),
+        steps=hst.integers(1, 3),
+        kept=hst.integers(0, 3),
+        chunk=hst.sampled_from([3, 64]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    # One register: every map scales it, and the trace keeps it, so one group
+    # holds every branch and the coherences are gathered from the components.
+    @example(q=5, t=1, e=0, extra_rows=0, components=4, steps=2, kept=1, chunk=3, seed=0)
+    def test_bit_identical_to_the_written_state(self, q, t, e, extra_rows, components, steps, kept, chunk, seed):
+        e = e if q <= 11 else min(e, 1)
+        g = full_rank_generator(q, t + e + extra_rows, t + e, seed)
+        rng = np.random.default_rng(seed + 1)
+        picks = rng.choice(q**t, size=components, replace=False)
+        amps = rng.normal(size=components) + 1j * rng.normal(size=components)
+        secret = SparseState(q, qsim._digit_rows(picks, q, t), amps)
+        calls = []
+        for step in range(steps):
+            regs = rng.permutation(g.rows).tolist()
+            if g.rows > 1 and rng.random() < 0.5:
+                s = int(rng.integers(1, g.rows))
+                c = int(rng.integers(1, g.rows - s + 1))
+                calls.append(("apply_controlled_add", regs[:s], regs[s : s + c], rng.integers(0, q, (c, s))))
+            else:
+                size = int(rng.integers(1, g.rows + 1))
+                calls.append(("apply_affine", regs[:size], full_rank_generator(q, size, size, seed + step)))
+        kept = min(kept, g.rows)
+        while q**kept > qsim.DEFAULT_DIM_CAP:
+            kept -= 1
+        keep = rng.permutation(g.rows)[:kept].tolist()
+        with mock.patch.object(qsim, "_CHUNK_ROWS", chunk):
+            got, want = secret.encode(g), written_out(secret.encode(g))
+            for name, *args in calls:
+                got, want = (getattr(st, name)(*args) for st in (got, want))
+            assert got._encoding is not None and want._encoding is None
+            assert_same_reduction(got.partial_trace(keep), want.partial_trace(keep))
+        assert np.array_equal(got.labels, want.labels) and np.array_equal(got.amps, want.amps)
+
+    def test_checks_run_on_the_encoded_state(self):
+        p = make_params(2, 3, 5)
+        secret = superpose([(basis_secret(p, (1, 0)), 0.6), (basis_secret(p, (0, 3)), 0.8)])
+        dealt = secret.encode(p.generator)
+        with pytest.raises(SingularMatrixError, match="singular"):
+            dealt.apply_affine([0, 1], [[1, 1], [2, 2]])
+        with pytest.raises(TypeError, match="integer"):
+            dealt.apply_affine([0.7], [[2]])
+        with pytest.raises(ValueError, match="does not match 1 target"):
+            dealt.apply_affine([0], [[1, 0], [0, 1]])
+        assert dealt._encoding is not None
 
 
 # Fields at the edges of the label widths: byte labels whose sums fit a byte
